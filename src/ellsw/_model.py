@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .cyclo import CyclotomicNumber, root_of_unity
 from .errors import InternalInvariantError
-from .groups import GroupSpec, UnitaryElement, build_binary_polyhedral
+from .groups import GroupSpec, UnitaryElement, build_binary_polyhedral, eigen_exponents
 
 _BASE_ORDER = {"T": 12, "O": 24, "I": 60}
 
@@ -76,7 +76,10 @@ class _SU2Table:
         self.base = b
         self.eigen = []
         for i, a in enumerate(self.atoms):
-            self.eigen.append(_eigen_exponents(a, self.order[i], b))
+            d, e1, e2 = eigen_exponents(a)
+            if d != self.order[i] or b % d:
+                raise InternalInvariantError("atom eigenvalues disagree with the table order")
+            self.eigen.append((e1 * (b // d), e2 * (b // d)))
         if kind == "T":
             # Classes modulo the order-8 quaternion subgroup, indexed by powers
             # of the chosen order-6 generator.
@@ -115,37 +118,6 @@ class _SU2Table:
         for _ in range(k):
             out = self.mult[out][i]
         return out
-
-
-def _root_exponent(value: CyclotomicNumber, order: int) -> int:
-    """Exponent e with value = zeta_order^e."""
-    v = value.reduced()
-    d = v.multiplicative_order()
-    if d is None or order % d:
-        raise InternalInvariantError("eigenvalue is not a root of unity of the base order")
-    for j in range(d):
-        if root_of_unity(j, d) == v:
-            return j * (order // d)
-    raise InternalInvariantError("discrete log of eigenvalue failed")
-
-
-def _eigen_exponents(a: UnitaryElement, elt_order: int, base: int):
-    """Eigenvalue exponents of an SU(2) element of known order, in base units."""
-    if base % elt_order:
-        raise InternalInvariantError("element order does not divide the base order")
-    tr = a.trace()
-    det = a.det()
-    zero = CyclotomicNumber.zero()
-    found = []
-    for j in range(elt_order):
-        lam = root_of_unity(j, elt_order)
-        if lam * lam - tr * lam + det == zero:
-            found.append(j * (base // elt_order))
-            if len(found) == 2:
-                return tuple(found)
-    if len(found) == 1:
-        return (found[0], found[0])
-    raise InternalInvariantError("eigenvalue search failed for an atom")
 
 
 @lru_cache(maxsize=None)

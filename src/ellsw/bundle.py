@@ -14,8 +14,8 @@ import math
 import random
 from fractions import Fraction
 
-from .cyclo import CyclotomicNumber, root_of_unity
-from .errors import CharacterConflictError, ConstraintError, InternalInvariantError
+from .cyclo import CyclotomicNumber, root_exponent, root_of_unity
+from .errors import CharacterConflictError, ConstraintError, DomainError, InternalInvariantError
 from .groups import FiniteGroup, GroupSpec, build_group
 
 
@@ -69,17 +69,14 @@ def extend_character(group: FiniteGroup, assignments) -> Character:
     must generate the group.  A conflict raises CharacterConflictError with
     the offending element as witness.
     """
-    orders = []
+    roots = []
     for _, v in assignments:
-        d = v.multiplicative_order()
-        if d is None:
-            raise ConstraintError("character values must be roots of unity")
-        orders.append(d)
-    d = math.lcm(*orders) if orders else 1
-    gen_exps = []
-    for key, v in assignments:
-        e = next(j for j in range(d) if root_of_unity(j, d) == v)
-        gen_exps.append((key, e))
+        try:
+            roots.append(root_exponent(v))
+        except DomainError as exc:
+            raise ConstraintError("character values must be roots of unity") from exc
+    d = math.lcm(*(o for o, _ in roots)) if roots else 1
+    gen_exps = [(key, e * (d // o)) for (key, _), (o, e) in zip(assignments, roots)]
 
     exps = {group.identity: 0}
     frontier = [group.identity]

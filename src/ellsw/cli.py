@@ -16,6 +16,7 @@ import sys
 
 from .bundle import section_equivariance_report
 from .curves import run_audit
+from .cyclo import root_exponent
 from .errors import ConstraintError, InputDocumentError, InternalInvariantError
 from .groups import GroupSpec, build_group, group_report, scalar_subgroup
 from .seifert import euler_number, normalized_invariant
@@ -110,19 +111,34 @@ def _catalog_path(args):
     return args.catalog or os.environ.get(CATALOG_ENV)
 
 
+def _read_catalog(path) -> dict:
+    """(family, m, n) -> stored record; a malformed line is an input error."""
+    existing = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                spec = rec["spec"]
+                key = (spec["family"], spec["m"], spec.get("n", 0))
+                existing[key] = rec
+            except json.JSONDecodeError as exc:
+                raise InputDocumentError(
+                    f"catalog {path} line {lineno}: invalid JSON at column {exc.colno}"
+                ) from exc
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise InputDocumentError(
+                    f"catalog {path} line {lineno}: record has no valid spec"
+                ) from exc
+    return existing
+
+
 def _swdim_sweep(args) -> int:
     specs = sweep_specs(args.max_order)
     path = _catalog_path(args)
-    existing = {}
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                key = (rec["spec"]["family"], rec["spec"]["m"], rec["spec"].get("n", 0))
-                existing[key] = rec
+    existing = _read_catalog(path) if path and os.path.exists(path) else {}
     mismatches = 0
     drift = 0
     appended = 0
@@ -183,20 +199,12 @@ def cmd_verify_rho(args) -> int:
             lines.append(f"FAIL  f({name} z) != rho({name}) f(z)")
             payload["witnesses"].append({"generator": name, "ok": False})
             continue
-        r = scalar.reduced()
-        d = r.multiplicative_order()
-        e = next(j for j in range(d) if r == _zeta(j, d))
+        d, e = root_exponent(scalar)
         lines.append(f"ok    f({name} z) = zeta_{d}^{e} f(z)")
         payload["witnesses"].append({"generator": name, "scalar": f"zeta_{d}^{e}", "ok": True})
     lines.append("PASS" if report["ok"] else "FAIL")
     _emit(payload, args, lines)
     return 0 if report["ok"] else 3
-
-
-def _zeta(j, d):
-    from .cyclo import root_of_unity
-
-    return root_of_unity(j, d)
 
 
 def cmd_audit(args) -> int:

@@ -1,30 +1,43 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A value is stored as its residue modulo the N-th cyclotomic polynomial
-Phi_N: a coefficient vector of length deg(Phi_N) = phi(N) over Q.  That
-representation is canonical, so two values at the same order are equal
-iff their stored coefficients are equal.  Cross-order comparisons embed
-into the lcm order first; `reduced()` rewrites a value at its conductor
-(the smallest order whose field contains it).
+A value of order N is stored as integer numerators over one common
+denominator, as FLINT/Antic store number-field elements:
+
+    (num[0] + num[1] zeta_N + ... + num[phi(N)-1] zeta_N^(phi(N)-1)) / den,
+
+the residue modulo the N-th cyclotomic polynomial Phi_N.  Two invariants
+make the pair (num, den) canonical at a given order: den > 0, and
+gcd(num[0], ..., num[-1], den) == 1 (zero is all-zero numerators over 1).
+Two values of the same order are therefore equal iff their (num, den) are
+equal; cross-order operations embed both sides into the lcm order first.
+
+All arithmetic is on Python ints.  A product is an integer convolution
+reduced modulo the monic integer polynomial Phi_N; a sum cross-multiplies
+the denominators; `inverse` runs a fraction-free remainder sequence against
+Phi_N.  `reduced()` rewrites a value at its conductor (the least order
+whose field contains it, never 2 mod 4); hashing and serialization use
+that form, so equal values hash equally whatever their order.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
-from .errors import NotRationalError
+from .errors import DomainError, InternalInvariantError, NotRationalError
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def factorize(n: int) -> dict:
-    """Prime factorization by trial division; fine for the orders used here."""
+# The sweep meets thousands of distinct orders once each; a bounded cache keeps
+# its hits (about 80%) without holding every factorization for the process.
+@lru_cache(maxsize=256)
+def factorize(n: int):
+    """Prime factorization by trial division, as a read-only {prime: exponent}."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out = {}
@@ -36,9 +49,10 @@ def factorize(n: int) -> dict:
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return MappingProxyType(out)
 
 
+@lru_cache(maxsize=256)
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n).items():
@@ -53,33 +67,92 @@ def mobius(n: int) -> int:
     return -1 if len(f) % 2 else 1
 
 
+# ---------------------------------------------------------------------------
+# integer polynomials: coefficient lists, constant term first
+
+
 def _poly_mul(a, b):
+    bnz = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
+    for i, x in enumerate(a):
+        if x:
+            for j, y in bnz:
+                out[i + j] += x * y
     return out
 
 
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
 def _poly_divexact(num, den):
-    """Exact division of integer polynomials (den monic up to sign)."""
-    num = list(num)
+    """Exact division of integer polynomials."""
+    m, q, r = _poly_pseudo_divmod(num, den)
+    if m != 1:
+        raise InternalInvariantError("polynomial quotient has a non-integer coefficient")
+    if r:
+        raise InternalInvariantError("polynomial division was not exact")
+    return q
+
+
+def _poly_pseudo_divmod(num, den):
+    """(m, q, r) with m*num == q*den + r, deg r < deg den, m a nonzero integer.
+
+    Each step scales by |lc(den)|/gcd(top, lc(den)) only, which keeps m
+    small and positive; m == 1 whenever the quotient has integer coefficients.
+    """
+    r = list(num)
     dd = len(den) - 1
     lead = den[-1]
-    q = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
+    q = [0] * (len(r) - dd)
+    m = 1
+    for k in range(len(r) - 1 - dd, -1, -1):
+        t = r[k + dd]
+        if not t:
             continue
-        assert c % lead == 0
-        t = c // lead
-        q[i - dd] = t
-        for j, cd in enumerate(den):
-            num[i - dd + j] -= t * cd
-    assert all(c == 0 for c in num), "polynomial division was not exact"
-    return q
+        g = math.gcd(t, lead)
+        scale = abs(lead) // g
+        if scale != 1:
+            r = [x * scale for x in r]
+            q = [x * scale for x in q]
+            m *= scale
+        t = t // g if lead > 0 else -t // g
+        q[k] = t
+        for j, c in enumerate(den):
+            if c:
+                r[k + j] -= t * c
+    return m, q, _poly_trim(r[:dd])
+
+
+def _poly_modinv(a, mod):
+    """(s, c) with s*a == c modulo `mod`, c a nonzero integer.
+
+    A primitive remainder sequence: every remainder r_i is kept alongside
+    an s_i with s_i*a == r_i (mod `mod`), and both are divided by their
+    common content, so no rational number is ever formed.
+    """
+    r0, s0 = list(mod), [0]
+    r1, s1 = _poly_trim(list(a)), [1]
+    while len(r1) > 1:
+        m, q, r = _poly_pseudo_divmod(r0, r1)
+        qs = _poly_mul(q, s1)
+        s = [m * x for x in s0] + [0] * max(0, len(qs) - len(s0))
+        for i, x in enumerate(qs):
+            s[i] -= x
+        g = math.gcd(*r, *s)
+        if g > 1:
+            r = [x // g for x in r]
+            s = [x // g for x in s]
+        r0, s0, r1, s1 = r1, s1, r, _poly_trim(s)
+    if not r1:
+        raise ZeroDivisionError("element is not invertible modulo Phi_N")
+    return s1, r1[0]
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic polynomials and reduction modulo Phi_n
 
 
 @lru_cache(maxsize=None)
@@ -114,53 +187,64 @@ def cyclotomic_polynomial(n: int):
     return tuple(spread)
 
 
-# Per order N: list of reduction rows; row j holds the canonical integer
-# coefficient vector of x^(deg+j) modulo Phi_N.  Extended on demand.
-_ROWS: dict = {}
+@lru_cache(maxsize=None)
+def _phi_tail(n: int):
+    """Nonzero (index, coefficient) pairs of Phi_n below its leading term."""
+    return tuple((j, c) for j, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
 
 
-def _reduction_rows(n: int, upto: int):
+def _reduce(n: int, dense: list) -> list:
+    """`dense` (integer coefficients, any length) reduced modulo Phi_n, in place."""
     deg = euler_phi(n)
-    rows = _ROWS.get(n)
-    if rows is None:
-        phi = cyclotomic_polynomial(n)
-        first = tuple(-c for c in phi[:-1])
-        rows = [first]
-        _ROWS[n] = rows
-    while len(rows) <= upto - deg:
-        prev = rows[-1]
-        top = prev[-1]
-        shifted = (0,) + prev[:-1]
-        if top:
-            shifted = tuple(s + top * r for s, r in zip(shifted, rows[0]))
-        rows.append(shifted)
-    return rows
+    if len(dense) > deg:
+        tail = _phi_tail(n)
+        for i in range(len(dense) - 1, deg - 1, -1):
+            c = dense[i]
+            if c:
+                base = i - deg
+                for j, pj in tail:
+                    dense[base + j] -= c * pj
+        del dense[deg:]
+    elif len(dense) < deg:
+        dense.extend([0] * (deg - len(dense)))
+    return dense
 
 
-def _canonical_monomial(n: int, e: int):
-    """Canonical coefficient vector of zeta_n^e as a tuple of ints."""
-    deg = euler_phi(n)
-    e %= n
-    if e < deg:
-        row = [0] * deg
-        row[e] = 1
-        return tuple(row)
-    return _reduction_rows(n, e)[e - deg]
+def _monomial(n: int, e: int) -> list:
+    """Canonical integer coordinates of zeta_n^e."""
+    return _reduce(n, [0] * (e % n) + [1])
+
+
+# Keyed by order; a table holds n * phi(n) ints, so only a few dozen are kept.
+@lru_cache(maxsize=32)
+def _powers(n: int):
+    """Canonical vectors of zeta_n^k for k = 0 .. n-1."""
+    rows = [tuple(_monomial(n, 0))]
+    for _ in range(n - 1):
+        # zeta * zeta^k: shift by one place, then one reduction step.
+        rows.append(tuple(_reduce(n, [0, *rows[-1]])))
+    return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# the field element
 
 
 class CyclotomicNumber:
-    """An exact element of Q(zeta_order); immutable."""
+    """An exact element of Q(zeta_order); immutable.
 
-    __slots__ = ("order", "coeffs", "_hash")
+    `num` is a tuple of phi(order) ints and `den` a positive int, with no
+    common factor shared by all of them (see the module docstring).
+    """
+
+    __slots__ = ("order", "num", "den", "_hash")
 
     def __init__(self, order: int, coeffs):
-        deg = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != deg:
-            raise ValueError(f"need {deg} coefficients for order {order}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
+        """From phi(order) ints or Fractions, the power-basis coordinates."""
+        num, den = _over_common_denominator(coeffs)
+        if len(num) != euler_phi(order):
+            raise ValueError(f"need {euler_phi(order)} coefficients for order {order}")
+        _init(self, order, num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicNumber is immutable")
@@ -169,44 +253,44 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_rational(q) -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(q),))
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero() -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (_ZERO,))
+        return _ZERO_CYC
 
     @staticmethod
     def one() -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (_ONE,))
+        return _ONE_CYC
 
     @staticmethod
     def _from_dense(order: int, dense) -> "CyclotomicNumber":
-        """Reduce an arbitrary-length coefficient list modulo Phi_order."""
-        deg = euler_phi(order)
-        out = [Fraction(c) for c in dense[:deg]]
-        out += [_ZERO] * (deg - len(out))
-        for e in range(deg, len(dense)):
-            c = dense[e]
-            if c:
-                row = _canonical_monomial(order, e)
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return CyclotomicNumber(order, out)
+        """Reduce an arbitrary-length list of ints or Fractions modulo Phi_order."""
+        num, den = _over_common_denominator(dense)
+        return _make(order, _reduce(order, num), den)
+
+    @property
+    def coeffs(self):
+        """The power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- order handling ----------------------------------------------
 
     def embed(self, order: int) -> "CyclotomicNumber":
         """Re-express at a larger order (self.order must divide order)."""
-        if order == self.order:
+        n = self.order
+        if order == n:
             return self
-        if order % self.order:
+        if order % n:
             raise ValueError("can only embed into a multiple of the order")
-        step = order // self.order
-        dense = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for j, c in enumerate(self.coeffs):
-            dense[j * step] = c
-        return CyclotomicNumber._from_dense(order, dense)
+        step = order // n
+        dense = [0] * ((len(self.num) - 1) * step + 1)
+        dense[::step] = self.num
+        # Z[zeta_n] is the ring of integers of its field, so the embedding
+        # keeps the numerators' content and the pair stays normalized.
+        return _raw(order, _reduce(order, dense), self.den)
 
     @staticmethod
     def _common(a: "CyclotomicNumber", b: "CyclotomicNumber"):
@@ -220,137 +304,136 @@ class CyclotomicNumber:
         n = self.order
         if math.gcd(t, n) != 1:
             raise ValueError("galois exponent must be coprime to the order")
-        deg = len(self.coeffs)
-        out = [_ZERO] * deg
-        for j, c in enumerate(self.coeffs):
+        dense = [0] * n
+        for j, c in enumerate(self.num):
             if c:
-                row = _canonical_monomial(n, (j * t) % n)
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return CyclotomicNumber(n, out)
+                dense[(j * t) % n] = c
+        # An automorphism of Z[zeta_n] keeps the numerators' content.
+        return _raw(n, _reduce(n, dense), self.den)
 
     def reduced(self) -> "CyclotomicNumber":
         """Rewrite at the conductor: the least order whose field contains self."""
         x = self
-        changed = True
-        while changed and x.order > 1:
-            changed = False
-            for p in factorize(x.order):
-                d = x.order // p
-                y = x._descend(d)
-                if y is not None:
-                    x = y
-                    changed = True
+        # A prime that fails to descend at some order fails at every divisor
+        # of it, so one pass over the primes, each repeated, suffices.
+        for p in factorize(self.order):
+            while x.order % p == 0:
+                y = x._descend(p)
+                if y is None:
                     break
+                x = y
         return x
 
-    def _descend(self, d: int):
-        """Return self re-expressed at order d (d = order/p), or None."""
+    def _descend(self, p: int):
+        """Return self re-expressed at order n/p (p a prime dividing n), or None."""
         n = self.order
-        fixers = [t for t in range(1, n) if t % d == 1 and math.gcd(t, n) == 1]
-        for t in fixers:
-            if t != 1 and self.galois(t).coeffs != self.coeffs:
+        d = n // p
+        num = self.num
+        if d % p == 0:
+            # Phi_n(x) = Phi_d(x^p): the subfield is spanned by the basis
+            # powers that are multiples of p.
+            if any(c for i, c in enumerate(num) if i % p):
                 return None
-        # Solve for coordinates in the zeta_d power basis embedded at order n.
-        degd = euler_phi(d)
-        cols = [_canonical_monomial(n, (j * (n // d)) % n) for j in range(degd)]
-        return _solve_subfield(d, cols, self.coeffs)
+            return _raw(d, num[::p], self.den)
+        # p exactly divides n.  zeta_n = zeta_d^u zeta_p^v with u p + v d = 1,
+        # and the relative trace to Q(zeta_d) maps zeta_d^A zeta_p^B to
+        # zeta_d^A (p - 1 if p | B else -1).  A member of Q(zeta_d) is its
+        # trace divided by p - 1; anything else fails the check below.
+        u = pow(p, -1, d)
+        v = (1 - u * p) // d
+        dense = [0] * d
+        for j, c in enumerate(num):
+            if c:
+                dense[(u * j) % d] += c * (p - 1) if (v * j) % p == 0 else -c
+        y = _make(d, _reduce(d, dense), self.den * (p - 1))
+        if p != 2:  # Q(zeta_2d) = Q(zeta_d) for odd d: nothing to check
+            back = y.embed(n)
+            if back.num != num or back.den != self.den:
+                return None
+        return y
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self == _ONE_CYC
+        num = self.num
+        return self.den == 1 and num[0] == 1 and not any(num[1:])
 
     def is_rational(self) -> bool:
-        if self.order == 1:
-            return True
-        return self.reduced().order == 1
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
-        if self.order == 1:
-            return self.coeffs[0]
-        r = self.reduced()
-        if r.order != 1:
+        if any(self.num[1:]):
             raise NotRationalError(self)
-        return r.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def multiplicative_order(self):
         """Order as a root of unity, or None if not one."""
-        bound = 2 * self.order
-        v = self
-        for d in range(1, bound + 1):
-            if v.is_one():
-                return d
-            v = v * self
-        return None
+        try:
+            return root_exponent(self)[0]
+        except DomainError:
+            return None
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = CyclotomicNumber._common(self, other)
-        return CyclotomicNumber(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _make(a.order, [x + y for x, y in zip(a.num, b.num)], a.den)
+        da, db = a.den, b.den
+        return _make(a.order, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-c for c in self.coeffs))
+        return _raw(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if other.order == 1 or self.order == 1:
+            # A rational factor scales the numerators.
+            x, q = (self, other) if other.order == 1 else (other, self)
+            c = q.num[0]
+            return _make(x.order, [v * c for v in x.num], x.den * q.den)
         a, b = CyclotomicNumber._common(self, other)
-        if a.order == 1:
-            return CyclotomicNumber(1, (a.coeffs[0] * b.coeffs[0],))
-        # Sparse operand: accumulate shifted monomial reductions.
-        na = sum(1 for c in a.coeffs if c)
-        nb = sum(1 for c in b.coeffs if c)
-        if min(na, nb) <= 2:
-            small, big = (a, b) if na <= nb else (b, a)
-            deg = len(a.coeffs)
-            out = [_ZERO] * deg
-            for j, cj in enumerate(small.coeffs):
-                if not cj:
-                    continue
-                for k, ck in enumerate(big.coeffs):
-                    if not ck:
-                        continue
-                    row = _canonical_monomial(a.order, j + k)
-                    c = cj * ck
-                    for i, r in enumerate(row):
-                        if r:
-                            out[i] += c * r
-            return CyclotomicNumber(a.order, out)
-        dense = _poly_mul(a.coeffs, b.coeffs)
-        return CyclotomicNumber._from_dense(a.order, dense)
+        n = a.order
+        return _make(n, _reduce(n, _poly_mul(a.num, b.num)), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
-        if self.is_zero():
+        """Multiplicative inverse, by a fraction-free remainder sequence mod Phi_N."""
+        num = self.num
+        if not any(num):
             raise ZeroDivisionError("cyclotomic division by zero")
-        if self.order == 1:
-            return CyclotomicNumber(1, (1 / self.coeffs[0],))
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        s = _poly_modinv(list(self.coeffs), phi)
-        return CyclotomicNumber._from_dense(self.order, s)
+        n = self.order
+        terms = [(j, c) for j, c in enumerate(num) if c]
+        if len(terms) == 1:
+            # (c zeta^j / den)^-1 = (den / c) zeta^-j
+            j, c = terms[0]
+            return _make(n, [self.den * r for r in _monomial(n, -j)], c)
+        s, c = _poly_modinv(num, cyclotomic_polynomial(n))
+        den = self.den
+        return _make(n, _reduce(n, [den * x for x in s]), c)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -381,11 +464,12 @@ class CyclotomicNumber:
     # -- comparisons / hashing -----------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = CyclotomicNumber._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -394,7 +478,7 @@ class CyclotomicNumber:
     def __hash__(self):
         if self._hash is None:
             r = self.reduced()
-            object.__setattr__(self, "_hash", hash((r.order, r.coeffs)))
+            object.__setattr__(self, "_hash", hash((r.order, r.num, r.den)))
         return self._hash
 
     # -- conversions -----------------------------------------------------
@@ -420,13 +504,55 @@ class CyclotomicNumber:
         return CyclotomicNumber(int(d["order"]), coeffs)
 
     def __repr__(self):
+        coeffs = self.coeffs
         if self.order == 1:
-            return f"Cyc({self.coeffs[0]})"
+            return f"Cyc({coeffs[0]})"
         terms = []
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(coeffs):
             if c:
                 terms.append(f"{c}*z{self.order}^{j}" if j else f"{c}")
         return "Cyc(" + (" + ".join(terms) or "0") + ")"
+
+
+_set = object.__setattr__
+
+
+def _over_common_denominator(coeffs):
+    """(integer numerators, den) for ints or Fractions over their least common denominator."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _init(self, order, num, den):
+    if den < 0:
+        num, den = [-c for c in num], -den
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    _set(self, "order", order)
+    _set(self, "num", tuple(num))
+    _set(self, "den", den)
+    _set(self, "_hash", None)
+
+
+def _make(order, num, den) -> CyclotomicNumber:
+    """A value from phi(order) integer numerators over a nonzero int den."""
+    self = object.__new__(CyclotomicNumber)
+    _init(self, order, num, den)
+    return self
+
+
+def _raw(order, num, den) -> CyclotomicNumber:
+    """Like _make, for numerators and den > 0 already without a common factor."""
+    self = object.__new__(CyclotomicNumber)
+    _set(self, "order", order)
+    _set(self, "num", tuple(num))
+    _set(self, "den", den)
+    _set(self, "_hash", None)
+    return self
 
 
 def _coerce(x):
@@ -437,95 +563,99 @@ def _coerce(x):
     return NotImplemented
 
 
-def _poly_modinv(a, mod):
-    """Inverse of a modulo mod in Q[x]; both as low-first Fraction lists."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def polydivmod(num, den):
-        num = num[:]
-        q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-        dl = den[-1]
-        while len(num) >= len(den) and trim(num):
-            t = num[-1] / dl
-            k = len(num) - len(den)
-            q[k] = t
-            for i, c in enumerate(den):
-                num[k + i] -= t * c
-            trim(num)
-        return trim(q), num
-
-    r0, r1 = [Fraction(c) for c in mod], trim([Fraction(c) for c in a])
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1:
-        q, r = polydivmod(r0, r1)
-        r0, r1 = r1, trim(r)
-        qn = _poly_mul_frac(q, s1)
-        s0, s1 = s1, trim([x - y for x, y in _zip_pad(s0, qn)])
-    if not r1:
-        raise ZeroDivisionError("element is not invertible modulo Phi_N")
-    g = r1[0]
-    return [c / g for c in s1]
+_ZERO_CYC = _raw(1, (0,), 1)
+_ONE_CYC = _raw(1, (1,), 1)
 
 
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
-
-
-def _solve_subfield(d, cols, target):
-    """Solve sum_j a_j cols[j] = target over Q; return value at order d or None."""
-    nrows = len(target)
-    ncols = len(cols)
-    mat = [[Fraction(cols[j][i]) for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        piv.append(c)
-        r += 1
-        if r == nrows:
-            break
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv):
-        sol[c] = mat[i][-1]
-    # Rows past the pivots must be consistent (they are, if membership held).
-    for i in range(len(piv), nrows):
-        if mat[i][-1]:
-            return None
-    return CyclotomicNumber(d, sol)
+# ---------------------------------------------------------------------------
+# roots of unity
 
 
 def root_of_unity(k: int, n: int) -> CyclotomicNumber:
     """zeta_n^k in canonical form at the conductor."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    row = _canonical_monomial(n, k % n)
-    return CyclotomicNumber(n, row).reduced()
+    return _root_of_unity(k % n, n)
 
 
-_ONE_CYC = CyclotomicNumber.one()
+@lru_cache(maxsize=None)
+def _root_of_unity(k: int, n: int) -> CyclotomicNumber:
+    return _raw(n, _monomial(n, k), 1).reduced()
+
+
+@lru_cache(maxsize=32)
+def _root_table(n: int) -> dict:
+    """Numerators at order n of every root of unity in Q(zeta_n) -> its
+    exponent as a power of zeta_L, L = lcm(n, 2)."""
+    if n % 2 == 0:
+        return {row: j for j, row in enumerate(_powers(n))}
+    # zeta_2n^(2i) = zeta_n^i and zeta_2n^(2i+1) = -zeta_n^(i + (n+1)/2)
+    table = {}
+    for i, row in enumerate(_powers(n)):
+        table[row] = 2 * i
+        table[tuple(-c for c in row)] = (2 * i + n) % (2 * n)
+    return table
+
+
+def root_exponent(value: CyclotomicNumber):
+    """(d, e) with value == zeta_d^e, d the multiplicative order of value
+    and gcd(e, d) == 1 (so e == 0 only for d == 1).
+
+    One dictionary lookup at the value's conductor; raises DomainError when
+    the value is not a root of unity.
+    """
+    value = value.reduced()
+    n = value.order
+    j = _root_table(n).get(value.num) if value.den == 1 else None
+    if j is None:
+        raise DomainError(f"not a root of unity: {value!r}")
+    L = n if n % 2 == 0 else 2 * n
+    g = math.gcd(j, L)
+    return L // g, j // g
+
+
+@lru_cache(maxsize=32)
+def _key_weights(deg: int):
+    """Fixed pseudo-random integer weights of a linear form on Z^deg."""
+    return tuple((i * 2654435761 + 97) % 65521 for i in range(deg))
+
+
+@lru_cache(maxsize=32)
+def _row_keys(n: int):
+    """The linear form of each row of _powers(n).  The form is additive, so
+    it screens a sum of two rows before the whole vectors are compared."""
+    w = _key_weights(euler_phi(n))
+    return tuple(sum(map(operator.mul, row, w)) for row in _powers(n))
+
+
+def root_pair(s: CyclotomicNumber, p: CyclotomicNumber):
+    """The roots of unity with sum s and product p, as exponents.
+
+    Returns (d, a, b) with a <= b, zeta_d^a + zeta_d^b == s and
+    zeta_d^(a+b) == p, where d is the least common order of the two roots:
+    these are the roots of x^2 - s x + p, so for a matrix of finite order
+    they are its eigenvalues and d is its order.  Raises DomainError when
+    x^2 - s x + p has a root that is not a root of unity.
+    """
+    s = s.reduced()
+    D, e = root_exponent(p)
+    # Both roots lie in a field of degree <= 2 over Q(zeta_c).  A cyclotomic
+    # field Q(zeta_M) (M a multiple of c) has degree phi(M)/phi(c) <= 2 over
+    # it only for M in {c, 2c, 3c with 3 not dividing c}, c even.
+    c = math.lcm(s.order, D, 2)
+    L = 2 * c if c % 3 == 0 else 6 * c
+    t = s.embed(L)
+    if t.den == 1:
+        target = t.num
+        rows = _powers(L)
+        keys = _row_keys(L)
+        key = sum(map(operator.mul, target, _key_weights(len(target))))
+        e *= L // D
+        for a in range(L):
+            b = (e - a) % L
+            if keys[a] + keys[b] == key and all(
+                x + y == z for x, y, z in zip(rows[a], rows[b], target)
+            ):
+                g = math.gcd(a, b, L)
+                return L // g, a // g, b // g
+    raise DomainError("x^2 - s x + p has a root that is not a root of unity")

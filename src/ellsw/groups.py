@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CyclotomicNumber, root_of_unity
-from .errors import ConstraintError, InternalInvariantError
+from .cyclo import CyclotomicNumber, root_exponent, root_of_unity, root_pair
+from .errors import ConstraintError, DomainError, InternalInvariantError
 
 FAMILIES = ("DD", "DC", "TT", "TD", "OO", "II")
 
@@ -169,13 +169,24 @@ class UnitaryElement:
         (a, b), (c, d) = self.entries
         return b.is_zero() and c.is_zero() and a == d
 
-    def matrix_order(self, bound: int = 100000) -> int:
-        g = self
-        for k in range(1, bound + 1):
-            if g.is_identity():
-                return k
-            g = g * self
-        raise InternalInvariantError("matrix order exceeds bound")
+    def matrix_order(self) -> int:
+        """The least d with g^d == I: the least common order of the
+        eigenvalues, confirmed by an exact power of the matrix."""
+        d = eigen_exponents(self)[0]
+        if not (self**d).is_identity():
+            raise InternalInvariantError("matrix is not of finite order")
+        return d
+
+    def __pow__(self, k: int) -> "UnitaryElement":
+        """Non-negative power by square-and-multiply."""
+        out = UnitaryElement(((1, 0), (0, 1)), check=False)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, UnitaryElement):
@@ -566,27 +577,24 @@ def verify_free_action(group: FiniteGroup) -> bool:
     return True
 
 
+def eigen_exponents(g: UnitaryElement):
+    """(d, a, b) with a <= b: the eigenvalues of g are zeta_d^a and zeta_d^b,
+    and d, the least common order of the two, is the order of g.
+
+    Found from the trace and determinant alone (the roots of the
+    characteristic polynomial), so the result owes nothing to how g was
+    built.
+    """
+    try:
+        return root_pair(g.trace(), g.det())
+    except DomainError as exc:
+        raise InternalInvariantError("no root-of-unity eigenvalues found") from exc
+
+
 def eigen_angles(g: UnitaryElement):
     """Both eigenvalues as exact roots of unity, sorted by exponent."""
-    d = g.matrix_order()
-    tr = g.trace()
-    det = g.det()
-    roots = []
-    for j in range(d):
-        lam = root_of_unity(j, d)
-        if lam * lam - tr * lam + det == CyclotomicNumber.zero():
-            roots.append((j, lam))
-            if len(roots) == 2:
-                break
-    if not roots:
-        raise InternalInvariantError("no root-of-unity eigenvalue found")
-    if len(roots) == 1:
-        j, lam = roots[0]
-        other = det * lam.conjugate()
-        if other == lam:
-            return (lam, lam)
-        raise InternalInvariantError("eigenvalue search found an unpaired root")
-    return (roots[0][1], roots[1][1])
+    d, a, b = eigen_exponents(g)
+    return (root_of_unity(a, d), root_of_unity(b, d))
 
 
 def scalar_subgroup(group: FiniteGroup) -> FiniteGroup:
@@ -608,23 +616,15 @@ def det_character(group: FiniteGroup):
     """The determinant homomorphism as a character."""
     from .bundle import Character
 
-    orders = set()
-    dets = []
+    roots = []
     for k in group.keys:
-        v = group.to_matrix(k).det().reduced()
-        dets.append(v)
-        orders.add(v.order)
-    d = math.lcm(*orders) if orders else 1
-    exps = [_dlog(v, d) for v in dets]
+        try:
+            roots.append(root_exponent(group.to_matrix(k).det()))
+        except DomainError as exc:
+            raise InternalInvariantError("determinant is not a root of unity") from exc
+    d = math.lcm(*(o for o, _ in roots)) if roots else 1
+    exps = [e * (d // o) for o, e in roots]
     return Character(group, d, exps, generators=[("det", g) for g in group.gens])
-
-
-def _dlog(value: CyclotomicNumber, order: int) -> int:
-    v = value.reduced()
-    for j in range(order):
-        if root_of_unity(j, order) == v:
-            return j
-    raise InternalInvariantError("value is not a root of unity of the given order")
 
 
 def group_report(group: FiniteGroup) -> dict:

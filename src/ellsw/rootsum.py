@@ -58,7 +58,8 @@ def _primitive_root(p: int, q: int) -> int:
         if all(pow(cand, phi_p // f, p) != 1 for f in fs):
             g = cand
             break
-    assert g is not None
+    if g is None:
+        raise InternalInvariantError(f"no primitive root modulo {p}")
     if q == p:
         return g
     # Lift to p^e: g works unless g^(p-1) = 1 mod p^2.
@@ -95,9 +96,6 @@ class RootSum:
             out[(e * j) % n] = Fraction(-j, d)
         return RootSum(n, out)
 
-    def copy(self) -> "RootSum":
-        return RootSum(self.n, self.c)
-
     def add_scaled(self, other: "RootSum", exp_shift: int = 0, coef=1) -> "RootSum":
         """In-place self += coef * zeta^exp_shift * other."""
         if other.n != self.n:
@@ -116,18 +114,6 @@ class RootSum:
                 c.pop(k, None)
         return self
 
-    def add_monomial(self, e: int, coef=1) -> "RootSum":
-        coef = Fraction(coef)
-        if coef == 0:
-            return self
-        k = e % self.n
-        nv = self.c.get(k, _F0) + coef
-        if nv:
-            self.c[k] = nv
-        else:
-            self.c.pop(k, None)
-        return self
-
     def mul(self, other: "RootSum") -> "RootSum":
         if other.n != self.n:
             raise ValueError("mixed root orders in RootSum arithmetic")
@@ -135,12 +121,6 @@ class RootSum:
         for e, v in other.c.items():
             out.add_scaled(self, e, v)
         return out
-
-    def scale(self, coef) -> "RootSum":
-        coef = Fraction(coef)
-        if coef == 0:
-            return RootSum(self.n)
-        return RootSum(self.n, {e: v * coef for e, v in self.c.items()})
 
     def galois_permuted(self, t: int) -> "RootSum":
         n = self.n
@@ -171,13 +151,10 @@ class RootSum:
         return total / euler_phi(n)
 
     def to_cyclotomic(self) -> CyclotomicNumber:
-        out = CyclotomicNumber.zero()
-        for e, v in sorted(self.c.items()):
-            row = CyclotomicNumber._from_dense(
-                self.n, [0] * e + [v] if e else [v]
-            )
-            out = out + row
-        return out
+        dense = [0] * self.n
+        for e, v in self.c.items():
+            dense[e] = v
+        return CyclotomicNumber._from_dense(self.n, dense)
 
     def __repr__(self):
         return f"RootSum(n={self.n}, terms={len(self.c)})"

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import _model
 from .cyclo import CyclotomicNumber
-from .errors import DomainError, InternalInvariantError
+from .errors import ConstraintError, DomainError, InternalInvariantError
 from .groups import GroupSpec, UnitaryElement, eigen_angles
 from .rootsum import RootSum
 
@@ -357,6 +357,6 @@ def sweep_specs(max_order: int):
         for m in range(1, max_order // unit + 1):
             try:
                 specs.append(GroupSpec(family, m).validate())
-            except Exception:
+            except ConstraintError:
                 continue
     return specs

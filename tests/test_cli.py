@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ellsw.cli import main
 from ellsw.swindex import _singular_sums
 
@@ -125,3 +127,27 @@ def test_audit_bad_document_exit_code(tmp_path, capsys):
 def test_audit_missing_file_exit_code(capsys):
     code, _, _ = run(["audit", "--input", "/nonexistent/file.audit"], capsys)
     assert code == 2
+
+
+def test_swdim_sweep_torn_catalog_line_exit_code(tmp_path, capsys):
+    catalog = tmp_path / "records.jsonl"
+    run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
+    text = catalog.read_text()
+    catalog.write_text(text + text.splitlines()[0][:25])  # a crash mid-append
+    n_lines = len(text.splitlines()) + 1
+    code, _, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
+    assert code == 2
+    assert str(catalog) in err and f"line {n_lines}" in err
+
+
+@pytest.mark.parametrize(
+    "record",
+    ['{"dE": 2}', '{"spec": {"family": ["DD"], "m": 1}}'],
+    ids=["no-spec", "unhashable-family"],
+)
+def test_swdim_sweep_record_without_spec_exit_code(tmp_path, capsys, record):
+    catalog = tmp_path / "records.jsonl"
+    catalog.write_text(record + "\n")
+    code, _, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
+    assert code == 2
+    assert str(catalog) in err and "line 1" in err and "spec" in err

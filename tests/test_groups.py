@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
@@ -11,6 +13,7 @@ from ellsw.groups import (
     build_group,
     det_character,
     eigen_angles,
+    eigen_exponents,
     scalar_subgroup,
     verify_free_action,
 )
@@ -234,3 +237,55 @@ def test_model_element_enumeration_equals_closure(spec):
     model = _model.family_model(spec)
     group = build_group(spec)
     assert set(model.elements()) == set(group.keys)
+
+
+CRITERION_6_SPECS = [
+    GroupSpec(f, m, n)
+    for f, m, n in (
+        ("DD", 1, 2), ("DD", 1, 3), ("DC", 2, 3), ("DC", 2, 5), ("TT", 1, 0), ("TT", 5, 0),
+        ("TD", 3, 0), ("TD", 9, 0), ("OO", 1, 0), ("OO", 5, 0), ("II", 1, 0), ("II", 7, 0),
+    )
+]
+
+
+def _orders_by_matrix_powers(mats):
+    """Order of each matrix by multiplying g, g^2, ... until the identity.
+
+    A walk from g also settles every power of g (ord g^j = d / gcd(j, d)),
+    so each cyclic subgroup is walked once.
+    """
+    index = {m: i for i, m in enumerate(mats)}
+    orders = [0] * len(mats)
+    for i, g in enumerate(mats):
+        if orders[i]:
+            continue
+        powers = [g]
+        while not powers[-1].is_identity():
+            powers.append(powers[-1] * g)
+        d = len(powers)
+        for j, p in enumerate(powers, start=1):
+            orders[index[p]] = d // math.gcd(j, d)
+    return orders
+
+
+@pytest.mark.parametrize("spec", CRITERION_6_SPECS, ids=str)
+def test_eigen_search_matches_matrix_power_order(spec):
+    mats = build_group(spec).matrices()
+    for g, expect in zip(mats, _orders_by_matrix_powers(mats)):
+        d, a, b = eigen_exponents(g)
+        assert d == expect == g.matrix_order(), g
+        assert a <= b
+        assert root_of_unity(a, d) + root_of_unity(b, d) == g.trace()
+        assert root_of_unity(a + b, d) == g.det()
+
+
+def test_matrix_order_rejects_infinite_order():
+    # A rotation whose angle has cosine 3/5 is unitary but of infinite order.
+    from fractions import Fraction
+
+    from ellsw.errors import InternalInvariantError
+
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    g = UnitaryElement(((c, -s), (s, c)))
+    with pytest.raises(InternalInvariantError):
+        g.matrix_order()

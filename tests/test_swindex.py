@@ -268,3 +268,17 @@ def test_coset_sum_is_symmetric_and_galois_equivariant_as_stored():
         for t in (7, 11, 59):
             image = _coset_sum(N, K, c, (w * t) % K, (a * t) % N, (b * t) % N)
             assert s1.galois_permuted(t).c == image.c
+
+
+def test_sweep_specs_skips_only_constraint_errors(monkeypatch):
+    from ellsw import groups
+    from ellsw.errors import InternalInvariantError
+
+    def broken_validate(self):
+        if self.family == "II":
+            raise InternalInvariantError("validation itself failed")
+        return self
+
+    monkeypatch.setattr(groups.GroupSpec, "validate", broken_validate)
+    with pytest.raises(InternalInvariantError):
+        sweep_specs(240)
