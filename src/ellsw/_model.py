@@ -1,10 +1,14 @@
 """Structured exact models of the six group families.
 
 Every group element is a scalar root of unity times an element of a fixed
-binary polyhedral group ("atom").  Keys are small integer tuples whose
-multiplication mirrors matrix multiplication exactly; `to_matrix` recovers
-the honest unitary matrix.  The polyhedral atom tables are built once per
-kind from exact matrices and validated against the defining relations.
+binary polyhedral group ("atom").  Keys are dense integers
+`block * K + s` with `K = 2m`: the block is the coset of the scalar
+subgroup, and `s` is the exponent of the scalar `mu_2m^s` that multiplies
+the block's first element.  The identity is 0 and the scalars are exactly
+block 0, so `range(|G|)` is the whole group.  `mult` mirrors matrix
+multiplication exactly and `to_matrix` recovers the honest unitary
+matrix.  The polyhedral atom tables are built once per kind from exact
+matrices and validated against the defining relations.
 """
 
 from __future__ import annotations
@@ -46,6 +50,14 @@ class _SU2Table:
         self.neg = [self.mult[minus_idx][i] for i in range(n)]
         self.ident = self.index[group.identity]
         self.pos = [min(i, self.neg[i]) for i in range(n)]
+        # Block numbering of the family models: rank r <-> the atom pair
+        # {pos_atoms[r], -pos_atoms[r]}, with the identity at rank 0.
+        self.pos_atoms = [i for i in range(n) if self.pos[i] == i]
+        if self.pos_atoms[0] != self.ident:
+            raise InternalInvariantError("the identity atom must have rank 0")
+        self.rank = [0] * n
+        for r, a in enumerate(self.pos_atoms):
+            self.rank[a] = self.rank[self.neg[a]] = r
         self.order = []
         for i in range(n):
             t, g = 1, i
@@ -139,123 +151,103 @@ class CosetData:
 
 
 class DihedralModel:
-    """Families DD and DC: scalars times a binary dihedral group."""
+    """Families DD and DC: scalars times a binary dihedral group.
+
+    Key `(t * n + l) * K + s` is x^t y^l mu_2m^s for DD and
+    x^t y^l mu_4m^(2s + t) for DC, with t in {0, 1} and 0 <= l < n.
+    """
 
     is_dihedral = True
+    identity = 0
 
     def __init__(self, spec: GroupSpec):
         spec.validate()
         self.spec = spec
         self.m, self.n = spec.m, spec.n
         self.K = 2 * spec.m
+        self.size = 2 * spec.n * self.K
         self.c0 = spec.gamma_order  # 2n
-        if spec.family == "DD":
-            self.N = math.lcm(2 * spec.m, 2 * spec.n, 4)
-        else:
+        self._dc = 1 if spec.family == "DC" else 0
+        if self._dc:
             self.N = math.lcm(4 * spec.m, 2 * spec.n, 4)
+        else:
+            self.N = math.lcm(2 * spec.m, 2 * spec.n, 4)
         self._rot_step = self.N // (2 * spec.n)
         self._quarter = self.N // 4
+        # eigenvalue exponents (over N) of mu_2m and of the x-part scalar
+        self._s_step = self.N // self.K
+        self._t_step = self.N // (4 * spec.m) if self._dc else 0
+        # x^2 = -1 = mu_2m^m; in DC the two mu_4m factors add one more step.
+        self._flip = spec.m + self._dc
 
-    # keys: DD (t, l, k) with x^t y^l mu_2m^k; DC (l, j) with x^(j&1) y^l mu_4m^j
+    def decode(self, key):
+        """(t, l, s) of a key."""
+        b, s = divmod(key, self.K)
+        t, l = divmod(b, self.n)
+        return t, l, s
 
-    @property
-    def identity(self):
-        return (0, 0, 0) if self.spec.family == "DD" else (0, 0)
+    def encode(self, t: int, l: int, s: int) -> int:
+        return (t * self.n + l) * self.K + s
 
     def generators(self):
-        if self.spec.family == "DD":
-            return [(0, 0, 1), (1, 0, 0), (0, 1 % self.n, 0)]  # h, x, y
-        return [(0, 2), (0, 1), (1, 0)]  # h^2, hx, y
+        # DD: h, x, y; DC: h^2, hx, y
+        return [self.encode(0, 0, 1), self.encode(1, 0, 0), self.encode(0, 1, 0)]
 
     def mult(self, A, B):
-        m, n = self.m, self.n
-        if self.spec.family == "DD":
-            t1, l1, k1 = A
-            t2, l2, k2 = B
-            k = (k1 + k2) % (2 * m)
-            if t2 == 0:
-                t, L = t1, l1 + l2
-            elif t1 == 0:
-                t, L = 1, l2 - l1
-            else:
-                t, L = 0, l2 - l1 + n
-            L %= 2 * n
-            if L >= n:
-                L -= n
-                k = (k + m) % (2 * m)
-            return (t, L, k)
-        l1, j1 = A
-        l2, j2 = B
-        e1, e2 = j1 & 1, j2 & 1
-        j = j1 + j2
-        if e2 == 0:
-            L = l1 + l2
-        else:
-            L = l2 - l1
-            if e1:
-                j += 2 * m
-        L %= 2 * n
-        if L >= n:
-            L -= n
-            j += 2 * m
-        return (L, j % (4 * m))
+        # Block arithmetic on b = t * n + l, using y^n = -1 = mu_2m^m and
+        # y^l x = x y^-l.
+        K, n = self.K, self.n
+        b1, s = divmod(A, K)
+        b2, s2 = divmod(B, K)
+        s += s2
+        if b2 < n:  # times y^l2: l1 + l2, same t
+            b = b1 + b2
+            if b >= (n if b1 < n else 2 * n):
+                b -= n
+                s += self.m
+        elif b1 < n:  # y^l1 x y^l2 = x y^(l2 - l1)
+            b = b2 - b1
+            if b < n:
+                b += n
+                s += self.m
+        else:  # x y^l1 x y^l2 = x^2 y^(l2 - l1)
+            b = b2 - b1
+            s += self._flip
+            if b < 0:
+                b += n
+                s += self.m
+        return b * K + s % K
 
     def is_scalar(self, key) -> bool:
-        if self.spec.family == "DD":
-            t, l, _ = key
-            return t == 0 and l == 0
-        l, j = key
-        return l == 0 and (j & 1) == 0
+        return key < self.K
 
     def scalar_exp(self, key) -> int:
-        return key[2] if self.spec.family == "DD" else key[1] // 2
+        return key % self.K
 
     def rho_exp_2m(self, key) -> int:
-        m, n = self.m, self.n
-        if self.spec.family == "DD":
-            t, _, k = key
-            return (n * (2 * k + m * t)) % (2 * m)
-        l, j = key
-        return (n * (j + m * (j & 1))) % (2 * m)
+        t, _, s = self.decode(key)
+        return (self.n * (2 * s + self._flip * t)) % self.K
 
     def eigen_exps(self, key):
         N = self.N
-        if self.spec.family == "DD":
-            t, l, k = key
-            s = k * (N // (2 * self.m))
+        b, s = divmod(key, self.K)
+        if b < self.n:
+            sc, e = s * self._s_step, b * self._rot_step
         else:
-            l, j = key
-            t = j & 1
-            s = j * (N // (4 * self.m))
-        if t == 0:
-            e = l * self._rot_step
-        else:
-            e = self._quarter
-        return ((s + e) % N, (s - e) % N)
+            sc, e = s * self._s_step + self._t_step, self._quarter
+        return ((sc + e) % N, (sc - e) % N)
 
     def elements(self):
-        m, n = self.m, self.n
-        if self.spec.family == "DD":
-            for t in (0, 1):
-                for l in range(n):
-                    for k in range(2 * m):
-                        yield (t, l, k)
-        else:
-            for l in range(n):
-                for j in range(4 * m):
-                    yield (l, j)
+        return range(self.size)
 
     def to_matrix(self, key) -> UnitaryElement:
-        n = self.n
-        if self.spec.family == "DD":
-            t, l, k = key
-            scal = root_of_unity(k, 2 * self.m)
+        t, l, s = self.decode(key)
+        if self._dc:
+            scal = root_of_unity(2 * s + t, 4 * self.m)
         else:
-            l, j = key
-            t = j & 1
-            scal = root_of_unity(j, 4 * self.m)
-        a = root_of_unity(l, 2 * n)
-        ai = root_of_unity(-l, 2 * n)
+            scal = root_of_unity(s, 2 * self.m)
+        a = root_of_unity(l, 2 * self.n)
+        ai = root_of_unity(-l, 2 * self.n)
         zero = CyclotomicNumber.zero()
         if t == 0:
             rows = ((scal * a, zero), (zero, scal * ai))
@@ -265,7 +257,7 @@ class DihedralModel:
 
     def reflection_coset(self) -> CosetData:
         """All n reflection cosets share one descriptor."""
-        base = (1, 0, 0) if self.spec.family == "DD" else (0, 1)
+        base = self.encode(1, 0, 0)
         a, b = self.eigen_exps(base)
         return CosetData(2, self.n, self.rho_exp_2m(base), a, b)
 
@@ -282,9 +274,15 @@ class DihedralModel:
 
 
 class PolyhedralModel:
-    """Families TT, TD, OO, II: scalars times a binary polyhedral group."""
+    """Families TT, TD, OO, II: scalars times a binary polyhedral group.
+
+    Key `r * K + s` is the atom `a = table.pos_atoms[r]` times
+    `mu_amb^k`, with `k = s` for TT/OO/II (`amb = 2m`) and
+    `k = 3s + class3(a)` for TD (`amb = 6m`).
+    """
 
     is_dihedral = False
+    identity = 0
 
     def __init__(self, spec: GroupSpec):
         spec.validate()
@@ -293,8 +291,10 @@ class PolyhedralModel:
         self.kind = {"TT": "T", "TD": "T", "OO": "O", "II": "I"}[spec.family]
         self.table = su2_table(self.kind)
         self.K = 2 * spec.m
+        self.size = len(self.table.pos_atoms) * self.K
         self.c0 = spec.gamma_order
-        if spec.family == "TD":
+        self._td = spec.family == "TD"
+        if self._td:
             self.amb = 6 * spec.m
             self.halfshift = 3 * spec.m
         else:
@@ -302,45 +302,68 @@ class PolyhedralModel:
             self.halfshift = spec.m
         self.N = math.lcm(self.amb, self.table.base)
 
-    def _canon(self, a: int, k: int):
+    def decode(self, key):
+        """(atom, s) of a key; the atom is a `pos` atom of the table."""
+        r, s = divmod(key, self.K)
+        return self.table.pos_atoms[r], s
+
+    def encode(self, a: int, s: int) -> int:
+        """Key of the `pos` atom `a` times mu_2m^s (times mu_6m^class3(a) in TD)."""
+        return self.table.rank[a] * self.K + s
+
+    def _atom_exp(self, key):
+        """(atom, k): the key as atom times mu_amb^k."""
+        a, s = self.decode(key)
+        if self._td:
+            return a, 3 * s + self.table.class3[a]
+        return a, s
+
+    def _key(self, a: int, k: int) -> int:
+        """The key of atom `a` (any sign) times mu_amb^k."""
         t = self.table
         if a != t.pos[a]:
             a = t.neg[a]
             k += self.halfshift
-        return (a, k % self.amb)
-
-    @property
-    def identity(self):
-        return (self.table.ident, 0)
+        k %= self.amb
+        if self._td:
+            k, c = divmod(k, 3)
+            if c != t.class3[a]:
+                raise InternalInvariantError("TD element off the index-3 grading")
+        return self.encode(a, k)
 
     def generators(self):
         t = self.table
-        if self.spec.family == "TD":
-            return [
-                (t.ident, 3),
-                self._canon(t.gen_x, 0),
-                self._canon(t.gen_y, 1),
-            ]
-        return [(t.ident, 1), self._canon(t.gen_x, 0), self._canon(t.gen_y, 0)]
+        if self._td:
+            return [self._key(t.ident, 3), self._key(t.gen_x, 0), self._key(t.gen_y, 1)]
+        return [self._key(t.ident, 1), self._key(t.gen_x, 0), self._key(t.gen_y, 0)]
 
     def mult(self, A, B):
-        a1, k1 = A
-        a2, k2 = B
-        return self._canon(self.table.mult[a1][a2], k1 + k2)
+        K, t = self.K, self.table
+        r1, s = divmod(A, K)
+        r2, s2 = divmod(B, K)
+        a1, a2 = t.pos_atoms[r1], t.pos_atoms[r2]
+        p = t.mult[a1][a2]
+        s += s2
+        if self._td:
+            s += (t.class3[a1] + t.class3[a2]) // 3
+        if p != t.pos[p]:
+            s += self.m  # -1 = mu_2m^m
+        return t.rank[p] * K + s % K
 
     def is_scalar(self, key) -> bool:
-        return key[0] == self.table.ident
+        return key < self.K
 
     def scalar_exp(self, key) -> int:
-        return key[1] // 3 if self.spec.family == "TD" else key[1]
+        return key % self.K
 
     def rho_exp_2m(self, key) -> int:
-        if self.spec.family == "TD":
-            return (4 * key[1]) % (2 * self.m)
-        return (self.c0 * key[1]) % (2 * self.m)
+        k = self._atom_exp(key)[1]
+        if self._td:
+            return (4 * k) % (2 * self.m)
+        return (self.c0 * k) % (2 * self.m)
 
     def eigen_exps(self, key):
-        a, k = key
+        a, k = self._atom_exp(key)
         N = self.N
         s = k * (N // self.amb)
         step = N // self.table.base
@@ -348,20 +371,10 @@ class PolyhedralModel:
         return ((s + e1 * step) % N, (s + e2 * step) % N)
 
     def elements(self):
-        t = self.table
-        for a in range(len(t.atoms)):
-            if t.pos[a] != a:
-                continue
-            if self.spec.family == "TD":
-                c = t.class3[a]
-                for j in range(c % 3, self.amb, 3):
-                    yield (a, j)
-            else:
-                for k in range(self.amb):
-                    yield (a, k)
+        return range(self.size)
 
     def to_matrix(self, key) -> UnitaryElement:
-        a, k = key
+        a, k = self._atom_exp(key)
         scal = root_of_unity(k, self.amb)
         (p, q), (r, s) = self.table.atoms[a].entries
         return UnitaryElement(
@@ -369,15 +382,11 @@ class PolyhedralModel:
         )
 
     def base_key(self, a: int):
-        if self.spec.family == "TD":
-            return (a, self.table.class3[a])
-        return (a, 0)
+        return self.encode(a, 0)
 
     def nonscalar_cosets(self):
         t = self.table
-        for a in range(len(t.atoms)):
-            if t.pos[a] != a or a == t.ident:
-                continue
+        for a in t.pos_atoms[1:]:
             base = self.base_key(a)
             e1, e2 = self.eigen_exps(base)
             yield CosetData(t.label_order[a], 1, self.rho_exp_2m(base), e1, e2)

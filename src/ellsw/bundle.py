@@ -229,25 +229,8 @@ def _product_of_linear(forms) -> BivariatePolynomial:
 
 
 def _coset_representatives(group: FiniteGroup, model):
-    """First element of each scalar coset in construction order."""
-    seen = set()
-    reps = []
-    for k in group.keys:
-        sig = _coset_signature(model, k)
-        if sig not in seen:
-            seen.add(sig)
-            reps.append(k)
-    return reps
-
-
-def _coset_signature(model, key):
-    if model.is_dihedral:
-        if model.spec.family == "DD":
-            t, l, _ = key
-            return (t, l)
-        l, j = key
-        return (l, j & 1)
-    return key[0]
+    """The first key of each scalar coset: the dense keys `b * K`."""
+    return list(range(0, group.order, model.K))
 
 
 def _pulled_back_forms(group, reps, u):

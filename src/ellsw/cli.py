@@ -213,12 +213,15 @@ def cmd_audit(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputDocumentError(f"cannot read {args.input}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputDocumentError(
             f"invalid JSON in {args.input} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the digit limit, or nesting too deep to parse
+        raise InputDocumentError(f"invalid JSON in {args.input}: {exc}") from exc
     result = run_audit(document)
     _emit(
         result,

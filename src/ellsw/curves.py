@@ -166,7 +166,9 @@ def run_audit(document: dict) -> dict:
             term = Fraction(extra)
             rhs.append(term)
             detail.append(("extra", term))
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, AttributeError, ArithmeticError) as exc:
+        # ArithmeticError: "1/0" (ZeroDivisionError), or 1e400 read as inf
+        # (OverflowError in int() and Fraction()).
         raise InputDocumentError(f"malformed audit document: {exc}") from exc
     slack = adjunction_slack(lhs, rhs)
     fmt = lambda x: f"{x.numerator}/{x.denominator}"

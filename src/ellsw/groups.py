@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .cyclo import CyclotomicNumber, root_exponent, root_of_unity, root_pair
 from .errors import ConstraintError, DomainError, InternalInvariantError
@@ -259,26 +260,44 @@ def binary_icosahedral_generators():
 class FiniteGroup:
     """A finite matrix group, stored as hashable element keys.
 
-    Keys are either UnitaryElement matrices or compact scalar*atom tuples;
-    `mult` and `to_matrix` come from the backing domain, so all queries are
-    exact either way.
+    Keys are either UnitaryElement matrices or the dense integer keys of a
+    family model (see _model); `mult` and `to_matrix` come from the backing
+    domain, so all queries are exact either way.  A dense group carries
+    `block = K`: its keys and its index are both `range(order)`, and its
+    scalars are the first block, `range(K)`.
     """
 
-    def __init__(self, keys, index, mult, identity, to_matrix, gens=(), scalar_pred=None, spec=None, bfs_parent=None):
+    def __init__(self, keys, index, mult, identity, to_matrix, gens=(), spec=None, bfs_parent=None, block=None):
         self.keys = keys
         self.index = index
         self.mult = mult
         self.identity = identity
         self.to_matrix = to_matrix
         self.gens = list(gens)
-        self._scalar_pred = scalar_pred
         self.spec = spec
         self.bfs_parent = bfs_parent  # index -> (parent index, generator index)
+        self.block = block
         self._inverse = {}
 
     @staticmethod
-    def from_generators(gens, mult, identity, to_matrix, order_bound, scalar_pred=None, spec=None):
-        """Breadth-first closure with an abort if the bound is exceeded."""
+    def from_generators(gens, mult, identity, to_matrix, order_bound, spec=None, block=None):
+        """Breadth-first closure with an abort if the bound is exceeded.
+
+        With `block = K` the keys are dense integers `b * K + s`, and the
+        closure must be all of `range(order_bound)` (see `_block_steps`).
+        Otherwise keys are any hashable values and `order_bound` only caps
+        the search.
+        """
+        if block is not None:
+            steps = _block_steps(gens, mult, block, order_bound)
+            order = _dense_closure(steps, identity, order_bound)
+            if order != order_bound:
+                raise InternalInvariantError(
+                    f"closure gave order {order}, expected {order_bound}"
+                    + (f" for {spec}" if spec is not None else "")
+                )
+            keys = range(order)
+            return FiniteGroup(keys, keys, mult, identity, to_matrix, gens, spec, block=block)
         keys = [identity]
         index = {identity: 0}
         parent = [None]
@@ -299,7 +318,7 @@ class FiniteGroup:
                                 f"closure exceeded the order bound {order_bound}"
                             )
             frontier = new
-        return FiniteGroup(keys, index, mult, identity, to_matrix, gens, scalar_pred, spec, parent)
+        return FiniteGroup(keys, index, mult, identity, to_matrix, gens, spec, parent)
 
     @property
     def order(self) -> int:
@@ -342,11 +361,13 @@ class FiniteGroup:
         return k
 
     def is_scalar_key(self, key) -> bool:
-        if self._scalar_pred is not None:
-            return self._scalar_pred(key)
+        if self.block is not None:
+            return key < self.block
         return self.to_matrix(key).is_scalar()
 
     def scalar_keys(self):
+        if self.block is not None:
+            return range(self.block)
         return [k for k in self.keys if self.is_scalar_key(k)]
 
     def conjugacy_classes(self):
@@ -375,29 +396,37 @@ class FiniteGroup:
         return classes
 
     def commutator_subgroup(self):
-        """Keys of [G, G]: the normal closure of generator commutators."""
+        """Keys of [G, G]: the normal closure of the generator commutators.
+
+        The commutators are first closed under conjugation by the
+        generators, so the subgroup they generate, closed by right
+        multiplication, is already normal.
+        """
+        mult = self.mult
         gens = self.gens or self.keys
-        seeds = set()
-        for a in gens:
-            ai = self.inverse(a)
-            for b in gens:
-                bi = self.inverse(b)
-                seeds.add(self.mult(self.mult(ai, bi), self.mult(a, b)))
-        sub = {self.identity}
-        frontier = set(seeds) - sub
-        sub |= frontier
+        ginv = [(g, self.inverse(g)) for g in gens]
+        conj = {mult(mult(ai, bi), mult(a, b)) for a, ai in ginv for b, bi in ginv}
+        conj.discard(self.identity)
+        frontier = list(conj)
         while frontier:
-            new = set()
+            new = []
             for a in frontier:
-                for g in gens:
-                    c = self.mult(self.mult(self.inverse(g), a), g)
-                    if c not in sub:
-                        new.add(c)
-                for b in list(sub):
-                    p = self.mult(a, b)
-                    if p not in sub and p not in new:
-                        new.add(p)
-            sub |= new
+                for g, gi in ginv:
+                    c = mult(mult(gi, a), g)
+                    if c not in conj:
+                        conj.add(c)
+                        new.append(c)
+            frontier = new
+        sub = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            new = []
+            for a in frontier:
+                for c in conj:
+                    p = mult(a, c)
+                    if p not in sub:
+                        sub.add(p)
+                        new.append(p)
             frontier = new
         return sub
 
@@ -481,6 +510,53 @@ def _quotient_by_cyclic(group, reps, g0):
     return out
 
 
+def _block_steps(gens, mult, K, size):
+    """Per generator g, the list `step` with `step[a] = a g` for every key
+    `a < size` of a dense model (see `FiniteGroup.from_generators`).
+
+    Key `b * K + s` is the block's first key times the central scalar `s`,
+    so `(b * K + s) g = base_g[b] + (s + shift_g[b]) mod K`, where
+    `base_g[b] + shift_g[b] = (b * K) g` costs one `mult` per block (none
+    for a scalar `g < K`, which gives `b * K + g`).  Each block's row is
+    that rotation, laid out from two ranges.
+    """
+    if size % K:
+        raise InternalInvariantError(f"{size} keys do not split into blocks of {K}")
+    bases = range(0, size, K)
+    steps = []
+    for g in gens:
+        step = []
+        extend = step.extend
+        for p in [b + g for b in bases] if g < K else map(mult, bases, repeat(g)):
+            if not 0 <= p < size:
+                raise InternalInvariantError(f"product {p} left the key range {size}")
+            q = p - p % K
+            extend(range(p, q + K))
+            extend(range(q, p))
+        steps.append(step)
+    return steps
+
+
+def _dense_closure(steps, identity, size) -> int:
+    """Number of keys reached from `identity` through the generator steps,
+    by breadth-first search over a bytearray of `size` flags."""
+    seen = bytearray(size)
+    seen[identity] = 1
+    count = 1
+    frontier = [identity]
+    while frontier:
+        new = []
+        push = new.append
+        for step in steps:
+            for p in map(step.__getitem__, frontier):
+                if not seen[p]:
+                    seen[p] = 1
+                    push(p)
+        count += len(new)
+        frontier = new
+    return count
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -544,20 +620,15 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
     from . import _model
 
     model = _model.family_model(spec)
-    group = FiniteGroup.from_generators(
+    return FiniteGroup.from_generators(
         model.generators(),
         model.mult,
         model.identity,
         model.to_matrix,
-        order_bound=2 * spec.order,
-        scalar_pred=model.is_scalar,
+        order_bound=spec.order,
         spec=spec,
+        block=model.K,
     )
-    if group.order != spec.order:
-        raise InternalInvariantError(
-            f"closure gave order {group.order}, expected {spec.order} for {spec}"
-        )
-    return group
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +670,10 @@ def eigen_angles(g: UnitaryElement):
 
 def scalar_subgroup(group: FiniteGroup) -> FiniteGroup:
     """The subgroup of scalar matrices; cyclic of order 2m for every family."""
-    keys = [k for k in group.keys if group.is_scalar_key(k)]
-    index = {k: i for i, k in enumerate(keys)}
+    keys = group.scalar_keys()
+    index = keys if group.block is not None else {k: i for i, k in enumerate(keys)}
     sub = FiniteGroup(
-        keys, index, group.mult, group.identity, group.to_matrix, spec=group.spec
+        keys, index, group.mult, group.identity, group.to_matrix, spec=group.spec, block=group.block
     )
     # Closed by centrality; pick a generator for conjugacy/abelianization use.
     for k in keys:

@@ -217,11 +217,11 @@ def s_breakdown_by_elements(spec: GroupSpec) -> dict:
         if k == group.identity:
             continue
         if model.is_dihedral:
-            label = _dihedral_label(spec, k)
+            label = _dihedral_label(model, k)
         elif model.is_scalar(k):
             label = "S0"
         else:
-            label = f"S{ranks[model.table.image_order[k[0]]]}"
+            label = f"S{ranks[model.table.image_order[model.decode(k)[0]]]}"
         v = chi(group.to_matrix(k), character.value(k))
         out[label] = out.get(label, CyclotomicNumber.zero()) + v
     labels = (
@@ -234,16 +234,11 @@ def s_breakdown_by_elements(spec: GroupSpec) -> dict:
     }
 
 
-def _dihedral_label(spec, key):
-    if spec.family == "DD":
-        t, l, k = key
-        if t == 1:
-            return "Lambda2"
-        return "Lambda1" if k else "Lambda3"
-    l, j = key
-    if j & 1:
+def _dihedral_label(model, key):
+    t, _, s = model.decode(key)
+    if t == 1:
         return "Lambda2"
-    return "Lambda1" if j else "Lambda3"
+    return "Lambda1" if s else "Lambda3"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,47 @@
+"""Microbenchmarks of the family closure: `build_group` plus
+`scalar_subgroup` on one mid-size spec per family, and `group_report`
+(conjugacy classes, commutator subgroup, abelianization) on DD/DC specs
+near |G| = 800.
+
+    PYTHONPATH=src python -m pytest tests/bench_closure.py
+
+The file name keeps it out of the default `test_*.py` collection, so the
+Tier-1 suite does not run it.
+"""
+
+import pytest
+
+from ellsw.groups import GroupSpec, build_group, group_report, scalar_subgroup
+
+CLOSURE_SPECS = [
+    GroupSpec("DD", 7, 71),  # |G| = 1988
+    GroupSpec("DC", 4, 125),  # 2000
+    GroupSpec("TT", 41),  # 984
+    GroupSpec("TD", 45),  # 1080
+    GroupSpec("OO", 23),  # 1104
+    GroupSpec("II", 11),  # 1320
+]
+
+REPORT_SPECS = [
+    GroupSpec("DD", 1, 200),  # |G| = 800
+    GroupSpec("DD", 7, 29),  # 812
+    GroupSpec("DC", 8, 25),  # 800
+    GroupSpec("DC", 2, 101),  # 808
+]
+
+
+def _close(spec):
+    group = build_group(spec)
+    return group.order, len(scalar_subgroup(group))
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS, ids=str)
+def test_closure(benchmark, spec):
+    assert benchmark(_close, spec) == (spec.order, 2 * spec.m)
+
+
+@pytest.mark.parametrize("spec", REPORT_SPECS, ids=str)
+def test_group_report(benchmark, spec):
+    # A fresh group per round, so no round reuses another's inverse cache.
+    report = benchmark.pedantic(group_report, setup=lambda: ((build_group(spec),), {}), rounds=20)
+    assert report["order"] == spec.order

@@ -1,0 +1,88 @@
+"""Property tests: every audit document, well-formed or not, gets exit code
+0 or 2 from `ellsw audit`, and never an uncaught exception."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellsw.cli import main
+
+# Any JSON value, inf and nan included (json writes them as Infinity/NaN).
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+# Numbers as the documents write them: integers, "p" and "p/q" strings
+# (q = 0 included), and floats (inf and nan included).
+rationals = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-50, 50).map(str),
+    st.tuples(st.integers(-50, 50), st.integers(0, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.floats(),
+)
+
+
+def field(valid):
+    """Mostly a plausible value, sometimes any JSON value."""
+    return st.one_of(valid, valid, valid, valid, json_values)
+
+
+points = st.fixed_dictionaries(
+    {},
+    optional={
+        "order": field(st.integers(0, 12)),
+        "l": field(st.integers(0, 5)),
+        "lp": field(st.none() | st.integers(0, 5)),
+        "ambient": field(st.integers(0, 12)),
+        "cone_point": field(st.booleans()),
+        "group_order": field(st.integers(0, 48)),
+    },
+)
+
+pairs = st.fixed_dictionaries(
+    {},
+    optional={
+        "i": field(st.integers(-2, 4)),
+        "j": field(st.integers(-2, 4)),
+        "ambient": field(st.integers(0, 12)),
+    },
+)
+
+documents = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "class": field(
+                st.fixed_dictionaries({"CC": field(rationals), "KC": field(rationals)})
+            ),
+        },
+        optional={
+            "underlying_genus": field(st.integers(-3, 5) | st.floats()),
+            "points": field(st.lists(field(points), max_size=4)),
+            "pairs": field(st.lists(field(pairs), max_size=3)),
+            "extra_terms": field(st.lists(field(rationals), max_size=3)),
+        },
+    ),
+    json_values,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=documents)
+def test_audit_exit_code_is_0_or_2(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "doc.audit"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["audit", "--input", str(path)])
+    assert code in (0, 2), (document, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("input error:")

@@ -151,3 +151,46 @@ def test_swdim_sweep_record_without_spec_exit_code(tmp_path, capsys, record):
     code, _, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
     assert code == 2
     assert str(catalog) in err and "line 1" in err and "spec" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"class": {"CC": "1/0", "KC": "0"}}',
+        '{"class": {"CC": "1/2", "KC": "0"}, "extra_terms": ["1/0"]}',
+        '{"class": {"CC": 1e400, "KC": "0"}}',  # JSON reads 1e400 as inf
+        '{"class": {"CC": "1/2", "KC": "0"}, "underlying_genus": 1e400}',
+    ],
+    ids=["zero-denominator", "zero-denominator-extra-term", "infinite-CC", "infinite-genus"],
+)
+def test_audit_arithmetic_errors_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "bad.audit"
+    path.write_text(text)
+    code, _, err = run(["audit", "--input", str(path)], capsys)
+    assert code == 2
+    assert "malformed audit document" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"class": {"CC": ' + "9" * 5000 + ', "KC": 0}}',  # past the int digit limit
+        "[" * 100000 + "]" * 100000,  # past the recursion limit of the parser
+    ],
+    ids=["oversized-integer", "deep-nesting"],
+)
+def test_audit_unparsable_json_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "big.audit"
+    path.write_text(text)
+    code, _, err = run(["audit", "--input", str(path)], capsys)
+    assert code == 2
+    assert "invalid JSON" in err
+
+
+def test_audit_unreadable_input_exit_code(tmp_path, capsys):
+    code, _, _ = run(["audit", "--input", str(tmp_path)], capsys)  # a directory
+    assert code == 2
+    path = tmp_path / "latin1.audit"
+    path.write_bytes(b'{"class": "\xff"}')
+    code, _, _ = run(["audit", "--input", str(path)], capsys)
+    assert code == 2

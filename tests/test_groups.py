@@ -289,3 +289,46 @@ def test_matrix_order_rejects_infinite_order():
     g = UnitaryElement(((c, -s), (s, c)))
     with pytest.raises(InternalInvariantError):
         g.matrix_order()
+
+
+def _commutator_subgroup_by_products(group):
+    """The earlier definition of [G, G], kept as a reference: the seeds
+    closed under conjugation by the generators and under products with
+    every element found so far."""
+    gens = group.gens or group.keys
+    seeds = set()
+    for a in gens:
+        ai = group.inverse(a)
+        for b in gens:
+            bi = group.inverse(b)
+            seeds.add(group.mult(group.mult(ai, bi), group.mult(a, b)))
+    sub = {group.identity}
+    frontier = set(seeds) - sub
+    sub |= frontier
+    while frontier:
+        new = set()
+        for a in frontier:
+            for g in gens:
+                c = group.mult(group.mult(group.inverse(g), a), g)
+                if c not in sub:
+                    new.add(c)
+            for b in list(sub):
+                p = group.mult(a, b)
+                if p not in sub and p not in new:
+                    new.add(p)
+        sub |= new
+        frontier = new
+    return sub
+
+
+def test_commutator_subgroup_matches_reference():
+    from ellsw.swindex import sweep_specs
+
+    specs = sweep_specs(96)
+    assert {s.family for s in specs} == {"DD", "DC", "TT", "TD", "OO"}
+    for spec in specs:
+        group = build_group(spec)
+        assert group.commutator_subgroup() == _commutator_subgroup_by_products(group), spec
+    for kind, n in (("T", 0), ("O", 0), ("I", 0), ("D", 5)):
+        group = build_binary_polyhedral(kind, n)
+        assert group.commutator_subgroup() == _commutator_subgroup_by_products(group), kind

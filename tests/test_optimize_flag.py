@@ -31,6 +31,16 @@ sys.exit(1)
         "from ellsw.cyclo import _poly_divexact; _poly_divexact([1, 1], [0, 2])",
         # no primitive root is searched for below 2
         "from ellsw.rootsum import _primitive_root; _primitive_root(2, 2)",
+        # The closure discovers the order: a model that lost a generator
+        # (here y, then the scalar h) closes to a smaller group.
+        "from ellsw import _model; from ellsw.groups import GroupSpec, build_group; "
+        "gens = _model.DihedralModel.generators; "
+        "_model.DihedralModel.generators = lambda self: gens(self)[:2]; "
+        "build_group(GroupSpec('DD', 3, 4))",
+        "from ellsw import _model; from ellsw.groups import GroupSpec, build_group; "
+        "gens = _model.PolyhedralModel.generators; "
+        "_model.PolyhedralModel.generators = lambda self: gens(self)[1:]; "
+        "build_group(GroupSpec('TT', 5))",
     ],
 )
 def test_internal_checks_fire_under_optimize(call):
