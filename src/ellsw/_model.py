@@ -7,8 +7,9 @@ subgroup, and `s` is the exponent of the scalar `mu_2m^s` that multiplies
 the block's first element.  The identity is 0 and the scalars are exactly
 block 0, so `range(|G|)` is the whole group.  `mult` mirrors matrix
 multiplication exactly and `to_matrix` recovers the honest unitary
-matrix.  The polyhedral atom tables are built once per kind from exact
-matrices and validated against the defining relations.
+matrix.  The polyhedral atom tables are built once per kind on the keys
+of `build_binary_polyhedral`, reusing its Cayley table and exact
+matrices, and are validated against the defining relations.
 """
 
 from __future__ import annotations
@@ -29,26 +30,14 @@ class _SU2Table:
     def __init__(self, kind: str):
         group = build_binary_polyhedral(kind)
         self.kind = kind
-        self.atoms = group.keys
-        self.index = group.index
-        n = len(self.atoms)
-        # Right-multiplication permutations per generator, then fill the full
-        # table down the breadth-first tree: a_i (a_p g) = (a_i a_p) g.
-        perms = [[self.index[a * g] for a in self.atoms] for g in group.gens]
-        self.mult = [[0] * n for _ in range(n)]
-        for i in range(n):
-            self.mult[i][0] = i
-        for j in range(1, n):
-            p, gi = group.bfs_parent[j]
-            perm = perms[gi]
-            col_p = p
-            mj = self.mult
-            for i in range(n):
-                mj[i][j] = perm[mj[i][col_p]]
-        minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
-        minus_idx = self.index[minus]
-        self.neg = [self.mult[minus_idx][i] for i in range(n)]
-        self.ident = self.index[group.identity]
+        self.atoms = group.matrices()
+        self.mult = group.table
+        n = group.order
+        # Generator atoms (match the matrix constructors); x^2 = -1.
+        self.gen_x, self.gen_y = group.gens
+        minus_idx = self.mult[self.gen_x][self.gen_x]
+        self.neg = list(self.mult[minus_idx])
+        self.ident = group.identity
         self.pos = [min(i, self.neg[i]) for i in range(n)]
         # Block numbering of the family models: rank r <-> the atom pair
         # {pos_atoms[r], -pos_atoms[r]}, with the identity at rank 0.
@@ -118,9 +107,6 @@ class _SU2Table:
                 for j in range(n):
                     if (self.class3[i] + self.class3[j]) % 3 != self.class3[self.mult[i][j]]:
                         raise InternalInvariantError("class grading is not multiplicative")
-        # Generator atom indices (match the matrix constructors).
-        self.gen_x = self.index[group.gens[0]]
-        self.gen_y = self.index[group.gens[1]]
         if kind == "T" and self.class3[self.gen_y] != 1:
             # The mixed-family grading is defined through powers of gen_y.
             raise InternalInvariantError("order-6 generator must carry class 1")

@@ -14,6 +14,7 @@ import math
 import random
 from fractions import Fraction
 
+from . import _model
 from .cyclo import CyclotomicNumber, root_exponent, root_of_unity
 from .errors import CharacterConflictError, ConstraintError, DomainError, InternalInvariantError
 from .groups import FiniteGroup, GroupSpec, build_group
@@ -23,7 +24,7 @@ class Character:
     """A homomorphism from a finite group into the roots of unity.
 
     Values are stored as exponents of a single primitive root zeta_D, one
-    per element index of the backing group.
+    per element key of the backing group.
     """
 
     def __init__(self, group: FiniteGroup, zeta_order: int, exponents, generators=None):
@@ -33,10 +34,10 @@ class Character:
         self.generators = generators or []
 
     def value(self, key) -> CyclotomicNumber:
-        return root_of_unity(self.exponents[self.group.index[key]], self.zeta_order)
+        return root_of_unity(self.exponents[key], self.zeta_order)
 
     def value_exp(self, key) -> int:
-        return self.exponents[self.group.index[key]]
+        return self.exponents[key]
 
     def is_multiplicative(self, max_pairs: int = 1_000_000) -> bool:
         g = self.group
@@ -108,10 +109,7 @@ def extend_character(group: FiniteGroup, assignments) -> Character:
                 raise CharacterConflictError(
                     "extension is not multiplicative", witness=a
                 )
-    table = [0] * group.order
-    for k, e in exps.items():
-        table[group.index[k]] = e
-    return Character(group, d, table)
+    return Character(group, d, [exps[k] for k in group.keys])
 
 
 _GEN_NAMES = {
@@ -251,8 +249,6 @@ def section_equivariance_report(spec: GroupSpec, u=(1, 1), trials: int = 8) -> d
     """
     spec.validate()
     group = build_group(spec)
-    from . import _model
-
     model = _model.family_model(spec)
     character = rho(spec, group)
     reps = _coset_representatives(group, model)

@@ -9,6 +9,7 @@ catalog drift).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -18,7 +19,7 @@ from .bundle import section_equivariance_report
 from .curves import run_audit
 from .cyclo import root_exponent
 from .errors import ConstraintError, InputDocumentError, InternalInvariantError
-from .groups import GroupSpec, build_group, group_report, scalar_subgroup
+from .groups import GroupSpec, build_group, group_report
 from .seifert import euler_number, normalized_invariant
 from .swindex import closed_form_d_E, sw_dimension_report, sweep_specs
 
@@ -43,7 +44,6 @@ def cmd_group(args) -> int:
     spec = _spec_from_args(args)
     group = build_group(spec)
     report = group_report(group)
-    report["scalar_order"] = len(scalar_subgroup(group))
     _emit(
         report,
         args,
@@ -111,27 +111,42 @@ def _catalog_path(args):
     return args.catalog or os.environ.get(CATALOG_ENV)
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """The file at `path` opened as UTF-8 text; a path that cannot be read
+    (missing, a directory) or bytes that are not UTF-8 are input errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputDocumentError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_json(text, where):
+    """`json.loads(text)`; text that does not parse is an input error
+    naming `where`, including an integer literal past the digit limit
+    (ValueError) and nesting too deep for the parser (RecursionError)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputDocumentError(f"invalid JSON in {where}: {exc}") from exc
+
+
 def _read_catalog(path) -> dict:
     """(family, m, n) -> stored record; a malformed line is an input error."""
     existing = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"catalog {path} line {lineno}"
+            rec = _parse_json(line, where)
             try:
-                rec = json.loads(line)
                 spec = rec["spec"]
-                key = (spec["family"], spec["m"], spec.get("n", 0))
-                existing[key] = rec
-            except json.JSONDecodeError as exc:
-                raise InputDocumentError(
-                    f"catalog {path} line {lineno}: invalid JSON at column {exc.colno}"
-                ) from exc
+                existing[(spec["family"], spec["m"], spec.get("n", 0))] = rec
             except (KeyError, TypeError, AttributeError) as exc:
-                raise InputDocumentError(
-                    f"catalog {path} line {lineno}: record has no valid spec"
-                ) from exc
+                raise InputDocumentError(f"{where}: record has no valid spec") from exc
     return existing
 
 
@@ -210,18 +225,8 @@ def cmd_verify_rho(args) -> int:
 def cmd_audit(args) -> int:
     if not args.input:
         raise ConstraintError("--input FILE is required for audit")
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputDocumentError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputDocumentError(
-            f"invalid JSON in {args.input} at line {exc.lineno} column {exc.colno}"
-        ) from exc
-    except (ValueError, RecursionError) as exc:
-        # an integer literal past the digit limit, or nesting too deep to parse
-        raise InputDocumentError(f"invalid JSON in {args.input}: {exc}") from exc
+    with _reading(args.input) as fh:
+        document = _parse_json(fh.read(), args.input)
     result = run_audit(document)
     _emit(
         result,

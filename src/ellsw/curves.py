@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InputDocumentError
 
 INFINITE = object()  # winding exponent of a branch with vanishing first factor
 
@@ -128,8 +128,6 @@ def run_audit(document: dict) -> dict:
 
     Returns lhs, every rhs term, and the slack (all exact "p/q" strings).
     """
-    from .errors import InputDocumentError
-
     try:
         cls = document["class"]
         data = CurveClassData(Fraction(cls["CC"]), Fraction(cls["KC"]))

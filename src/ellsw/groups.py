@@ -1,10 +1,13 @@
 """Finite subgroups of U(2) acting freely on the 3-sphere.
 
 Covers the six non-abelian families built from a scalar cyclic group and
-a binary polyhedral group, tagged DD, DC, TT, TD, OO, II.  Groups carry
-exact 2x2 cyclotomic matrices; the large parameter sweeps run on a
-structured scalar*atom representation (see _model) whose multiplication
-agrees with matrix multiplication by construction.
+a binary polyhedral group, tagged DD, DC, TT, TD, OO, II.  Every group
+has one key domain, the dense integers `range(|G|)` with identity 0, and
+gives the exact 2x2 cyclotomic matrix of each key.  The family groups
+number their elements through a structured scalar*atom model (see
+_model) whose multiplication agrees with matrix multiplication by
+construction; the binary polyhedral groups number their matrices in
+breadth-first order and multiply through a Cayley table.
 """
 
 from __future__ import annotations
@@ -258,67 +261,42 @@ def binary_icosahedral_generators():
 
 
 class FiniteGroup:
-    """A finite matrix group, stored as hashable element keys.
+    """A finite subgroup of U(2) on dense integer keys.
 
-    Keys are either UnitaryElement matrices or the dense integer keys of a
-    family model (see _model); `mult` and `to_matrix` come from the backing
-    domain, so all queries are exact either way.  A dense group carries
-    `block = K`: its keys and its index are both `range(order)`, and its
-    scalars are the first block, `range(K)`.
+    The keys are `range(order)` and the identity is 0; `mult` multiplies
+    two keys and `to_matrix` gives the exact unitary matrix of one, so all
+    queries are exact.  A family group (see _model) carries `block = K`,
+    and its scalars are the first block, `range(K)`.  A group closed from
+    matrices (`_matrix_group`) numbers them in breadth-first order and
+    carries its Cayley table: `table[a][b]` is the key of `a b`.
     """
 
-    def __init__(self, keys, index, mult, identity, to_matrix, gens=(), spec=None, bfs_parent=None, block=None):
-        self.keys = keys
-        self.index = index
+    identity = 0
+
+    def __init__(self, order, mult, to_matrix, gens=(), spec=None, block=None, table=None):
+        self.keys = range(order)
         self.mult = mult
-        self.identity = identity
         self.to_matrix = to_matrix
         self.gens = list(gens)
         self.spec = spec
-        self.bfs_parent = bfs_parent  # index -> (parent index, generator index)
         self.block = block
+        self.table = table
         self._inverse = {}
 
     @staticmethod
-    def from_generators(gens, mult, identity, to_matrix, order_bound, spec=None, block=None):
-        """Breadth-first closure with an abort if the bound is exceeded.
-
-        With `block = K` the keys are dense integers `b * K + s`, and the
-        closure must be all of `range(order_bound)` (see `_block_steps`).
-        Otherwise keys are any hashable values and `order_bound` only caps
-        the search.
+    def from_generators(gens, mult, to_matrix, order, block, spec=None):
+        """Close a family model's generators over its dense keys `b * K + s`
+        (`K = block`) by breadth-first search; the closure must be all of
+        `range(order)` (see `_block_steps`).
         """
-        if block is not None:
-            steps = _block_steps(gens, mult, block, order_bound)
-            order = _dense_closure(steps, identity, order_bound)
-            if order != order_bound:
-                raise InternalInvariantError(
-                    f"closure gave order {order}, expected {order_bound}"
-                    + (f" for {spec}" if spec is not None else "")
-                )
-            keys = range(order)
-            return FiniteGroup(keys, keys, mult, identity, to_matrix, gens, spec, block=block)
-        keys = [identity]
-        index = {identity: 0}
-        parent = [None]
-        frontier = [identity]
-        while frontier:
-            new = []
-            for a in frontier:
-                ia = index[a]
-                for gi, g in enumerate(gens):
-                    p = mult(a, g)
-                    if p not in index:
-                        index[p] = len(keys)
-                        keys.append(p)
-                        parent.append((ia, gi))
-                        new.append(p)
-                        if len(keys) > order_bound:
-                            raise InternalInvariantError(
-                                f"closure exceeded the order bound {order_bound}"
-                            )
-            frontier = new
-        return FiniteGroup(keys, index, mult, identity, to_matrix, gens, spec, parent)
+        steps = _block_steps(gens, mult, block, order)
+        found = _dense_closure(steps, order)
+        if found != order:
+            raise InternalInvariantError(
+                f"closure gave order {found}, expected {order}"
+                + (f" for {spec}" if spec is not None else "")
+            )
+        return FiniteGroup(order, mult, to_matrix, gens, spec, block=block)
 
     @property
     def order(self) -> int:
@@ -326,9 +304,6 @@ class FiniteGroup:
 
     def __len__(self):
         return len(self.keys)
-
-    def matrix(self, key) -> UnitaryElement:
-        return self.to_matrix(key)
 
     def matrices(self):
         return [self.to_matrix(k) for k in self.keys]
@@ -371,28 +346,27 @@ class FiniteGroup:
         return [k for k in self.keys if self.is_scalar_key(k)]
 
     def conjugacy_classes(self):
-        """Partition of element indices into conjugacy classes."""
-        seen = [False] * len(self.keys)
+        """Partition of the keys into conjugacy classes, each sorted, in
+        order of their least key."""
+        seen = bytearray(self.order)
         gens = self.gens or self.keys
         ginv = [(g, self.inverse(g)) for g in gens]
         classes = []
-        for i, k in enumerate(self.keys):
-            if seen[i]:
+        for k in self.keys:
+            if seen[k]:
                 continue
             orbit = [k]
-            seen[i] = True
+            seen[k] = 1
             queue = [k]
             while queue:
                 a = queue.pop()
                 for g, gi in ginv:
                     b = self.mult(gi, self.mult(a, g))
-                    j = self.index[b]
-                    if not seen[j]:
-                        seen[j] = True
+                    if not seen[b]:
+                        seen[b] = 1
                         orbit.append(b)
                         queue.append(b)
-            classes.append(sorted(self.index[e] for e in orbit))
-        classes.sort(key=lambda cl: cl[0])
+            classes.append(sorted(orbit))
         return classes
 
     def commutator_subgroup(self):
@@ -441,7 +415,7 @@ class FiniteGroup:
         factors = []
         while True:
             e = reps[self.identity]
-            distinct = sorted(set(reps.values()), key=_keysort)
+            distinct = sorted(set(reps.values()))
             if len(distinct) <= 1:
                 break
             best, best_order = None, 0
@@ -462,20 +436,16 @@ class FiniteGroup:
 
 def _coset_quotient(group, subgroup):
     """Map key -> canonical (minimal) representative of its right coset key*H."""
-    sub = sorted(subgroup, key=_keysort)
+    sub = sorted(subgroup)
     reps = {}
     for k in group.keys:
         if k in reps:
             continue
         coset = [group.mult(k, h) for h in sub]
-        rep = min(coset, key=_keysort)
+        rep = min(coset)
         for e in coset:
             reps[e] = rep
     return reps
-
-
-def _keysort(k):
-    return repr(k) if isinstance(k, UnitaryElement) else k
 
 
 def _coset_order(group, reps, r):
@@ -502,7 +472,7 @@ def _quotient_by_cyclic(group, reps, g0):
         if r in klass:
             out[k] = klass[r]
             continue
-        coset = sorted((reps[group.mult(r, c)] for c in cyc), key=_keysort)
+        coset = sorted(reps[group.mult(r, c)] for c in cyc)
         rep = coset[0]
         for c in coset:
             klass[c] = rep
@@ -537,13 +507,13 @@ def _block_steps(gens, mult, K, size):
     return steps
 
 
-def _dense_closure(steps, identity, size) -> int:
-    """Number of keys reached from `identity` through the generator steps,
-    by breadth-first search over a bytearray of `size` flags."""
+def _dense_closure(steps, size) -> int:
+    """Number of keys reached from the identity 0 through the generator
+    steps, by breadth-first search over a bytearray of `size` flags."""
     seen = bytearray(size)
-    seen[identity] = 1
+    seen[0] = 1
     count = 1
-    frontier = [identity]
+    frontier = [0]
     while frontier:
         new = []
         push = new.append
@@ -604,13 +574,39 @@ def build_binary_polyhedral(kind: str, n: int = 0) -> FiniteGroup:
 
 
 def _matrix_group(gens, bound) -> FiniteGroup:
-    identity = UnitaryElement(((1, 0), (0, 1)), check=False)
-    return FiniteGroup.from_generators(
-        gens,
-        lambda a, b: a * b,
-        identity,
-        lambda k: k,
-        order_bound=bound,
+    """The group generated by the matrices `gens`, keyed by breadth-first
+    discovery order (identity 0), with its Cayley table.
+
+    The search records each generator's right-multiplication step and each
+    new element's parent `a_j = a_p g`; column `j` of the table then follows
+    from column `p`, since `a_i a_j = (a_i a_p) g`, so the whole table costs
+    one matrix product per element and generator.
+    """
+    mats = [UnitaryElement(((1, 0), (0, 1)), check=False)]
+    seen = {mats[0]: 0}
+    parent = [None]
+    steps = [[] for _ in gens]
+    for i, a in enumerate(mats):  # a first-in first-out queue: mats grows
+        for step, g in zip(steps, gens):
+            p = a * g
+            j = seen.get(p)
+            if j is None:
+                j = seen[p] = len(mats)
+                if j == bound:
+                    raise InternalInvariantError(f"closure exceeded the order bound {bound}")
+                mats.append(p)
+                parent.append((i, step))
+            step.append(j)
+    cols = [range(len(mats))]
+    for p, step in parent[1:]:
+        cols.append(list(map(step.__getitem__, cols[p])))
+    table = list(zip(*cols))
+    return FiniteGroup(
+        len(mats),
+        lambda a, b: table[a][b],
+        mats.__getitem__,
+        gens=[step[0] for step in steps],
+        table=table,
     )
 
 
@@ -621,13 +617,7 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
 
     model = _model.family_model(spec)
     return FiniteGroup.from_generators(
-        model.generators(),
-        model.mult,
-        model.identity,
-        model.to_matrix,
-        order_bound=spec.order,
-        spec=spec,
-        block=model.K,
+        model.generators(), model.mult, model.to_matrix, spec.order, model.K, spec
     )
 
 
@@ -669,15 +659,14 @@ def eigen_angles(g: UnitaryElement):
 
 
 def scalar_subgroup(group: FiniteGroup) -> FiniteGroup:
-    """The subgroup of scalar matrices; cyclic of order 2m for every family."""
-    keys = group.scalar_keys()
-    index = keys if group.block is not None else {k: i for i, k in enumerate(keys)}
-    sub = FiniteGroup(
-        keys, index, group.mult, group.identity, group.to_matrix, spec=group.spec, block=group.block
-    )
+    """The subgroup of scalar matrices of a family group: its first block,
+    cyclic of order 2m for every family."""
+    if group.block is None:
+        raise ConstraintError("scalar_subgroup needs a family group")
+    sub = FiniteGroup(group.block, group.mult, group.to_matrix, spec=group.spec, block=group.block)
     # Closed by centrality; pick a generator for conjugacy/abelianization use.
-    for k in keys:
-        if sub.element_order(k) == len(keys):
+    for k in sub.keys:
+        if sub.element_order(k) == sub.order:
             sub.gens = [k]
             break
     return sub

@@ -19,22 +19,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _model
+from .bundle import rho
 from .cyclo import CyclotomicNumber
 from .errors import ConstraintError, DomainError, InternalInvariantError
-from .groups import GroupSpec, UnitaryElement, eigen_angles
+from .groups import GroupSpec, UnitaryElement, build_group, eigen_angles
 from .rootsum import RootSum
 
 
 def chi(g: UnitaryElement, rho_value: CyclotomicNumber) -> CyclotomicNumber:
-    """Isolated-point index contribution of a single group element."""
+    """Isolated-point index contribution of a single group element: the
+    sector-0 term of its fixed point, whose isotropy in the free action is
+    trivial."""
     if g.is_identity():
         raise DomainError("chi is undefined at the identity")
     lam1, lam2 = eigen_angles(g)
     if lam1.is_one() or lam2.is_one():
         raise DomainError("element has eigenvalue 1; the action is not free")
-    one = CyclotomicNumber.one()
-    den = (one - lam1.conjugate()) * (one - lam2.conjugate())
-    return (rho_value - one) * 2 * den.inverse()
+    return sector0_term(SectorData(0, rho_value, lam1, lam2), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +186,6 @@ def sum_chi_by_elements(spec: GroupSpec) -> Fraction:
     Uses the matrix group, the extended character, and per-element cyclotomic
     division; exponentially slower than the engine but fully independent.
     """
-    from .bundle import rho
-    from .groups import build_group
-
     group = build_group(spec)
     character = rho(spec, group)
     total = CyclotomicNumber.zero()
@@ -200,9 +198,6 @@ def sum_chi_by_elements(spec: GroupSpec) -> Fraction:
 
 def s_breakdown_by_elements(spec: GroupSpec) -> dict:
     """Label -> chi subtotal, from per-element evaluation (small groups only)."""
-    from .bundle import rho
-    from .groups import build_group
-
     model = _model.family_model(spec)
     group = build_group(spec)
     character = rho(spec, group)
@@ -267,7 +262,7 @@ def sector0_term(data: SectorData, isotropy_order: int) -> CyclotomicNumber:
     if data.theta1.is_one() or data.theta2.is_one():
         raise DomainError("normal rotation is trivial; not an isolated fixed point")
     den = (one - data.theta1.conjugate()) * (one - data.theta2.conjugate())
-    return (data.theta_E - one) * 2 * den.inverse() * Fraction(1, isotropy_order)
+    return (data.theta_E - one) * Fraction(2, isotropy_order) * den.inverse()
 
 
 def sector1_term(data: SectorData) -> CyclotomicNumber:

@@ -1,7 +1,7 @@
 """Microbenchmarks of the family closure: `build_group` plus
-`scalar_subgroup` on one mid-size spec per family, and `group_report`
+`scalar_subgroup` on one mid-size spec per family, `group_report`
 (conjugacy classes, commutator subgroup, abelianization) on DD/DC specs
-near |G| = 800.
+near |G| = 800, and the SU(2) atom-table build per binary polyhedral kind.
 
     PYTHONPATH=src python -m pytest tests/bench_closure.py
 
@@ -11,6 +11,7 @@ Tier-1 suite does not run it.
 
 import pytest
 
+from ellsw import _model
 from ellsw.groups import GroupSpec, build_group, group_report, scalar_subgroup
 
 CLOSURE_SPECS = [
@@ -45,3 +46,11 @@ def test_group_report(benchmark, spec):
     # A fresh group per round, so no round reuses another's inverse cache.
     report = benchmark.pedantic(group_report, setup=lambda: ((build_group(spec),), {}), rounds=20)
     assert report["order"] == spec.order
+
+
+@pytest.mark.parametrize("kind", "TOI")
+def test_su2_table(benchmark, kind):
+    # The uncached constructor: the binary polyhedral closure, its Cayley
+    # table and the per-atom data behind the TT/TD/OO/II models.
+    table = benchmark(_model._SU2Table, kind)
+    assert len(table.mult) == {"T": 24, "O": 48, "I": 120}[kind]

@@ -194,3 +194,28 @@ def test_audit_unreadable_input_exit_code(tmp_path, capsys):
     path.write_bytes(b'{"class": "\xff"}')
     code, _, _ = run(["audit", "--input", str(path)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content,where",
+    [
+        ('{"spec": {"family": "DD", "m": ' + "9" * 5000 + "}}\n", "line 1"),  # past the int digit limit
+        ("[" * 100000 + "]" * 100000 + "\n", "line 1"),  # past the recursion limit of the parser
+        (b'{"spec": "\xff"}\n', None),  # not UTF-8
+        (None, None),  # a directory
+    ],
+    ids=["oversized-integer", "deep-nesting", "non-utf8", "directory"],
+)
+def test_swdim_sweep_unreadable_catalog_exit_code(tmp_path, capsys, content, where):
+    catalog = tmp_path / "records.jsonl"
+    if content is None:
+        catalog.mkdir()
+    elif isinstance(content, bytes):
+        catalog.write_bytes(content)
+    else:
+        catalog.write_text(content)
+    code, _, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
+    assert code == 2
+    assert err.startswith("input error:") and str(catalog) in err
+    if where:
+        assert where in err

@@ -1,11 +1,11 @@
 import math
+import random
 
 import pytest
 
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import ConstraintError
 from ellsw.groups import (
-    FiniteGroup,
     GroupSpec,
     UnitaryElement,
     binary_dihedral_generators,
@@ -16,6 +16,7 @@ from ellsw.groups import (
     eigen_exponents,
     scalar_subgroup,
     verify_free_action,
+    _matrix_group,
 )
 from ellsw import _model
 
@@ -30,17 +31,17 @@ def test_binary_polyhedral_orders(kind, n, order):
 
 def test_octahedral_cyclic_subgroup_structure():
     group = build_binary_polyhedral("O")
-    minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
+    minus = next(k for k in group.keys if group.to_matrix(k) == UnitaryElement(((-1, 0), (0, -1))))
     subs = {8: set(), 6: set(), 4: set()}
     for g in group.keys:
         d = group.element_order(g)
         if d in subs:
             sub = []
             p = g
-            while not p.is_identity():
-                sub.append(group.index[p])
+            while p != group.identity:
+                sub.append(p)
                 p = group.mult(p, g)
-            sub.append(group.index[group.identity])
+            sub.append(group.identity)
             subs[d].add(frozenset(sub))
     # Keep only maximal cyclic subgroups.
     assert len(subs[8]) == 3
@@ -48,7 +49,7 @@ def test_octahedral_cyclic_subgroup_structure():
     four = {s for s in subs[4] if not any(s < t for t in subs[8] | subs[6])}
     assert len(six) == 4
     assert len(four) == 6
-    core = {group.index[group.identity], group.index[minus]}
+    core = {group.identity, minus}
     groups_all = list(subs[8]) + list(six) + list(four)
     for i, a in enumerate(groups_all):
         for b in groups_all[i + 1:]:
@@ -77,6 +78,11 @@ def test_family_orders(family, m, n, order):
     assert len(scalar_subgroup(group)) == 2 * m
 
 
+def test_scalar_subgroup_needs_a_family_group():
+    with pytest.raises(ConstraintError):
+        scalar_subgroup(build_binary_polyhedral("T"))
+
+
 @pytest.mark.parametrize(
     "family,m,n",
     [("DD", 2, 3), ("DD", 3, 3), ("DD", 3, 1), ("DC", 3, 2), ("DC", 2, 4),
@@ -93,13 +99,9 @@ def test_free_action_examples():
     assert verify_free_action(build_group(GroupSpec("II", 1)))
     # diag(1, -1) fixes (1, 0): not free.
     g = UnitaryElement(((1, 0), (0, -1)))
-    bad = FiniteGroup.from_generators(
-        [g], lambda a, b: a * b, UnitaryElement(((1, 0), (0, 1))), lambda k: k, 8
-    )
+    bad = _matrix_group([g], 8)
     assert not verify_free_action(bad)
-    trivial = FiniteGroup.from_generators(
-        [], lambda a, b: a * b, UnitaryElement(((1, 0), (0, 1))), lambda k: k, 2
-    )
+    trivial = _matrix_group([], 2)
     assert verify_free_action(trivial)
 
 
@@ -135,8 +137,7 @@ def test_conjugacy_classes():
     group = build_group(GroupSpec("DD", 3, 2))
     minus = next(k for k in group.keys if group.to_matrix(k) == UnitaryElement(((-1, 0), (0, -1))))
     classes = group.conjugacy_classes()
-    idx = group.index[minus]
-    assert [idx] in classes
+    assert [minus] in classes
 
 
 @pytest.mark.parametrize(
@@ -332,3 +333,19 @@ def test_commutator_subgroup_matches_reference():
     for kind, n in (("T", 0), ("O", 0), ("I", 0), ("D", 5)):
         group = build_binary_polyhedral(kind, n)
         assert group.commutator_subgroup() == _commutator_subgroup_by_products(group), kind
+
+
+@pytest.mark.parametrize("kind,n", [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0)])
+def test_binary_polyhedral_dense_keys_multiply_like_matrices(kind, n):
+    group = build_binary_polyhedral(kind, n)
+    assert group.keys == range(group.order)
+    assert group.identity == 0 and group.to_matrix(0).is_identity()
+    mats = group.matrices()
+    assert len(set(mats)) == group.order
+    if kind == "I":
+        rng = random.Random(5)
+        pairs = [(rng.randrange(group.order), rng.randrange(group.order)) for _ in range(300)]
+    else:
+        pairs = [(a, b) for a in group.keys for b in group.keys]
+    for a, b in pairs:
+        assert group.to_matrix(group.mult(a, b)) == mats[a] * mats[b], (a, b)
