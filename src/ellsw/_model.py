@@ -10,6 +10,10 @@ multiplication exactly and `to_matrix` recovers the honest unitary
 matrix.  The polyhedral atom tables are built once per kind on the keys
 of `build_binary_polyhedral`, reusing its Cayley table and exact
 matrices, and are validated against the defining relations.
+
+The models also own the partition behind the labelled chi-subtotals:
+`labels` lists the labels in report order and `label(key)` names the
+label of one key (Lambda1..Lambda3 for DD/DC, S0..S3 for TT/TD/OO/II).
 """
 
 from __future__ import annotations
@@ -54,25 +58,32 @@ class _SU2Table:
                 g = self.mult[g][i]
                 t += 1
             self.order.append(t)
-        self.image_order = []
+        image_order = []
         for i in range(n):
             t, g = 1, i
             while g != self.ident and g != minus_idx:
                 g = self.mult[g][i]
                 t += 1
-            self.image_order.append(t)
+            image_order.append(t)
         # Label order: the largest image order over cyclic subgroups containing
         # the atom.  This separates, say, the quaternion elements inside the
         # order-8 subgroups of the octahedral group from the stand-alone
         # order-4 subgroups, matching the standard cyclic-subgroup partition.
-        self.label_order = list(self.image_order)
+        label_order = list(image_order)
         for b_at in range(n):
-            io_b = self.image_order[b_at]
+            io_b = image_order[b_at]
             g = self.mult[b_at][b_at]
             while g != self.ident:
-                if self.label_order[g] < io_b:
-                    self.label_order[g] = io_b
+                if label_order[g] < io_b:
+                    label_order[g] = io_b
                 g = self.mult[g][b_at]
+        # Labels: the scalar atoms +-1 carry S0, and S1, S2, ... rank the
+        # other atoms by decreasing label order; an atom and its negative
+        # share the label of the `pos` one.
+        orders = sorted({label_order[a] for a in self.pos_atoms[1:]}, reverse=True)
+        self.labels = tuple(f"S{r}" for r in range(len(orders) + 1))
+        name = {o: f"S{r}" for r, o in enumerate(orders, start=1)}
+        self.label = [name[label_order[p]] if p != self.ident else "S0" for p in self.pos]
         b = _BASE_ORDER[kind]
         self.base = b
         self.eigen = []
@@ -126,10 +137,10 @@ def su2_table(kind: str) -> _SU2Table:
 class CosetData:
     """One scalar-subgroup coset for the index engine."""
 
-    __slots__ = ("label_order", "count", "w2m", "a_exp", "b_exp")
+    __slots__ = ("label", "count", "w2m", "a_exp", "b_exp")
 
-    def __init__(self, label_order, count, w2m, a_exp, b_exp):
-        self.label_order = label_order
+    def __init__(self, label, count, w2m, a_exp, b_exp):
+        self.label = label
         self.count = count
         self.w2m = w2m
         self.a_exp = a_exp
@@ -145,6 +156,7 @@ class DihedralModel:
 
     is_dihedral = True
     identity = 0
+    labels = ("Lambda1", "Lambda2", "Lambda3")
 
     def __init__(self, spec: GroupSpec):
         spec.validate()
@@ -174,6 +186,14 @@ class DihedralModel:
 
     def encode(self, t: int, l: int, s: int) -> int:
         return (t * self.n + l) * self.K + s
+
+    def label(self, key) -> str:
+        """Lambda2 for a reflection, Lambda1 for a rotation with a nonzero
+        scalar part, Lambda3 for a pure y^l."""
+        t, _, s = self.decode(key)
+        if t == 1:
+            return "Lambda2"
+        return "Lambda1" if s else "Lambda3"
 
     def generators(self):
         # DD: h, x, y; DC: h^2, hx, y
@@ -245,7 +265,7 @@ class DihedralModel:
         """All n reflection cosets share one descriptor."""
         base = self.encode(1, 0, 0)
         a, b = self.eigen_exps(base)
-        return CosetData(2, self.n, self.rho_exp_2m(base), a, b)
+        return CosetData(self.label(base), self.n, self.rho_exp_2m(base), a, b)
 
     def validate_free_action(self):
         N, K = self.N, self.K
@@ -276,6 +296,7 @@ class PolyhedralModel:
         self.m = spec.m
         self.kind = {"TT": "T", "TD": "T", "OO": "O", "II": "I"}[spec.family]
         self.table = su2_table(self.kind)
+        self.labels = self.table.labels
         self.K = 2 * spec.m
         self.size = len(self.table.pos_atoms) * self.K
         self.c0 = spec.gamma_order
@@ -296,6 +317,10 @@ class PolyhedralModel:
     def encode(self, a: int, s: int) -> int:
         """Key of the `pos` atom `a` times mu_2m^s (times mu_6m^class3(a) in TD)."""
         return self.table.rank[a] * self.K + s
+
+    def label(self, key) -> str:
+        """The label of the key's atom: S0 for the scalars."""
+        return self.table.label[self.decode(key)[0]]
 
     def _atom_exp(self, key):
         """(atom, k): the key as atom times mu_amb^k."""
@@ -375,7 +400,7 @@ class PolyhedralModel:
         for a in t.pos_atoms[1:]:
             base = self.base_key(a)
             e1, e2 = self.eigen_exps(base)
-            yield CosetData(t.label_order[a], 1, self.rho_exp_2m(base), e1, e2)
+            yield CosetData(t.label[a], 1, self.rho_exp_2m(base), e1, e2)
 
     def validate_free_action(self):
         step = self.N // self.K

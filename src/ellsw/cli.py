@@ -133,7 +133,8 @@ def _parse_json(text, where):
 
 
 def _read_catalog(path) -> dict:
-    """(family, m, n) -> stored record; a malformed line is an input error."""
+    """Validated GroupSpec -> stored record; a malformed line, or a spec
+    that is not a valid GroupSpec, is an input error."""
     existing = {}
     with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -144,9 +145,12 @@ def _read_catalog(path) -> dict:
             rec = _parse_json(line, where)
             try:
                 spec = rec["spec"]
-                existing[(spec["family"], spec["m"], spec.get("n", 0))] = rec
+                key = GroupSpec(spec["family"], spec["m"], spec.get("n", 0)).validate()
             except (KeyError, TypeError, AttributeError) as exc:
                 raise InputDocumentError(f"{where}: record has no valid spec") from exc
+            except ConstraintError as exc:
+                raise InputDocumentError(f"{where}: invalid spec: {exc}") from exc
+            existing[key] = rec
     return existing
 
 
@@ -164,10 +168,9 @@ def _swdim_sweep(args) -> int:
         ok = record["dE"] == record["closed_form_dE"]
         if not ok:
             mismatches += 1
-        key = (spec.family, spec.m, spec.n)
         if path:
-            if key in existing:
-                old = dict(existing[key])
+            if spec in existing:
+                old = dict(existing[spec])
                 old.pop("computed_at", None)
                 if old != record:
                     drift += 1

@@ -37,6 +37,8 @@ class GroupSpec:
         f, m, n = self.family, self.m, self.n
         if f not in FAMILIES:
             raise ConstraintError(f"unknown family {f!r}; expected one of {FAMILIES}")
+        if type(m) is not int or type(n) is not int:
+            raise ConstraintError(f"m and n must be integers, not {m!r} and {n!r}")
         if m < 1:
             raise ConstraintError("m must be a positive integer")
         if _FAMILY_NEEDS_N[f]:

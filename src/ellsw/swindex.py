@@ -116,16 +116,16 @@ def _singular_sums(spec: GroupSpec):
         lam2 = rs.rational_value() * refl.count
         return {"Lambda1": lam1, "Lambda2": lam2, "Lambda3": Fraction(0)}
     labels = {"S0": Fraction(_scalar_sum(K, c))}
-    buckets = {}
+    buckets = {label: {} for label in model.labels[1:]}
     for data in model.nonscalar_cosets():
         key = (data.w2m, min(data.a_exp, data.b_exp), max(data.a_exp, data.b_exp))
-        bucket = buckets.setdefault(data.label_order, {})
+        bucket = buckets[data.label]
         bucket[key] = bucket.get(key, 0) + data.count
-    for rank, order in enumerate(sorted(buckets, reverse=True), start=1):
+    for label, bucket in buckets.items():
         total = RootSum(N)
-        for (w2m, a_exp, b_exp), count in buckets[order].items():
+        for (w2m, a_exp, b_exp), count in bucket.items():
             total.add_scaled(_coset_sum(N, K, c, w2m, a_exp, b_exp), 0, count)
-        labels[f"S{rank}"] = total.rational_value()
+        labels[label] = total.rational_value()
     return labels
 
 
@@ -181,59 +181,26 @@ def closed_form_d_E(spec: GroupSpec) -> int:
 
 
 def sum_chi_by_elements(spec: GroupSpec) -> Fraction:
-    """Brute-force sum of chi over all non-identity matrices.
-
-    Uses the matrix group, the extended character, and per-element cyclotomic
-    division; exponentially slower than the engine but fully independent.
-    """
-    group = build_group(spec)
-    character = rho(spec, group)
-    total = CyclotomicNumber.zero()
-    for k in group.keys:
-        if k == group.identity:
-            continue
-        total = total + chi(group.to_matrix(k), character.value(k))
-    return total.as_rational()
+    """Brute-force sum of chi over all non-identity matrices: the sum of the
+    labelled per-element subtotals of `s_breakdown_by_elements`."""
+    return sum(s_breakdown_by_elements(spec).values(), Fraction(0))
 
 
 def s_breakdown_by_elements(spec: GroupSpec) -> dict:
-    """Label -> chi subtotal, from per-element evaluation (small groups only)."""
+    """Label -> chi subtotal, from per-element evaluation (small groups only).
+
+    Uses the matrix group, the extended character, and per-element cyclotomic
+    division; far slower than the engine but independent of it.  Only the
+    label of each key comes from the family model, as in the engine.
+    """
     model = _model.family_model(spec)
     group = build_group(spec)
     character = rho(spec, group)
-    out = {}
-    image_orders = set()
-    if not model.is_dihedral:
-        image_orders = {
-            d.label_order for d in model.nonscalar_cosets()
-        }
-    ranks = {o: i for i, o in enumerate(sorted(image_orders, reverse=True), start=1)}
+    out = dict.fromkeys(model.labels, CyclotomicNumber.zero())
     for k in group.keys:
-        if k == group.identity:
-            continue
-        if model.is_dihedral:
-            label = _dihedral_label(model, k)
-        elif model.is_scalar(k):
-            label = "S0"
-        else:
-            label = f"S{ranks[model.table.image_order[model.decode(k)[0]]]}"
-        v = chi(group.to_matrix(k), character.value(k))
-        out[label] = out.get(label, CyclotomicNumber.zero()) + v
-    labels = (
-        ("Lambda1", "Lambda2", "Lambda3")
-        if model.is_dihedral
-        else ["S0"] + [f"S{r}" for r in sorted(ranks.values())]
-    )
-    return {
-        lab: out.get(lab, CyclotomicNumber.zero()).as_rational() for lab in labels
-    }
-
-
-def _dihedral_label(model, key):
-    t, _, s = model.decode(key)
-    if t == 1:
-        return "Lambda2"
-    return "Lambda1" if s else "Lambda3"
+        if k != group.identity:
+            out[model.label(k)] += chi(group.to_matrix(k), character.value(k))
+    return {label: v.as_rational() for label, v in out.items()}
 
 
 # ---------------------------------------------------------------------------

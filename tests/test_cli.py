@@ -142,8 +142,15 @@ def test_swdim_sweep_torn_catalog_line_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "record",
-    ['{"dE": 2}', '{"spec": {"family": ["DD"], "m": 1}}'],
-    ids=["no-spec", "unhashable-family"],
+    [
+        '{"dE": 2}',
+        '{"spec": {"family": ["DD"], "m": 1}}',
+        '{"spec": {"family": "DD", "m": "1", "n": 2}, "dE": 2}',
+        '{"spec": {"family": "DD", "m": 1.0, "n": 2}, "dE": 2}',
+        '{"spec": {"family": "DD", "m": true, "n": 2}, "dE": 2}',
+        '{"spec": {"family": "DD", "m": 2, "n": 2}, "dE": 2}',  # m even, gcd(m, n) = 2
+    ],
+    ids=["no-spec", "unhashable-family", "string-m", "float-m", "bool-m", "invalid-DD"],
 )
 def test_swdim_sweep_record_without_spec_exit_code(tmp_path, capsys, record):
     catalog = tmp_path / "records.jsonl"
@@ -151,6 +158,7 @@ def test_swdim_sweep_record_without_spec_exit_code(tmp_path, capsys, record):
     code, _, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
     assert code == 2
     assert str(catalog) in err and "line 1" in err and "spec" in err
+    assert catalog.read_text() == record + "\n"  # nothing appended
 
 
 @pytest.mark.parametrize(

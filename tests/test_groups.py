@@ -87,7 +87,10 @@ def test_scalar_subgroup_needs_a_family_group():
     "family,m,n",
     [("DD", 2, 3), ("DD", 3, 3), ("DD", 3, 1), ("DC", 3, 2), ("DC", 2, 4),
      ("TT", 2, 0), ("TT", 3, 0), ("TD", 5, 0), ("TD", 6, 0), ("OO", 4, 0),
-     ("II", 5, 0), ("XX", 1, 0), ("TT", 1, 5)],
+     ("II", 5, 0), ("XX", 1, 0), ("TT", 1, 5),
+     # not a plain int: a string, a float, a bool, None
+     ("DD", "1", 2), ("DD", 1.0, 2), ("DD", True, 2), ("DD", 1, 2.0),
+     ("TT", 5, None), ("II", None, 0), (["DD"], 1, 2)],
 )
 def test_spec_validation_rejects_bad_parameters(family, m, n):
     with pytest.raises(ConstraintError):

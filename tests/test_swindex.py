@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import DomainError
-from ellsw.groups import GroupSpec, UnitaryElement, build_group
+from ellsw.groups import FAMILIES, GroupSpec, UnitaryElement, build_group
 from ellsw.swindex import (
     SectorData,
     chi,
@@ -113,7 +115,7 @@ SMALL_SPECS = [
     GroupSpec("DD", 3, 2), GroupSpec("DD", 3, 4), GroupSpec("DD", 5, 2),
     GroupSpec("DD", 5, 3), GroupSpec("DD", 7, 2), GroupSpec("DC", 2, 3),
     GroupSpec("DC", 2, 5), GroupSpec("DC", 4, 3), GroupSpec("TT", 1),
-    GroupSpec("TD", 3), GroupSpec("OO", 1),
+    GroupSpec("TD", 3), GroupSpec("OO", 1), GroupSpec("OO", 7), GroupSpec("OO", 11),
 ]
 
 
@@ -122,8 +124,53 @@ def test_engine_matches_per_element_enumeration(spec):
     # Independent oracle: matrices, extended character, cyclotomic division.
     engine = s_breakdown(spec)
     element = s_breakdown_by_elements(spec)
-    assert engine == element
+    assert list(engine.items()) == list(element.items())  # same labels, same order
     assert sum(engine.values(), Fraction(0)) == sum_chi_by_elements(spec)
+
+
+# Every valid spec with |G| <= 336, by family, so that a drawn family comes
+# up even though the dihedral families hold almost all of the specs.
+SPECS_BY_FAMILY = {f: [s for s in sweep_specs(336) if s.family == f] for f in FAMILIES}
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(FAMILIES).flatmap(lambda f: st.sampled_from(SPECS_BY_FAMILY[f])))
+@example(spec=GroupSpec("OO", 7))
+def test_engine_matches_per_element_labels_on_random_specs(spec):
+    engine = s_breakdown(spec)
+    element = s_breakdown_by_elements(spec)
+    assert list(engine.items()) == list(element.items())
+
+
+@st.composite
+def coset_parameters(draw):
+    """(N, K, c, w2m, a_exp, b_exp) with K | N and two distinct eigenvalue
+    exponents whose K-th powers are not 1, as freeness guarantees."""
+    N = draw(st.integers(3, 60))
+    K = draw(st.sampled_from([k for k in range(1, N) if N % k == 0]))
+    free = [e for e in range(N) if (e * K) % N]
+    a_exp = draw(st.sampled_from(free))
+    b_exp = draw(st.sampled_from([e for e in free if e != a_exp]))
+    c = draw(st.integers(0, K - 1))
+    w2m = draw(st.integers(0, K - 1))
+    return N, K, c, w2m, a_exp, b_exp
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=coset_parameters())
+def test_coset_sum_closed_form_matches_direct_summation(params):
+    from ellsw.swindex import _coset_sum
+
+    # sum_k 2 (w r^k - 1) / ((1 - mu^-k zeta_N^-a)(1 - mu^-k zeta_N^-b)) over
+    # k < K, with mu = zeta_K, w = mu^w2m and r = mu^c, term by term.
+    N, K, c, w2m, a_exp, b_exp = params
+    w = root_of_unity(w2m, K)
+    direct = CyclotomicNumber.zero()
+    for k in range(K):
+        mu_k = root_of_unity(-k, K)
+        den = (ONE - mu_k * root_of_unity(-a_exp, N)) * (ONE - mu_k * root_of_unity(-b_exp, N))
+        direct = direct + (w * root_of_unity(c * k, K) - ONE) * 2 * den.inverse()
+    assert _coset_sum(N, K, c, w2m, a_exp, b_exp).to_cyclotomic() == direct
 
 
 def test_chi_conjugate_pairs_are_real():
