@@ -37,15 +37,11 @@ from .bundle import (
     verify_section_equivariance,
 )
 from .swindex import (
-    SectorData,
     SWDimensionReport,
     chi,
     closed_form_d_E,
     d_E,
-    i2_term,
     s_breakdown,
-    sector0_term,
-    sector1_term,
     singular_point_contribution,
     sum_chi_by_elements,
     sw_dimension_report,

@@ -14,7 +14,6 @@ import math
 import random
 from fractions import Fraction
 
-from . import _model
 from .cyclo import CyclotomicNumber, root_exponent, root_of_unity
 from .errors import CharacterConflictError, ConstraintError, DomainError, InternalInvariantError
 from .groups import FiniteGroup, GroupSpec, build_group
@@ -38,20 +37,6 @@ class Character:
 
     def value_exp(self, key) -> int:
         return self.exponents[key]
-
-    def is_multiplicative(self, max_pairs: int = 1_000_000) -> bool:
-        g = self.group
-        d = self.zeta_order
-        keys = g.keys
-        if len(keys) ** 2 > max_pairs:
-            rng = random.Random(0)
-            pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(max_pairs)]
-        else:
-            pairs = [(a, b) for a in keys for b in keys]
-        for a, b in pairs:
-            if (self.value_exp(a) + self.value_exp(b) - self.value_exp(g.mult(a, b))) % d:
-                return False
-        return True
 
     def to_dict(self) -> dict:
         gens = self.generators or [("g", k) for k in self.group.gens]
@@ -186,22 +171,6 @@ class BivariatePolynomial:
     def scale(self, c) -> "BivariatePolynomial":
         return BivariatePolynomial({k: v * c for k, v in self.terms.items()})
 
-    def substitute_linear(self, mat) -> "BivariatePolynomial":
-        """Expand self(M z) by binomial products; exact but slower than
-        composing a factored form, so reserve it for small degrees."""
-        (m11, m12), (m21, m22) = mat
-        row1 = BivariatePolynomial({(1, 0): m11, (0, 1): m12})
-        row2 = BivariatePolynomial({(1, 0): m21, (0, 1): m22})
-        out = BivariatePolynomial()
-        for (p, q), c in self.terms.items():
-            term = BivariatePolynomial({(0, 0): c})
-            for _ in range(p):
-                term = term.mul(row1)
-            for _ in range(q):
-                term = term.mul(row2)
-            out = out.add(term)
-        return out
-
     def add(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -226,9 +195,9 @@ def _product_of_linear(forms) -> BivariatePolynomial:
     return out
 
 
-def _coset_representatives(group: FiniteGroup, model):
+def _coset_representatives(group: FiniteGroup):
     """The first key of each scalar coset: the dense keys `b * K`."""
-    return list(range(0, group.order, model.K))
+    return list(range(0, group.order, group.block))
 
 
 def _pulled_back_forms(group, reps, u):
@@ -249,9 +218,8 @@ def section_equivariance_report(spec: GroupSpec, u=(1, 1), trials: int = 8) -> d
     """
     spec.validate()
     group = build_group(spec)
-    model = _model.family_model(spec)
     character = rho(spec, group)
-    reps = _coset_representatives(group, model)
+    reps = _coset_representatives(group)
     if len(reps) != spec.gamma_order:
         raise InternalInvariantError("coset representative count is off")
 

@@ -191,9 +191,12 @@ def _swdim_sweep(args) -> int:
                 f"{'ok' if ok else 'FAIL'}"
             )
     if path and new_records:
-        with open(path, "a", encoding="utf-8") as fh:
-            for rec in new_records:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        try:
+            with open(path, "a", encoding="utf-8") as fh:
+                for rec in new_records:
+                    fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        except OSError as exc:
+            raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
     if not args.json:
         for line in out_lines:
             print(line)

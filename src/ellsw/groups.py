@@ -153,13 +153,6 @@ class UnitaryElement:
             check=False,
         )
 
-    def dagger(self) -> "UnitaryElement":
-        (a, b), (c, d) = self.entries
-        return UnitaryElement(
-            ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate())),
-            check=False,
-        )
-
     def det(self) -> CyclotomicNumber:
         (a, b), (c, d) = self.entries
         return a * d - b * c

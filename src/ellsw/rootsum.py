@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclo import CyclotomicNumber, euler_phi, factorize, mobius
+from .cyclo import CyclotomicNumber, euler_phi, mobius
 from .errors import InternalInvariantError
 
 
@@ -24,48 +24,6 @@ def ramanujan_sum(n: int, e: int) -> int:
     if mu == 0:
         return 0
     return mu * (euler_phi(n) // euler_phi(k))
-
-
-def _unit_group_generators(n: int):
-    """A generating set for (Z/n)^*, via primitive roots per prime power."""
-    if n <= 2:
-        return []
-    gens = []
-    for p, e in factorize(n).items():
-        q = p**e
-        rest = n // q
-        if p == 2:
-            locals_ = [3, q - 1] if e >= 3 else ([3] if e == 2 else [])
-        else:
-            g = _primitive_root(p, q)
-            locals_ = [g]
-        for g in locals_:
-            # CRT-lift: g mod q, 1 mod rest.
-            if rest == 1:
-                gens.append(g % n)
-            else:
-                inv = pow(q, -1, rest)
-                t = (g + q * ((1 - g) * inv % rest)) % n
-                gens.append(t)
-    return [g for g in gens if g % n != 1]
-
-
-def _primitive_root(p: int, q: int) -> int:
-    phi_p = p - 1
-    fs = list(factorize(phi_p))
-    g = None
-    for cand in range(2, p):
-        if all(pow(cand, phi_p // f, p) != 1 for f in fs):
-            g = cand
-            break
-    if g is None:
-        raise InternalInvariantError(f"no primitive root modulo {p}")
-    if q == p:
-        return g
-    # Lift to p^e: g works unless g^(p-1) = 1 mod p^2.
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
 
 
 class RootSum:
@@ -131,12 +89,19 @@ class RootSum:
 
         Sufficient for rationality of the value; the engine produces sums that
         are term-for-term symmetric when the underlying element set is closed
-        under g -> g^t, so this is also complete for its call sites.
+        under g -> g^t, so this is also complete for its call sites.  The
+        orbit of an exponent e is every f with gcd(f, n) = gcd(e, n), which
+        is phi(n / gcd(e, n)) exponents; so the dict is stable iff each gcd
+        class it touches is fully present with a single coefficient.
         """
-        for t in _unit_group_generators(self.n):
-            if self.galois_permuted(t).c != self.c:
+        n = self.n
+        classes = {}  # gcd -> [coefficient, exponents seen]
+        for e, v in self.c.items():
+            seen = classes.setdefault(math.gcd(e, n), [v, 0])
+            if seen[0] != v:
                 return False
-        return True
+            seen[1] += 1
+        return all(count == euler_phi(n // g) for g, (_, count) in classes.items())
 
     def rational_value(self) -> Fraction:
         """The value as an exact rational; requires Galois-stable storage."""

@@ -27,15 +27,17 @@ from .rootsum import RootSum
 
 
 def chi(g: UnitaryElement, rho_value: CyclotomicNumber) -> CyclotomicNumber:
-    """Isolated-point index contribution of a single group element: the
-    sector-0 term of its fixed point, whose isotropy in the free action is
-    trivial."""
+    """Isolated cone-point contribution of a single group element,
+    2 (rho(g) - 1) / ((1 - conj l1)(1 - conj l2)); the free action makes
+    the fixed point's isotropy trivial, and no other sector term arises."""
     if g.is_identity():
         raise DomainError("chi is undefined at the identity")
     lam1, lam2 = eigen_angles(g)
     if lam1.is_one() or lam2.is_one():
         raise DomainError("element has eigenvalue 1; the action is not free")
-    return sector0_term(SectorData(0, rho_value, lam1, lam2), 1)
+    one = CyclotomicNumber.one()
+    den = (one - lam1.conjugate()) * (one - lam2.conjugate())
+    return (rho_value - one) * 2 * den.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -201,61 +203,6 @@ def s_breakdown_by_elements(spec: GroupSpec) -> dict:
         if k != group.identity:
             out[model.label(k)] += chi(group.to_matrix(k), character.value(k))
     return {label: v.as_rational() for label, v in out.items()}
-
-
-# ---------------------------------------------------------------------------
-# general sector terms of the index formula
-
-
-@dataclass
-class SectorData:
-    """Fixed-point stratum data: rotation numbers and rational pairings."""
-
-    dimension: int
-    theta_E: CyclotomicNumber
-    theta1: CyclotomicNumber | None = None
-    theta2: CyclotomicNumber | None = None
-    theta: CyclotomicNumber | None = None
-    c1E_pairing: Fraction = Fraction(0)
-    c1TX_pairing: Fraction = Fraction(0)
-    c1N_pairing: Fraction = Fraction(0)
-
-
-def sector0_term(data: SectorData, isotropy_order: int) -> CyclotomicNumber:
-    """Isolated-sector summand, including the 1/|isotropy| fundamental class."""
-    if data.dimension != 0:
-        raise DomainError("sector0_term expects a 0-dimensional sector")
-    one = CyclotomicNumber.one()
-    if data.theta1.is_one() or data.theta2.is_one():
-        raise DomainError("normal rotation is trivial; not an isolated fixed point")
-    den = (one - data.theta1.conjugate()) * (one - data.theta2.conjugate())
-    return (data.theta_E - one) * Fraction(2, isotropy_order) * den.inverse()
-
-
-def sector1_term(data: SectorData) -> CyclotomicNumber:
-    """Two-dimensional-sector summand with its three characteristic terms."""
-    if data.dimension != 1:
-        raise DomainError("sector1_term expects a 1-dimensional sector")
-    one = CyclotomicNumber.one()
-    if data.theta.is_one():
-        raise DomainError("normal rotation is trivial; not a fixed-point sector")
-    inv = (one - data.theta.conjugate()).inverse()
-    t1 = data.theta_E * 2 * Fraction(data.c1E_pairing) * inv
-    t2 = (data.theta_E - one) * Fraction(data.c1TX_pairing) * inv
-    t3 = (
-        data.theta.conjugate()
-        * (data.theta_E - one)
-        * 2
-        * Fraction(data.c1N_pairing)
-        * inv
-        * inv
-    )
-    return t1 + t2 - t3
-
-
-def i2_term(c1E_sq: Fraction, K_dot_c1E: Fraction) -> Fraction:
-    """Smooth-part contribution c1(E)^2 - c1(E).c1(K)."""
-    return Fraction(c1E_sq) - Fraction(K_dot_c1E)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,13 @@ def test_swdim_sweep_torn_catalog_line_exit_code(tmp_path, capsys):
     assert str(catalog) in err and f"line {n_lines}" in err
 
 
+def test_swdim_sweep_unwritable_catalog_exit_code(tmp_path, capsys):
+    catalog = tmp_path / "missing" / "records.jsonl"
+    code, _, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
+    assert code == 2
+    assert err.startswith("input error:") and str(catalog) in err
+
+
 @pytest.mark.parametrize(
     "record",
     [

@@ -20,6 +20,8 @@ from ellsw.groups import (
 )
 from ellsw import _model
 
+from character_checks import is_multiplicative
+
 
 @pytest.mark.parametrize(
     "kind,n,order",
@@ -169,7 +171,7 @@ def test_det_character():
     spec = GroupSpec("DD", 3, 2)
     group = build_group(spec)
     theta = det_character(group)
-    assert theta.is_multiplicative()
+    assert is_multiplicative(theta)
     h = group.gens[0]
     assert theta.value(h) == root_of_unity(1, 3)  # mu_{2m}^2 = mu_m
     x = group.gens[1]

@@ -29,8 +29,6 @@ sys.exit(1)
         "from ellsw.cyclo import _poly_divexact; _poly_divexact([1, 0, 1], [1, 1])",
         # (1 + x) / (2x): the quotient is not an integer polynomial
         "from ellsw.cyclo import _poly_divexact; _poly_divexact([1, 1], [0, 2])",
-        # no primitive root is searched for below 2
-        "from ellsw.rootsum import _primitive_root; _primitive_root(2, 2)",
         # The closure discovers the order: a model that lost a generator
         # (here y, then the scalar h) closes to a smaller group.
         "from ellsw import _model; from ellsw.groups import GroupSpec, build_group; "

@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import InternalInvariantError
-from ellsw.rootsum import RootSum, ramanujan_sum, _unit_group_generators
+from ellsw.rootsum import RootSum, ramanujan_sum
 
 
 def test_inv_one_minus_matches_field_inverse():
@@ -40,29 +43,37 @@ def test_ramanujan_sums():
 
 
 def _coprime(a, b):
-    import math
-
     return math.gcd(a, b) == 1
 
 
-def test_unit_group_generators_generate():
-    import math
+@st.composite
+def _root_sums(draw):
+    """Sums built from whole gcd classes of exponents mod n, each class with
+    one coefficient or with one exponent's coefficient perturbed, plus stray
+    monomials that may break a class."""
+    n = draw(st.integers(1, 120))
+    coef = st.integers(-3, 3).map(Fraction)
+    c = {}
+    divisors = [g for g in range(1, n + 1) if n % g == 0]
+    for g in draw(st.lists(st.sampled_from(divisors), max_size=4, unique=True)):
+        orbit = [f for f in range(n) if math.gcd(f, n) == g]
+        v = draw(coef)
+        c.update(dict.fromkeys(orbit, v))
+        if draw(st.booleans()):
+            c[draw(st.sampled_from(orbit))] = v + draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        c[draw(st.integers(0, n - 1))] = draw(coef)
+    return RootSum(n, c)
 
-    for n in (3, 4, 8, 12, 16, 15, 40, 105):
-        gens = _unit_group_generators(n)
-        group = {1}
-        frontier = {1}
-        while frontier:
-            new = set()
-            for a in frontier:
-                for g in gens:
-                    b = (a * g) % n
-                    if b not in group:
-                        group.add(b)
-                        new.add(b)
-            frontier = new
-        units = {t for t in range(1, n + 1) if math.gcd(t, n) == 1}
-        assert group == units, n
+
+@settings(max_examples=300, deadline=None)
+@given(_root_sums())
+@example(RootSum(12, {1: Fraction(2), 5: Fraction(2), 7: Fraction(2), 11: Fraction(2)}))
+@example(RootSum(12, {1: Fraction(2), 5: Fraction(2), 7: Fraction(2)}))
+def test_galois_stability_is_literal_invariance(rs):
+    n = rs.n
+    literal = all(rs.galois_permuted(t).c == rs.c for t in range(1, n + 1) if _coprime(t, n))
+    assert rs.is_galois_stable() == literal
 
 
 def test_rational_value_of_symmetric_sum():

@@ -9,15 +9,11 @@ from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import DomainError
 from ellsw.groups import FAMILIES, GroupSpec, UnitaryElement, build_group
 from ellsw.swindex import (
-    SectorData,
     chi,
     closed_form_d_E,
     d_E,
-    i2_term,
     s_breakdown,
     s_breakdown_by_elements,
-    sector0_term,
-    sector1_term,
     singular_point_contribution,
     sum_chi_by_elements,
     sw_dimension_report,
@@ -200,72 +196,6 @@ def test_dimension_even_and_at_least_two_sampled():
     for spec in sweep_specs(500):
         d = d_E(spec)
         assert d % 2 == 0 and d >= 2
-
-
-def test_sector0_hand_value():
-    minus = -ONE
-    data = SectorData(dimension=0, theta_E=minus, theta1=minus, theta2=minus)
-    # (1/2) * 2(-2)/4 = -1/2
-    assert sector0_term(data, 2) == Fraction(-1, 2)
-    zero_sector = SectorData(dimension=0, theta_E=ONE, theta1=minus, theta2=minus)
-    assert sector0_term(zero_sector, 2).is_zero()
-    with pytest.raises(DomainError):
-        sector0_term(SectorData(dimension=0, theta_E=minus, theta1=ONE, theta2=minus), 2)
-
-
-def test_sector1_hand_values():
-    minus = -ONE
-    data = SectorData(
-        dimension=1, theta_E=minus, theta=minus,
-        c1E_pairing=Fraction(0), c1TX_pairing=Fraction(0), c1N_pairing=Fraction(1),
-    )
-    assert sector1_term(data) == -1
-    vanishing = SectorData(
-        dimension=1, theta_E=ONE, theta=minus,
-        c1E_pairing=Fraction(0), c1TX_pairing=Fraction(5), c1N_pairing=Fraction(3),
-    )
-    assert sector1_term(vanishing).is_zero()
-
-
-def test_sector1_against_high_precision_numeric():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    theta_E = root_of_unity(1, 3)
-    theta = root_of_unity(1, 4)
-    data = SectorData(
-        dimension=1, theta_E=theta_E, theta=theta,
-        c1E_pairing=Fraction(2, 3), c1TX_pairing=Fraction(1, 2), c1N_pairing=Fraction(-1, 5),
-    )
-    exact = sector1_term(data)
-    eE = mpmath.exp(2j * mpmath.pi / 3)
-    et = mpmath.exp(2j * mpmath.pi / 4)
-    inv = 1 / (1 - 1 / et)
-    numeric = (
-        2 * eE * mpmath.mpf(2) / 3 * inv
-        + (eE - 1) * mpmath.mpf(1) / 2 * inv
-        - 2 / et * (eE - 1) * mpmath.mpf(-1) / 5 * inv**2
-    )
-    got = exact.to_complex()
-    assert abs(got - complex(numeric)) < 1e-12
-
-
-def test_sector1_conjugate_pair_is_real():
-    data = SectorData(
-        dimension=1, theta_E=root_of_unity(1, 5), theta=root_of_unity(1, 6),
-        c1E_pairing=Fraction(1, 3), c1TX_pairing=Fraction(2), c1N_pairing=Fraction(1, 2),
-    )
-    conj = SectorData(
-        dimension=1, theta_E=root_of_unity(-1, 5), theta=root_of_unity(-1, 6),
-        c1E_pairing=data.c1E_pairing, c1TX_pairing=data.c1TX_pairing, c1N_pairing=data.c1N_pairing,
-    )
-    total = sector1_term(data) + sector1_term(conj)
-    assert total == total.conjugate()
-
-
-def test_i2_term():
-    assert i2_term(Fraction(1), Fraction(0)) == 1
-    assert i2_term(Fraction(30, 7), Fraction(-8, 7)) == Fraction(38, 7)
-    assert i2_term(Fraction(12), Fraction(-2)) == 14
 
 
 def test_report_serialization_shape():
