@@ -268,13 +268,12 @@ class DihedralModel:
         return CosetData(self.label(base), self.n, self.rho_exp_2m(base), a, b)
 
     def validate_free_action(self):
-        N, K = self.N, self.K
-        step = N // K
-        for l in range(1, self.n):
-            if (l * self._rot_step) % step == 0:
-                raise InternalInvariantError("rotation coset contains a non-free element")
-        refl = self.reflection_coset()
-        for e in (refl.a_exp, refl.b_exp):
+        step = self.N // self.K
+        # The coset of y^l holds an element with eigenvalue 1 iff step divides
+        # l * rot_step; the least such l > 0 is step // gcd(step, rot_step).
+        if step // math.gcd(step, self._rot_step) < self.n:
+            raise InternalInvariantError("rotation coset contains a non-free element")
+        for e in self.eigen_exps(self.encode(1, 0, 0)):
             if e % step == 0:
                 raise InternalInvariantError("reflection coset contains a non-free element")
 

@@ -154,6 +154,15 @@ def _read_catalog(path) -> dict:
     return existing
 
 
+def _appending(path):
+    """The catalog at `path` opened for append; a path that cannot be opened
+    (say, in a missing directory) is an input error."""
+    try:
+        return open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
+
+
 def _swdim_sweep(args) -> int:
     specs = sweep_specs(args.max_order)
     path = _catalog_path(args)
@@ -163,40 +172,43 @@ def _swdim_sweep(args) -> int:
     appended = 0
     out_lines = []
     new_records = []
-    for spec in specs:
-        record = _sw_record(spec)
-        ok = record["dE"] == record["closed_form_dE"]
-        if not ok:
-            mismatches += 1
-        if path:
-            if spec in existing:
-                old = dict(existing[spec])
-                old.pop("computed_at", None)
-                if old != record:
-                    drift += 1
-                    out_lines.append(f"DRIFT {spec.family} m={spec.m} n={spec.n}")
+    # The catalog is opened before the first spec is computed, so a path that
+    # cannot be appended to fails at once; the records are written after the loop.
+    with _appending(path) if path and specs else contextlib.nullcontext() as catalog:
+        for spec in specs:
+            record = _sw_record(spec)
+            ok = record["dE"] == record["closed_form_dE"]
+            if not ok:
+                mismatches += 1
+            if path:
+                if spec in existing:
+                    old = dict(existing[spec])
+                    old.pop("computed_at", None)
+                    if old != record:
+                        drift += 1
+                        out_lines.append(f"DRIFT {spec.family} m={spec.m} n={spec.n}")
+                else:
+                    stamped = dict(record)
+                    stamped["computed_at"] = (
+                        datetime.datetime.now(datetime.timezone.utc).isoformat()
+                    )
+                    new_records.append(stamped)
+                    appended += 1
+            if args.json:
+                print(json.dumps(record, sort_keys=True, separators=(",", ":")))
             else:
-                stamped = dict(record)
-                stamped["computed_at"] = (
-                    datetime.datetime.now(datetime.timezone.utc).isoformat()
+                out_lines.append(
+                    f"{spec.family:>2} m={spec.m:<4} n={spec.n:<4} |G|={spec.order:<5} "
+                    f"dE={record['dE']:<3} closed={record['closed_form_dE']:<3} "
+                    f"{'ok' if ok else 'FAIL'}"
                 )
-                new_records.append(stamped)
-                appended += 1
-        if args.json:
-            print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        else:
-            out_lines.append(
-                f"{spec.family:>2} m={spec.m:<4} n={spec.n:<4} |G|={spec.order:<5} "
-                f"dE={record['dE']:<3} closed={record['closed_form_dE']:<3} "
-                f"{'ok' if ok else 'FAIL'}"
-            )
-    if path and new_records:
-        try:
-            with open(path, "a", encoding="utf-8") as fh:
+        if new_records:
+            try:
                 for rec in new_records:
-                    fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-        except OSError as exc:
-            raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
+                    catalog.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+                catalog.flush()
+            except OSError as exc:
+                raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
     if not args.json:
         for line in out_lines:
             print(line)

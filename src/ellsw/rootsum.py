@@ -1,9 +1,11 @@
 """Sparse exact arithmetic on Q-linear combinations of N-th roots of unity.
 
-Values are dicts {exponent mod N: Fraction}.  The representation is not
-canonical (relations among roots are not reduced), which keeps products
-of the inverse expansions cheap; canonical questions are answered by
-Galois invariance plus Ramanujan-sum traces, or by converting to a
+Values are integer numerators `{exponent mod N: int}` over one positive
+denominator `den`, the representation `CyclotomicNumber` uses; no stored
+numerator is 0.  The representation is not canonical (relations among
+roots are not reduced, and `den` need not be in lowest terms), which keeps
+products of the inverse expansions cheap; canonical questions are answered
+by Galois invariance plus Ramanujan-sum traces, or by converting to a
 canonical `CyclotomicNumber`.
 """
 
@@ -27,19 +29,23 @@ def ramanujan_sum(n: int, e: int) -> int:
 
 
 class RootSum:
-    """Mutable sparse sum of rational multiples of zeta_n powers."""
+    """Mutable sparse sum of rational multiples of zeta_n powers, stored as
+    integer numerators `c` over the positive integer `den`."""
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "c", "den")
 
     def __init__(self, n: int, c=None):
+        """From {exponent: int or Fraction}; zero values are dropped."""
         self.n = n
-        self.c = dict(c) if c else {}
+        self.c = {}
+        self.den = 1
+        if c:
+            values = {e: Fraction(v) for e, v in c.items() if v}
+            den = self.den = math.lcm(*(v.denominator for v in values.values()))
+            self.c = {e: v.numerator * (den // v.denominator) for e, v in values.items()}
 
     @staticmethod
     def monomial(n: int, e: int, coef=1) -> "RootSum":
-        coef = Fraction(coef)
-        if coef == 0:
-            return RootSum(n)
         return RootSum(n, {e % n: coef})
 
     @staticmethod
@@ -49,40 +55,63 @@ class RootSum:
         if e == 0:
             raise ZeroDivisionError("1 - zeta^0 is zero")
         d = n // math.gcd(e, n)
-        out = {}
-        for j in range(1, d):
-            out[(e * j) % n] = Fraction(-j, d)
-        return RootSum(n, out)
+        out = RootSum(n)
+        out.c = {(e * j) % n: -j for j in range(1, d)}
+        out.den = d
+        return out
 
     def add_scaled(self, other: "RootSum", exp_shift: int = 0, coef=1) -> "RootSum":
         """In-place self += coef * zeta^exp_shift * other."""
         if other.n != self.n:
             raise ValueError("mixed root orders in RootSum arithmetic")
-        coef = Fraction(coef)
-        if coef == 0:
+        if type(coef) is int:
+            p, oden = coef, other.den
+        else:
+            coef = Fraction(coef)
+            p, oden = coef.numerator, coef.denominator * other.den
+        if not p or not other.c:
             return self
-        n = self.n
         c = self.c
+        if not c:
+            self.den = oden
+        elif oden != self.den:
+            den = math.lcm(self.den, oden)
+            if den != self.den:
+                f = den // self.den
+                for e in c:
+                    c[e] *= f
+                self.den = den
+            p *= den // oden
+        n = self.n
         for e, v in other.c.items():
             k = (e + exp_shift) % n
-            nv = c.get(k, _F0) + coef * v
+            nv = c.get(k, 0) + p * v
             if nv:
                 c[k] = nv
             else:
-                c.pop(k, None)
+                del c[k]
         return self
 
     def mul(self, other: "RootSum") -> "RootSum":
         if other.n != self.n:
             raise ValueError("mixed root orders in RootSum arithmetic")
-        out = RootSum(self.n)
-        for e, v in other.c.items():
-            out.add_scaled(self, e, v)
+        n = self.n
+        c = {}
+        for e2, v2 in other.c.items():
+            for e1, v1 in self.c.items():
+                k = (e1 + e2) % n
+                c[k] = c.get(k, 0) + v1 * v2
+        out = RootSum(n)
+        out.c = {e: v for e, v in c.items() if v}
+        out.den = self.den * other.den
         return out
 
     def galois_permuted(self, t: int) -> "RootSum":
         n = self.n
-        return RootSum(n, {(e * t) % n: v for e, v in self.c.items()})
+        out = RootSum(n)
+        out.c = {(e * t) % n: v for e, v in self.c.items()}
+        out.den = self.den
+        return out
 
     def is_galois_stable(self) -> bool:
         """True if the stored dict is literally invariant under Gal(Q(zeta_n)/Q).
@@ -92,10 +121,11 @@ class RootSum:
         under g -> g^t, so this is also complete for its call sites.  The
         orbit of an exponent e is every f with gcd(f, n) = gcd(e, n), which
         is phi(n / gcd(e, n)) exponents; so the dict is stable iff each gcd
-        class it touches is fully present with a single coefficient.
+        class it touches is fully present with a single numerator (all of
+        them share `den`).
         """
         n = self.n
-        classes = {}  # gcd -> [coefficient, exponents seen]
+        classes = {}  # gcd -> [numerator, exponents seen]
         for e, v in self.c.items():
             seen = classes.setdefault(math.gcd(e, n), [v, 0])
             if seen[0] != v:
@@ -104,7 +134,10 @@ class RootSum:
         return all(count == euler_phi(n // g) for g, (_, count) in classes.items())
 
     def rational_value(self) -> Fraction:
-        """The value as an exact rational; requires Galois-stable storage."""
+        """The value as an exact rational; requires Galois-stable storage.
+
+        A rational value is its own trace over phi(n), and the trace of
+        zeta_n^e is the Ramanujan sum c_n(e)."""
         if not self.c:
             return Fraction(0)
         if not self.is_galois_stable():
@@ -112,17 +145,14 @@ class RootSum:
                 "root sum is not Galois stable; cannot certify rationality"
             )
         n = self.n
-        total = sum((v * ramanujan_sum(n, e) for e, v in self.c.items()), Fraction(0))
-        return total / euler_phi(n)
+        trace = sum(v * ramanujan_sum(n, e) for e, v in self.c.items())
+        return Fraction(trace, self.den * euler_phi(n))
 
     def to_cyclotomic(self) -> CyclotomicNumber:
         dense = [0] * self.n
         for e, v in self.c.items():
-            dense[e] = v
+            dense[e] = Fraction(v, self.den)
         return CyclotomicNumber._from_dense(self.n, dense)
 
     def __repr__(self):
-        return f"RootSum(n={self.n}, terms={len(self.c)})"
-
-
-_F0 = Fraction(0)
+        return f"RootSum(n={self.n}, terms={len(self.c)}, den={self.den})"

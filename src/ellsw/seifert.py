@@ -32,7 +32,7 @@ class SeifertInvariant:
 
     @property
     def euler_number(self) -> Fraction:
-        return self.b + sum(Fraction(bi, ai) for ai, bi in self.legs)
+        return Fraction(*_euler_ratio(self.b, self.legs))
 
     def to_dict(self) -> dict:
         e = self.euler_number
@@ -41,6 +41,14 @@ class SeifertInvariant:
             "b": self.b,
             "legs": [list(leg) for leg in self.legs],
         }
+
+
+def _euler_ratio(b: int, legs) -> tuple:
+    """b + sum b_i/a_i as (numerator, a1 a2 a3), not in lowest terms."""
+    den = 1
+    for a, _ in legs:
+        den *= a
+    return b * den + sum(bi * (den // ai) for ai, bi in legs), den
 
 
 def euler_number(spec: GroupSpec) -> Fraction:
@@ -84,7 +92,9 @@ def normalized_invariant(spec: GroupSpec) -> SeifertInvariant:
         b2, b3 = solutions[0]
         b = (m - lead // 2 - coef2 * b2 - coef3 * b3) // lead
         inv = SeifertInvariant(b, ((a1, 1), (a2, b2), (a3, b3)))
-    if inv.euler_number != euler_number(spec):
+    # b + sum b_i/a_i == 4m^2/|G|, cross-multiplied.
+    num, den = _euler_ratio(inv.b, inv.legs)
+    if num * spec.order != 4 * m * m * den:
         raise InternalInvariantError(f"Seifert data for {spec} misses the Euler number")
     return inv
 

@@ -25,6 +25,8 @@ from .errors import ConstraintError, DomainError, InternalInvariantError
 from .groups import GroupSpec, UnitaryElement, build_group, eigen_angles
 from .rootsum import RootSum
 
+_ZERO = Fraction(0)
+
 
 def chi(g: UnitaryElement, rho_value: CyclotomicNumber) -> CyclotomicNumber:
     """Isolated cone-point contribution of a single group element,
@@ -93,21 +95,20 @@ def _dihedral_rotation_sums(m: int, n: int):
     K = 2 * m
     c = (2 * n) % K
     s0 = _scalar_sum(K, c)
-    half = Fraction(n - 1, 2)
     minv = pow(m % n, -1, n)
-    v = Fraction(0)
+    # v2 is twice the sum: each i takes off (n - 1) / 2 when b = 0, else
+    # (b - 1) - (n - 1) / 2.
+    v2 = 0
     for i in range(1, c // 2 + 1):
         b = (i * minv) % n
-        v -= half if b == 0 else (b - 1) - half
-    lam1 = s0 - 8 * m * v
-    return Fraction(s0), Fraction(lam1)
+        v2 -= n - 1 if b == 0 else 2 * b - 1 - n
+    return s0, s0 - 4 * m * v2
 
 
 @lru_cache(maxsize=2048)
 def _singular_sums(spec: GroupSpec):
     """Ordered label -> exact rational chi-subtotal over G minus identity."""
-    spec.validate()
-    model = _model.family_model(spec)
+    model = _model.family_model(spec)  # validates the spec
     model.validate_free_action()
     N, K = model.N, model.K
     c = model.c0 % K
@@ -116,7 +117,7 @@ def _singular_sums(spec: GroupSpec):
         refl = model.reflection_coset()
         rs = _coset_sum(N, K, c, refl.w2m, refl.a_exp, refl.b_exp)
         lam2 = rs.rational_value() * refl.count
-        return {"Lambda1": lam1, "Lambda2": lam2, "Lambda3": Fraction(0)}
+        return {"Lambda1": Fraction(lam1), "Lambda2": lam2, "Lambda3": _ZERO}
     labels = {"S0": Fraction(_scalar_sum(K, c))}
     buckets = {label: {} for label in model.labels[1:]}
     for data in model.nonscalar_cosets():
@@ -138,8 +139,11 @@ def s_breakdown(spec: GroupSpec) -> dict:
 
 def singular_point_contribution(spec: GroupSpec) -> Fraction:
     """(1/|G|) of the total chi-sum over non-identity elements."""
-    total = sum(_singular_sums(spec).values(), Fraction(0))
-    return total / spec.order
+    return _chi_total(spec) / spec.order
+
+
+def _chi_total(spec: GroupSpec) -> Fraction:
+    return sum(_singular_sums(spec).values(), _ZERO)
 
 
 def c1E_squared(spec: GroupSpec) -> Fraction:
@@ -152,10 +156,22 @@ def minus_K_dot_c1E(spec: GroupSpec) -> Fraction:
 
 def d_E(spec: GroupSpec) -> int:
     """Moduli-space dimension from the group data; even integer >= 2."""
-    total = c1E_squared(spec) + minus_K_dot_c1E(spec) + singular_point_contribution(spec)
-    if total.denominator != 1:
-        raise InternalInvariantError(f"dimension for {spec} is not an integer: {total}")
-    d = int(total)
+    return _dimension(spec, c1E_squared(spec), minus_K_dot_c1E(spec), _chi_total(spec))
+
+
+def _dimension(spec: GroupSpec, c1E_sq: Fraction, minus_K_c1E: Fraction, chi_total: Fraction) -> int:
+    """c1(E)^2 - K.c1(E) + chi_total/|G|, checked to be an even integer >= 2.
+
+    The three terms are summed over the product of their denominators."""
+    b, k = c1E_sq.denominator, minus_K_c1E.denominator
+    q = chi_total.denominator * spec.order
+    den = b * k * q
+    num = (c1E_sq.numerator * k + minus_K_c1E.numerator * b) * q + chi_total.numerator * b * k
+    d, rem = divmod(num, den)
+    if rem:
+        raise InternalInvariantError(
+            f"dimension for {spec} is not an integer: {Fraction(num, den)}"
+        )
     if d % 2 or d < 2:
         raise InternalInvariantError(f"dimension for {spec} is not an even integer >= 2: {d}")
     return d
@@ -230,20 +246,21 @@ class SWDimensionReport:
 
 
 def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
 def sw_dimension_report(spec: GroupSpec) -> SWDimensionReport:
     labels = s_breakdown(spec)
-    total = sum(labels.values(), Fraction(0))
+    total = sum(labels.values(), _ZERO)
+    c1E_sq = c1E_squared(spec)
+    minus_K_c1E = minus_K_dot_c1E(spec)
     return SWDimensionReport(
         spec=spec,
-        c1E_squared=c1E_squared(spec),
-        minus_K_dot_c1E=minus_K_dot_c1E(spec),
+        c1E_squared=c1E_sq,
+        minus_K_dot_c1E=minus_K_c1E,
         s_breakdown=labels,
         sum_chi=total,
-        d_E=d_E(spec),
+        d_E=_dimension(spec, c1E_sq, minus_K_c1E, total),
     )
 
 

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ellsw import cli
 from ellsw.cli import main
 from ellsw.swindex import _singular_sums
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -145,6 +152,46 @@ def test_swdim_sweep_unwritable_catalog_exit_code(tmp_path, capsys):
     code, _, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
     assert code == 2
     assert err.startswith("input error:") and str(catalog) in err
+
+
+def test_swdim_sweep_checks_the_catalog_before_any_spec(tmp_path, capsys, monkeypatch):
+    computed = []
+    original = cli._sw_record
+
+    def record(spec):
+        computed.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(cli, "_sw_record", record)
+    catalog = tmp_path / "missing" / "records.jsonl"
+    argv = ["swdim", "--sweep", "--max-order", "16000", "--catalog", str(catalog)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err == (
+        f"input error: cannot append to catalog {catalog}: "
+        f"[Errno 2] No such file or directory: '{catalog}'\n"
+    )
+    assert out == "" and computed == []
+
+
+def test_swdim_sweep_with_no_spec_creates_no_catalog(tmp_path, capsys):
+    catalog = tmp_path / "records.jsonl"
+    code, out, _ = run(["swdim", "--sweep", "--max-order", "7", "--catalog", str(catalog)], capsys)
+    assert code == 0
+    assert out.endswith("swept 0 specs: 0 closed-form mismatches, 0 catalog drifts, 0 records appended\n")
+    assert not catalog.exists()
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["swdim", "--family", "OO", "--m", "7", "--json"]
+    code, out, _ = run(argv, capsys)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ellsw", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert code == 0
+    assert done.returncode == 0 and done.stdout == out
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,12 @@ sys.exit(1)
         "gens = _model.PolyhedralModel.generators; "
         "_model.PolyhedralModel.generators = lambda self: gens(self)[1:]; "
         "build_group(GroupSpec('TT', 5))",
+        # A rotation coset made non-free by hand: the coset of y then holds
+        # an element with eigenvalue 1.
+        "from ellsw import _model; from ellsw.groups import GroupSpec; "
+        "model = _model.DihedralModel(GroupSpec('DD', 3, 4)); "
+        "model._rot_step = model.N // model.K; "
+        "model.validate_free_action()",
     ],
 )
 def test_internal_checks_fire_under_optimize(call):

@@ -72,3 +72,15 @@ def test_serialization():
 
 def test_negative_b_occurs():
     assert normalized_invariant(GroupSpec("II", 1)).b == -1
+
+
+def test_invariant_must_meet_the_euler_number(monkeypatch):
+    from ellsw.errors import InternalInvariantError
+
+    spec = GroupSpec("OO", 7)
+    normalized_invariant(spec)
+    # With |G| doubled the Euler number 4m^2/|G| halves, and the legs miss it.
+    order = GroupSpec.order
+    monkeypatch.setattr(GroupSpec, "order", property(lambda s: 2 * order.fget(s)))
+    with pytest.raises(InternalInvariantError, match="misses the Euler number"):
+        normalized_invariant(spec)

@@ -99,6 +99,27 @@ def test_dimension_examples():
     assert d_E(GroupSpec("II", 1)) == 32
 
 
+@pytest.mark.parametrize(
+    "shift, message",
+    [(Fraction(1, 3), "not an integer: 13/3"), (Fraction(1), "even integer >= 2: 5"),
+     (Fraction(-4), "even integer >= 2: 0")],
+    ids=["non-integer", "odd", "below-two"],
+)
+def test_dimension_checks_fire(monkeypatch, shift, message):
+    # DD(1, 2) has d(E) = 4; moving -K.c1(E) by `shift` must be refused by
+    # both d_E and the report, which share one check.
+    from ellsw import swindex
+    from ellsw.errors import InternalInvariantError
+
+    spec = GroupSpec("DD", 1, 2)
+    assert d_E(spec) == 4
+    pairing = swindex.minus_K_dot_c1E
+    monkeypatch.setattr(swindex, "minus_K_dot_c1E", lambda s: pairing(s) + shift)
+    for compute in (d_E, sw_dimension_report):
+        with pytest.raises(InternalInvariantError, match=message):
+            compute(spec)
+
+
 def test_closed_form_examples():
     assert closed_form_d_E(GroupSpec("DD", 3, 8)) == 4
     assert closed_form_d_E(GroupSpec("DD", 3, 7)) == 4
@@ -259,3 +280,52 @@ def test_sweep_specs_skips_only_constraint_errors(monkeypatch):
     monkeypatch.setattr(groups.GroupSpec, "validate", broken_validate)
     with pytest.raises(InternalInvariantError):
         sweep_specs(240)
+
+
+def test_rotation_label_matches_the_summed_rotation_cosets():
+    # A third route to Lambda1: the scalar coset plus the coset formula summed
+    # over the rotation cosets y^l, 0 < l < n.  One rotation coset is not
+    # rational by itself, so the sums are accumulated before certifying.
+    from ellsw import _model
+    from ellsw.rootsum import RootSum
+    from ellsw.swindex import _coset_sum, _dihedral_rotation_sums, _scalar_sum
+
+    specs = [spec for spec in sweep_specs(400) if spec.family in ("DD", "DC")]
+    assert len(specs) > 200
+    for spec in specs:
+        model = _model.family_model(spec)
+        N, K = model.N, model.K
+        c = model.c0 % K
+        total = RootSum(N)
+        for l in range(1, spec.n):
+            key = model.encode(0, l, 0)
+            a_exp, b_exp = model.eigen_exps(key)
+            total.add_scaled(_coset_sum(N, K, c, model.rho_exp_2m(key), a_exp, b_exp))
+        expect = _scalar_sum(K, c) + total.rational_value()
+        assert _dihedral_rotation_sums(spec.m, spec.n)[1] == expect, spec
+
+
+def test_free_action_closed_form_matches_the_rotation_loop():
+    # validate_free_action tests the rotation cosets in closed form; the
+    # reference is the loop over y^l, 0 < l < n, on a grid of (N, K, n) with
+    # K | N and 2n | N, free and non-free.
+    from ellsw import _model
+    from ellsw.errors import InternalInvariantError
+
+    model = _model.DihedralModel(GroupSpec("DD", 1, 2))
+    outcomes = {True: 0, False: 0}
+    for N in range(4, 241, 4):
+        for K in (k for k in range(1, N + 1) if N % k == 0):
+            for n in (n for n in range(2, N // 2 + 1) if N % (2 * n) == 0):
+                step, rot_step = N // K, N // (2 * n)
+                loop = any((l * rot_step) % step == 0 for l in range(1, n))
+                model.N, model.K, model.n, model._rot_step = N, K, n, rot_step
+                try:
+                    model.validate_free_action()
+                    raised = False
+                except InternalInvariantError as exc:
+                    # The reflection test after it reads the untouched fields.
+                    raised = "rotation" in str(exc)
+                assert raised == loop, (N, K, n)
+                outcomes[loop] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 1000
