@@ -51,32 +51,22 @@ class _SU2Table:
         self.rank = [0] * n
         for r, a in enumerate(self.pos_atoms):
             self.rank[a] = self.rank[self.neg[a]] = r
-        self.order = []
-        for i in range(n):
-            t, g = 1, i
-            while g != self.ident:
-                g = self.mult[g][i]
-                t += 1
-            self.order.append(t)
-        image_order = []
-        for i in range(n):
-            t, g = 1, i
-            while g != self.ident and g != minus_idx:
-                g = self.mult[g][i]
-                t += 1
-            image_order.append(t)
+        walks = [list(group.powers(i)) for i in range(n)]
+        self.order = [len(w) for w in walks]
+        # Image order: the first power of the atom that is +-1.
+        image_order = [
+            next(t for t, g in enumerate(w, start=1) if g in (self.ident, minus_idx))
+            for w in walks
+        ]
         # Label order: the largest image order over cyclic subgroups containing
         # the atom.  This separates, say, the quaternion elements inside the
         # order-8 subgroups of the octahedral group from the stand-alone
         # order-4 subgroups, matching the standard cyclic-subgroup partition.
         label_order = list(image_order)
-        for b_at in range(n):
-            io_b = image_order[b_at]
-            g = self.mult[b_at][b_at]
-            while g != self.ident:
+        for io_b, w in zip(image_order, walks):
+            for g in w[:-1]:
                 if label_order[g] < io_b:
                     label_order[g] = io_b
-                g = self.mult[g][b_at]
         # Labels: the scalar atoms +-1 carry S0, and S1, S2, ... rank the
         # other atoms by decreasing label order; an atom and its negative
         # share the label of the `pos` one.
@@ -98,12 +88,8 @@ class _SU2Table:
             q8 = {i for i in range(n) if self.order[i] in (1, 2, 4)}
             if len(q8) != 8:
                 raise InternalInvariantError("quaternion subgroup of the T table is wrong")
-            y_idx = None
-            for i in range(n):
-                if self.order[i] == 6:
-                    y_idx = i
-                    break
-            y_inv = self._power(y_idx, self.order[y_idx] - 1)
+            y_idx = self.order.index(6)
+            *_, y_inv2, y_inv, _ = walks[y_idx]
             self.class3 = []
             for i in range(n):
                 if i in q8:
@@ -111,7 +97,7 @@ class _SU2Table:
                 elif self.mult[y_inv][i] in q8:
                     self.class3.append(1)
                 else:
-                    if self.mult[self._power(y_inv, 2)][i] not in q8:
+                    if self.mult[y_inv2][i] not in q8:
                         raise InternalInvariantError("T table is not graded mod 3")
                     self.class3.append(2)
             for i in range(n):
@@ -121,12 +107,6 @@ class _SU2Table:
         if kind == "T" and self.class3[self.gen_y] != 1:
             # The mixed-family grading is defined through powers of gen_y.
             raise InternalInvariantError("order-6 generator must carry class 1")
-
-    def _power(self, i: int, k: int) -> int:
-        out = self.ident
-        for _ in range(k):
-            out = self.mult[out][i]
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +139,6 @@ class DihedralModel:
     labels = ("Lambda1", "Lambda2", "Lambda3")
 
     def __init__(self, spec: GroupSpec):
-        spec.validate()
         self.spec = spec
         self.m, self.n = spec.m, spec.n
         self.K = 2 * spec.m
@@ -290,7 +269,6 @@ class PolyhedralModel:
     identity = 0
 
     def __init__(self, spec: GroupSpec):
-        spec.validate()
         self.spec = spec
         self.m = spec.m
         self.kind = {"TT": "T", "TD": "T", "OO": "O", "II": "I"}[spec.family]

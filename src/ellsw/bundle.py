@@ -109,7 +109,6 @@ _GEN_NAMES = {
 
 def rho(spec: GroupSpec, group: FiniteGroup | None = None) -> Character:
     """The bundle character, extended from the family's generator table."""
-    spec.validate()
     if group is None:
         group = build_group(spec)
     m = spec.m
@@ -216,7 +215,6 @@ def section_equivariance_report(spec: GroupSpec, u=(1, 1), trials: int = 8) -> d
     composed linear factors, so both sides are compared coefficient by
     coefficient as exact polynomial identities.
     """
-    spec.validate()
     group = build_group(spec)
     character = rho(spec, group)
     reps = _coset_representatives(group)

@@ -19,7 +19,7 @@ from .bundle import section_equivariance_report
 from .curves import run_audit
 from .cyclo import root_exponent
 from .errors import ConstraintError, InputDocumentError, InternalInvariantError
-from .groups import GroupSpec, build_group, group_report
+from .groups import FAMILIES, GroupSpec, build_group, group_report
 from .seifert import euler_number, normalized_invariant
 from .swindex import closed_form_d_E, sw_dimension_report, sweep_specs
 
@@ -29,7 +29,7 @@ CATALOG_ENV = "ELLSW_CATALOG"
 def _spec_from_args(args) -> GroupSpec:
     if args.family is None or args.m is None:
         raise ConstraintError("--family and --m are required")
-    return GroupSpec(args.family, args.m, args.n or 0).validate()
+    return GroupSpec(args.family, args.m, args.n or 0)
 
 
 def _emit(payload, args, human_lines):
@@ -145,7 +145,7 @@ def _read_catalog(path) -> dict:
             rec = _parse_json(line, where)
             try:
                 spec = rec["spec"]
-                key = GroupSpec(spec["family"], spec["m"], spec.get("n", 0)).validate()
+                key = GroupSpec(spec["family"], spec["m"], spec.get("n", 0))
             except (KeyError, TypeError, AttributeError) as exc:
                 raise InputDocumentError(f"{where}: record has no valid spec") from exc
             except ConstraintError as exc:
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, need_spec=True):
         if need_spec:
-            p.add_argument("--family", choices=("DD", "DC", "TT", "TD", "OO", "II"))
+            p.add_argument("--family", choices=FAMILIES)
             p.add_argument("--m", type=int)
             p.add_argument("--n", type=int, default=0)
         p.add_argument("--json", action="store_true", help="machine-readable output")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .cyclo import CyclotomicNumber, root_exponent, root_of_unity, root_pair
+from .cyclo import CyclotomicNumber, factorize, root_exponent, root_of_unity, root_pair
 from .errors import ConstraintError, DomainError, InternalInvariantError
 
 FAMILIES = ("DD", "DC", "TT", "TD", "OO", "II")
@@ -32,6 +32,9 @@ class GroupSpec:
     family: str
     m: int
     n: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "GroupSpec":
         f, m, n = self.family, self.m, self.n
@@ -276,7 +279,6 @@ class FiniteGroup:
         self.spec = spec
         self.block = block
         self.table = table
-        self._inverse = {}
 
     @staticmethod
     def from_generators(gens, mult, to_matrix, order, block, spec=None):
@@ -303,32 +305,21 @@ class FiniteGroup:
     def matrices(self):
         return [self.to_matrix(k) for k in self.keys]
 
-    def inverse(self, key):
-        """Inverse by cycle walking; fills the whole cyclic subgroup at once."""
-        inv = self._inverse
-        got = inv.get(key)
-        if got is not None:
-            return got
-        cycle = [key]
-        g = self.mult(key, key)
+    def powers(self, key):
+        """Yield key, key^2, ..., ending with the identity."""
+        g = key
+        yield g
         while g != self.identity:
-            cycle.append(g)
             g = self.mult(g, key)
-        cycle.append(self.identity)
-        # cycle[i] = key^(i+1); inverse of key^(i+1) is key^(len-1-i).
-        d = len(cycle)
-        for i, e in enumerate(cycle):
-            inv.setdefault(e, cycle[d - 2 - i] if d - 2 - i >= 0 else self.identity)
-        inv[self.identity] = self.identity
-        return inv[key]
+            yield g
+
+    def inverse(self, key):
+        """The last power of `key` before the identity."""
+        *walk, _ = self.powers(key)
+        return walk[-1] if walk else self.identity
 
     def element_order(self, key) -> int:
-        k = 1
-        g = key
-        while g != self.identity:
-            g = self.mult(g, key)
-            k += 1
-        return k
+        return sum(1 for _ in self.powers(key))
 
     def is_scalar_key(self, key) -> bool:
         if self.block is not None:
@@ -400,79 +391,61 @@ class FiniteGroup:
         return sub
 
     def abelianization(self) -> AbelianInvariants:
-        """Invariant factors of G/[G,G], by repeated maximal-cyclic quotients.
+        """Invariant factors of A = G/[G,G], read off the orders in A.
 
-        A cyclic subgroup of maximal order in a finite abelian group is a
-        direct summand, so peeling one off at a time yields the divisor chain.
+        The cosets of [G,G] get dense labels, [G,G] itself being coset 0;
+        they must be disjoint, [G,G] must be normal and the generators must
+        commute modulo it.  One powers walk from g, stopped at [G,G], gives
+        the order d of g in A and with it that of every power, d / gcd(j, d)
+        for g^j.  The number of elements of A of order dividing p^k grows
+        with k by the factor p^r, r the number of cyclic factors whose
+        p-part is at least p^k; so these counts give the p-part of every
+        invariant factor.
         """
-        h = self.commutator_subgroup()
-        reps = _coset_quotient(self, h)
-        factors = []
-        while True:
-            e = reps[self.identity]
-            distinct = sorted(set(reps.values()))
-            if len(distinct) <= 1:
-                break
-            best, best_order = None, 0
-            for r in distinct:
-                if r == e:
-                    continue
-                d = _coset_order(self, reps, r)
-                if d > best_order:
-                    best, best_order = r, d
-            factors.append(best_order)
-            reps = _quotient_by_cyclic(self, reps, best)
-        factors.sort()
-        for a, b in zip(factors, factors[1:]):
-            if b % a:
-                raise InternalInvariantError("greedy quotient chain broke the divisor chain")
-        return AbelianInvariants(tuple(factors))
-
-
-def _coset_quotient(group, subgroup):
-    """Map key -> canonical (minimal) representative of its right coset key*H."""
-    sub = sorted(subgroup)
-    reps = {}
-    for k in group.keys:
-        if k in reps:
-            continue
-        coset = [group.mult(k, h) for h in sub]
-        rep = min(coset)
-        for e in coset:
-            reps[e] = rep
-    return reps
-
-
-def _coset_order(group, reps, r):
-    e = reps[group.identity]
-    g = r
-    k = 1
-    while g != e:
-        g = reps[group.mult(g, r)]
-        k += 1
-    return k
-
-
-def _quotient_by_cyclic(group, reps, g0):
-    """Collapse the quotient further by the cyclic group generated by g0."""
-    e = reps[group.identity]
-    cyc = [e]
-    g = g0
-    while g != e:
-        cyc.append(g)
-        g = reps[group.mult(g, g0)]
-    out = {}
-    klass = {}
-    for k, r in reps.items():
-        if r in klass:
-            out[k] = klass[r]
-            continue
-        coset = sorted(reps[group.mult(r, c)] for c in cyc)
-        rep = coset[0]
-        for c in coset:
-            klass[c] = rep
-        out[k] = klass[r]
-    return out
+        mult = self.mult
+        sub = sorted(self.commutator_subgroup())
+        coset = [-1] * self.order
+        reps = []
+        for k in self.keys:
+            if coset[k] < 0:
+                for x in sub:
+                    p = mult(k, x)
+                    if coset[p] >= 0:
+                        raise InternalInvariantError(f"key {p} lands in two cosets of [G,G]")
+                    coset[p] = len(reps)
+                reps.append(k)
+        gens = self.gens or self.keys
+        for g in gens:
+            if any(coset[mult(x, g)] != coset[g] for x in sub):
+                raise InternalInvariantError("[G,G] is not normal: [G,G] g lands in two cosets")
+            if any(coset[mult(g, h)] != coset[mult(h, g)] for h in gens):
+                raise InternalInvariantError("G/[G,G] is not abelian")
+        order = [0] * len(reps)
+        for c, rep in enumerate(reps):
+            if order[c]:
+                continue
+            walk = []  # the cosets of rep, rep^2, ..., up to [G,G]
+            for g in self.powers(rep):
+                walk.append(coset[g])
+                if walk[-1] == 0:
+                    break
+            d = len(walk)
+            for j, cj in enumerate(walk, start=1):
+                if not order[cj]:
+                    order[cj] = d // math.gcd(j, d)
+        chain = []  # the invariant factors, largest first
+        for p in factorize(len(reps)):
+            below, q = 1, p
+            while (count := sum(1 for d in order if q % d == 0)) > below:
+                r = 0
+                while below < count:
+                    below *= p
+                    r += 1
+                chain += [1] * (r - len(chain))
+                for j in range(r):
+                    chain[j] *= p
+                q *= p
+        return AbelianInvariants(tuple(reversed(chain)))
 
 
 def _block_steps(gens, mult, K, size):
@@ -555,10 +528,7 @@ def build_binary_polyhedral(kind: str, n: int = 0) -> FiniteGroup:
         raise ConstraintError(f"unknown binary polyhedral kind {kind!r}")
     minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
     for g, k in ((x, 2), (y, yord), (x * y, 2 if kind == "D" else 3)):
-        p = g
-        for _ in range(k - 1):
-            p = p * g
-        if p != minus:
+        if g**k != minus:
             raise InternalInvariantError(f"{kind} generator relations failed")
     group = _matrix_group([x, y], 2 * expect)
     if group.order != expect:
@@ -607,7 +577,6 @@ def _matrix_group(gens, bound) -> FiniteGroup:
 
 def build_group(spec: GroupSpec) -> FiniteGroup:
     """The full matrix group of a family spec, via breadth-first closure."""
-    spec.validate()
     from . import _model
 
     model = _model.family_model(spec)

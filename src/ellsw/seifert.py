@@ -53,12 +53,10 @@ def _euler_ratio(b: int, legs) -> tuple:
 
 def euler_number(spec: GroupSpec) -> Fraction:
     """4 m^2 / |G|."""
-    spec.validate()
     return Fraction(4 * spec.m * spec.m, spec.order)
 
 
 def normalized_invariant(spec: GroupSpec) -> SeifertInvariant:
-    spec.validate()
     m = spec.m
     family = spec.family
     if family in ("DD", "DC"):

@@ -108,7 +108,7 @@ def _dihedral_rotation_sums(m: int, n: int):
 @lru_cache(maxsize=2048)
 def _singular_sums(spec: GroupSpec):
     """Ordered label -> exact rational chi-subtotal over G minus identity."""
-    model = _model.family_model(spec)  # validates the spec
+    model = _model.family_model(spec)
     model.validate_free_action()
     N, K = model.N, model.K
     c = model.c0 % K
@@ -179,7 +179,6 @@ def _dimension(spec: GroupSpec, c1E_sq: Fraction, minus_K_c1E: Fraction, chi_tot
 
 def closed_form_d_E(spec: GroupSpec) -> int:
     """The per-family case formula, independent of any group enumeration."""
-    spec.validate()
     f, m = spec.family, spec.m
     if f in ("DD", "DC"):
         n = spec.n
@@ -272,12 +271,12 @@ def sweep_specs(max_order: int):
         while 8 * m <= max_order:
             for n in range(2, max_order // (4 * m) + 1):
                 if math.gcd(m, n) == 1:
-                    specs.append(GroupSpec(family, m, n).validate())
+                    specs.append(GroupSpec(family, m, n))
             m += 2
     for family, unit in (("TT", 24), ("TD", 24), ("OO", 48), ("II", 120)):
         for m in range(1, max_order // unit + 1):
             try:
-                specs.append(GroupSpec(family, m).validate())
+                specs.append(GroupSpec(family, m))
             except ConstraintError:
                 continue
     return specs

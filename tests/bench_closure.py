@@ -43,7 +43,7 @@ def test_closure(benchmark, spec):
 
 @pytest.mark.parametrize("spec", REPORT_SPECS, ids=str)
 def test_group_report(benchmark, spec):
-    # A fresh group per round, so no round reuses another's inverse cache.
+    # The group is built in setup, outside the timed call.
     report = benchmark.pedantic(group_report, setup=lambda: ((build_group(spec),), {}), rounds=20)
     assert report["order"] == spec.order
 

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -96,7 +98,7 @@ def test_scalar_subgroup_needs_a_family_group():
 )
 def test_spec_validation_rejects_bad_parameters(family, m, n):
     with pytest.raises(ConstraintError):
-        GroupSpec(family, m, n).validate()
+        GroupSpec(family, m, n)
 
 
 def test_free_action_examples():
@@ -165,6 +167,61 @@ def test_abelianization(family, m, n, factors):
     ab = group.abelianization()
     assert ab.factors == factors
     assert ab.group_order * len(group.commutator_subgroup()) == group.order
+
+
+def _quotient_order_histogram(group, sub):
+    """Number of keys of each order in G/sub, each order found by
+    multiplying the key by itself until the power lands in `sub`."""
+    hist = Counter()
+    for k in group.keys:
+        g, d = k, 1
+        while g not in sub:
+            g = group.mult(g, k)
+            d += 1
+        hist[d] += 1
+    return hist
+
+
+def _cyclic_product_histogram(factors):
+    """Number of elements of each order in Z_d1 x ... x Z_dr, enumerated."""
+    hist = Counter()
+    for a in itertools.product(*(range(d) for d in factors)):
+        hist[math.lcm(*(d // math.gcd(x, d) for x, d in zip(a, factors)))] += 1
+    return hist
+
+
+def test_abelianization_matches_the_quotient_element_orders():
+    # The element orders of a finite abelian group determine its invariant
+    # factors, so the returned factors must give exactly the orders in G/[G,G].
+    from ellsw.swindex import sweep_specs
+
+    specs = sweep_specs(400)
+    assert len(specs) == 271 and {s.family for s in specs} == {"DD", "DC", "TT", "TD", "OO", "II"}
+    for spec in specs:
+        group = build_group(spec)
+        sub = group.commutator_subgroup()
+        expected = _cyclic_product_histogram(group.abelianization().factors)
+        got = _quotient_order_histogram(group, sub)
+        assert got == {d: len(sub) * c for d, c in expected.items()}, spec
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0),
+     GroupSpec("DD", 3, 4), GroupSpec("DC", 2, 3), GroupSpec("TD", 9)],
+    ids=str,
+)
+def test_powers_inverse_and_order_on_every_key(source):
+    if isinstance(source, GroupSpec):
+        group = build_group(source)
+    else:
+        group = build_binary_polyhedral(*source)
+    for k in group.keys:
+        walk = list(group.powers(k))
+        assert walk[0] == k and walk[-1] == 0 and 0 not in walk[:-1], k
+        assert walk[1:] == [group.mult(g, k) for g in walk[:-1]], k
+        assert group.mult(k, group.inverse(k)) == 0, k
+        assert group.element_order(k) == len(walk) == group.to_matrix(k).matrix_order(), k
 
 
 def test_det_character():

@@ -45,6 +45,28 @@ sys.exit(1)
         "model = _model.DihedralModel(GroupSpec('DD', 3, 4)); "
         "model._rot_step = model.N // model.K; "
         "model.validate_free_action()",
+        # A wrong [G,G] for the abelianization of DD(3,4): {0, x} with x of
+        # order 4 is not a subgroup, though its translates partition G (the
+        # greedy quotient used to return Z24 for it); {0, 2} is not one
+        # either, and two of its translates meet; {0} is normal, but G/{0}
+        # is not abelian.
+        "from ellsw.groups import GroupSpec, build_group; "
+        "group = build_group(GroupSpec('DD', 3, 4)); x = group.gens[1]; "
+        "group.commutator_subgroup = lambda: {0, x}; group.abelianization()",
+        "from ellsw.groups import GroupSpec, build_group; "
+        "group = build_group(GroupSpec('DD', 3, 4)); "
+        "group.commutator_subgroup = lambda: {0, 2}; group.abelianization()",
+        "from ellsw.groups import GroupSpec, build_group; "
+        "group = build_group(GroupSpec('DD', 3, 4)); "
+        "group.commutator_subgroup = lambda: {0}; group.abelianization()",
+        # SU(2) atom tables: eigenvalues that disagree with the table
+        # order, and a T table whose order-6 generator was replaced by x.
+        "from ellsw import _model; _model.eigen_exponents = lambda a: (7, 0, 0); "
+        "_model._SU2Table('O')",
+        "from ellsw import _model; build = _model.build_binary_polyhedral; "
+        "_model.build_binary_polyhedral = "
+        "lambda kind: (lambda g: setattr(g, 'gens', g.gens[:1] * 2) or g)(build(kind)); "
+        "_model._SU2Table('T')",
     ],
 )
 def test_internal_checks_fire_under_optimize(call):
