@@ -22,7 +22,6 @@ from .groups import (
     UnitaryElement,
     build_binary_polyhedral,
     build_group,
-    det_character,
     eigen_angles,
     scalar_subgroup,
     verify_free_action,

@@ -221,8 +221,7 @@ def _swdim_sweep(args) -> int:
 
 def cmd_verify_rho(args) -> int:
     spec = _spec_from_args(args)
-    u = (args.u1, args.u2)
-    report = section_equivariance_report(spec, u=u, trials=args.trials)
+    report = section_equivariance_report(spec)
     scalars = report["scalars"]
     character = report["character"]
     lines = []
@@ -291,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-rho", help="check the equivariant-section identity")
     common(p)
-    p.add_argument("--u1", type=int, default=1)
-    p.add_argument("--u2", type=int, default=1)
-    p.add_argument("--trials", type=int, default=8)
     p.set_defaults(fn=cmd_verify_rho)
 
     p = sub.add_parser("audit", help="evaluate an adjunction audit document")

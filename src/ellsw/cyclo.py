@@ -616,7 +616,7 @@ def root_exponent(value: CyclotomicNumber):
 
 @lru_cache(maxsize=32)
 def _key_weights(deg: int):
-    """Fixed pseudo-random integer weights of a linear form on Z^deg."""
+    """Fixed integer weights of a linear form on Z^deg, hashed from the index."""
     return tuple((i * 2654435761 + 97) % 65521 for i in range(deg))
 
 

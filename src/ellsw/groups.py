@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .cyclo import CyclotomicNumber, factorize, root_exponent, root_of_unity, root_pair
+from .cyclo import CyclotomicNumber, factorize, root_of_unity, root_pair
 from .errors import ConstraintError, DomainError, InternalInvariantError
 
 FAMILIES = ("DD", "DC", "TT", "TD", "OO", "II")
@@ -331,12 +331,18 @@ class FiniteGroup:
             return range(self.block)
         return [k for k in self.keys if self.is_scalar_key(k)]
 
+    def _noncentral_generators(self):
+        """(g, g^-1) for each non-scalar generator (every key if none are
+        listed).  A scalar g fixes every key under conjugation and has
+        trivial commutators, so conjugating by it is wasted work."""
+        gens = self.gens or self.keys
+        return [(g, self.inverse(g)) for g in gens if not self.is_scalar_key(g)]
+
     def conjugacy_classes(self):
         """Partition of the keys into conjugacy classes, each sorted, in
         order of their least key."""
         seen = bytearray(self.order)
-        gens = self.gens or self.keys
-        ginv = [(g, self.inverse(g)) for g in gens]
+        ginv = self._noncentral_generators()
         classes = []
         for k in self.keys:
             if seen[k]:
@@ -363,8 +369,7 @@ class FiniteGroup:
         multiplication, is already normal.
         """
         mult = self.mult
-        gens = self.gens or self.keys
-        ginv = [(g, self.inverse(g)) for g in gens]
+        ginv = self._noncentral_generators()
         conj = {mult(mult(ai, bi), mult(a, b)) for a, ai in ginv for b, bi in ginv}
         conj.discard(self.identity)
         frontier = list(conj)
@@ -634,21 +639,6 @@ def scalar_subgroup(group: FiniteGroup) -> FiniteGroup:
             sub.gens = [k]
             break
     return sub
-
-
-def det_character(group: FiniteGroup):
-    """The determinant homomorphism as a character."""
-    from .bundle import Character
-
-    roots = []
-    for k in group.keys:
-        try:
-            roots.append(root_exponent(group.to_matrix(k).det()))
-        except DomainError as exc:
-            raise InternalInvariantError("determinant is not a root of unity") from exc
-    d = math.lcm(*(o for o, _ in roots)) if roots else 1
-    exps = [e * (d // o) for o, e in roots]
-    return Character(group, d, exps, generators=[("det", g) for g in group.gens])
 
 
 def group_report(group: FiniteGroup) -> dict:

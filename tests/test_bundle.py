@@ -1,5 +1,6 @@
 import pytest
 
+from ellsw import bundle
 from ellsw.bundle import (
     extend_character,
     rho,
@@ -10,7 +11,7 @@ from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import CharacterConflictError
 from ellsw.groups import GroupSpec, build_binary_polyhedral, build_group
 
-from character_checks import is_multiplicative
+from character_checks import is_multiplicative, trivial_rho
 
 
 def test_rho_generator_values_icosahedral():
@@ -103,14 +104,21 @@ def test_icosahedral_section_invariant_on_binary_icosahedral_part():
     assert scalars[1] == 1 and scalars[2] == 1
 
 
-def test_degenerate_u_falls_back_to_random_choice():
-    # u = (0, 0) kills every form; the retry loop must find a generic vector.
-    assert verify_section_equivariance(GroupSpec("DD", 1, 2), u=(0, 0))
+def test_section_check_fails_for_the_trivial_character(monkeypatch):
+    # On DD(1,3) the trivial character is consistent, but f(xz) = -f(z).
+    monkeypatch.setattr(bundle, "rho", trivial_rho(bundle.rho))
+    spec = GroupSpec("DD", 1, 3)
+    report = section_equivariance_report(spec)
+    h, x, y = build_group(spec).gens
+    assert report["ok"] is False
+    assert report["scalars"] == {h: CyclotomicNumber.one(), x: None, y: CyclotomicNumber.one()}
+    assert not verify_section_equivariance(spec)
 
 
-def test_character_serialization():
-    spec = GroupSpec("DD", 3, 2)
-    ch = rho(spec)
-    d = ch.to_dict()
-    assert d["generators"] == ["h", "x", "y"]
-    assert all(v.startswith("zeta_") for v in d["values"])
+@pytest.mark.parametrize("spec", [GroupSpec("DD", 3, 2), GroupSpec("II", 1)], ids=str)
+def test_extend_character_multiplies_each_key_by_each_generator_once(spec):
+    group = build_group(spec)
+    mult, calls = group.mult, []
+    group.mult = lambda a, b: calls.append(1) or mult(a, b)
+    rho(spec, group)  # assigns a value to each of the three generators
+    assert len(calls) == group.order * len(group.gens)

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from ellsw import cli
+from ellsw import bundle, cli
 from ellsw.cli import main
 from ellsw.swindex import _singular_sums
+
+from character_checks import trivial_rho
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -105,7 +107,24 @@ def test_verify_rho_command(capsys):
     code, out, _ = run(["verify-rho", "--family", "DD", "--m", "1", "--n", "3"], capsys)
     assert code == 0
     assert "PASS" in out
+    assert "f(h z) = zeta_1^0 f(z)" in out
     assert "f(x z) = zeta_2^1 f(z)" in out
+    assert "f(y z) = zeta_1^0 f(z)" in out
+
+
+def test_verify_rho_command_reports_a_failing_generator(capsys, monkeypatch):
+    # The trivial character on DD(1,3) is consistent, but f(x z) = -f(z).
+    monkeypatch.setattr(bundle, "rho", trivial_rho(bundle.rho))
+    argv = ["verify-rho", "--family", "DD", "--m", "1", "--n", "3"]
+    code, out, _ = run(argv, capsys)
+    assert code == 3
+    lines = out.splitlines()
+    assert "FAIL  f(x z) != rho(x) f(z)" in lines and lines[-1] == "FAIL"
+    code, out, _ = run(argv + ["--json"], capsys)
+    assert code == 3
+    rec = json.loads(out)
+    assert rec["ok"] is False
+    assert {"generator": "x", "ok": False} in rec["witnesses"]
 
 
 def test_audit_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -13,7 +14,6 @@ from ellsw.groups import (
     binary_dihedral_generators,
     build_binary_polyhedral,
     build_group,
-    det_character,
     eigen_angles,
     eigen_exponents,
     scalar_subgroup,
@@ -21,8 +21,6 @@ from ellsw.groups import (
     _matrix_group,
 )
 from ellsw import _model
-
-from character_checks import is_multiplicative
 
 
 @pytest.mark.parametrize(
@@ -205,6 +203,28 @@ def test_abelianization_matches_the_quotient_element_orders():
         assert got == {d: len(sub) * c for d, c in expected.items()}, spec
 
 
+def test_classes_and_commutators_skip_only_central_generators():
+    # Conjugating by a scalar generator fixes every key, so the classes and
+    # [G, G] must be those found by conjugating with every generator.
+    from ellsw.swindex import sweep_specs
+
+    groups = [build_binary_polyhedral(kind) for kind in "TOI"]
+    groups += [build_group(spec) for spec in sweep_specs(400)]
+    for group in groups:
+        ref = copy.copy(group)
+        ref._noncentral_generators = lambda g=group: [(k, g.inverse(k)) for k in g.gens]
+        assert group.conjugacy_classes() == ref.conjugacy_classes(), group.spec
+        assert group.commutator_subgroup() == ref.commutator_subgroup(), group.spec
+
+
+def test_scalar_subgroup_has_singleton_classes():
+    group = build_group(GroupSpec("DD", 5, 3))
+    sub = scalar_subgroup(group)
+    assert sub.gens and all(sub.is_scalar_key(g) for g in sub.gens)
+    assert sub.conjugacy_classes() == [[k] for k in sub.keys]
+    assert sub.commutator_subgroup() == {sub.identity}
+
+
 @pytest.mark.parametrize(
     "source",
     [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0),
@@ -222,19 +242,6 @@ def test_powers_inverse_and_order_on_every_key(source):
         assert walk[1:] == [group.mult(g, k) for g in walk[:-1]], k
         assert group.mult(k, group.inverse(k)) == 0, k
         assert group.element_order(k) == len(walk) == group.to_matrix(k).matrix_order(), k
-
-
-def test_det_character():
-    spec = GroupSpec("DD", 3, 2)
-    group = build_group(spec)
-    theta = det_character(group)
-    assert is_multiplicative(theta)
-    h = group.gens[0]
-    assert theta.value(h) == root_of_unity(1, 3)  # mu_{2m}^2 = mu_m
-    x = group.gens[1]
-    assert theta.value(x) == 1  # SU(2) part has det 1
-    minus = next(k for k in group.keys if group.to_matrix(k) == UnitaryElement(((-1, 0), (0, -1))))
-    assert theta.value(minus) == 1
 
 
 def test_unitarity_is_enforced():

@@ -67,13 +67,65 @@ sys.exit(1)
         "_model.build_binary_polyhedral = "
         "lambda kind: (lambda g: setattr(g, 'gens', g.gens[:1] * 2) or g)(build(kind)); "
         "_model._SU2Table('T')",
+        # The section check with one coset representative too few.
+        "from ellsw import bundle; from ellsw.groups import GroupSpec; "
+        "reps = bundle._coset_representatives; "
+        "bundle._coset_representatives = lambda g: reps(g)[1:]; "
+        "bundle.section_equivariance_report(GroupSpec('DD', 1, 3))",
     ],
 )
 def test_internal_checks_fire_under_optimize(call):
+    _run_optimized(SCRIPT.format(call=call))
+
+
+BUNDLE_SCRIPT = """\
+import sys
+from ellsw import bundle
+from ellsw.cyclo import CyclotomicNumber, root_of_unity
+from ellsw.errors import CharacterConflictError, ConstraintError
+from ellsw.groups import GroupSpec, build_binary_polyhedral
+if not sys.flags.optimize:
+    sys.exit(2)
+d2 = build_binary_polyhedral("D", 2)
+x, y = d2.gens
+one = CyclotomicNumber.one()
+{body}
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # x^2 = y^2 = -1 forces rho(x)^2 = rho(y)^2; i and 1 disagree.
+        "try:\n"
+        "    bundle.extend_character(d2, [(x, root_of_unity(1, 4)), (y, one)])\n"
+        "except CharacterConflictError as exc:\n"
+        "    sys.exit(0 if exc.witness is not None else 1)",
+        # x alone generates a cyclic subgroup of order 4.
+        "try:\n"
+        "    bundle.extend_character(d2, [(x, -one)])\n"
+        "except ConstraintError as exc:\n"
+        "    sys.exit(0 if 'generate' in str(exc) else 1)",
+        # The trivial character on DD(1,3) is consistent, but f(xz) = -f(z).
+        "from character_checks import trivial_rho\n"
+        "bundle.rho = trivial_rho(bundle.rho)\n"
+        "report = bundle.section_equivariance_report(GroupSpec('DD', 1, 3))\n"
+        "none = [k for k, v in report['scalars'].items() if v is None]\n"
+        "sys.exit(0 if not report['ok'] and len(none) == 1 else 1)",
+    ],
+    ids=["conflict", "not-generating", "section-fail"],
+)
+def test_bundle_checks_fire_under_optimize(body):
+    _run_optimized(BUNDLE_SCRIPT.format(body=body))
+
+
+def _run_optimized(script):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    paths = [str(SRC), str(Path(__file__).parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", SCRIPT.format(call=call)],
+        [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, (done.returncode, done.stdout, done.stderr)
