@@ -2,12 +2,17 @@
 and the equivariant polynomial section that certifies it.
 
 Each family gets a character rho on generators; `extend_character` closes
-the assignment over the group with conflict detection.  The section check
-forms f = prod over coset representatives gamma of the fixed linear form
-(1, 1) . (gamma z), substitutes z -> gz, and compares f(gz) with rho(g) f(z)
-as exact polynomials.  Every gamma is invertible, so no factor vanishes,
-and f(gz) = V(g) f(z) with V the transfer G -> Z for any nonzero form, so
-no other form can change the answer.
+the assignment over the group with conflict detection.  The section is
+f = prod over coset representatives gamma of the fixed linear form
+(1, 1) . (gamma z), and the check is f(gz) = rho(g) f(z) on generators.
+The scalars Z are central, so gamma g = s_gamma gamma' with gamma -> gamma'
+a permutation of G/Z, and f(gz) = V(g) f(z) exactly, where
+V(g) = prod_gamma s_gamma is the transfer G -> Z.  The library's check,
+`section_equivariance_report`, reads V(g) off the dense keys with integer
+arithmetic and compares it with rho(g).  `polynomial_section_report`, the
+independent second route, expands f(gz) and rho(g) f(z) as exact
+polynomials over the cyclotomic field and compares their coefficients;
+its cost is cubic in |Gamma|, so only the tests run it, on small groups.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ def extend_character(group: FiniteGroup, assignments) -> Character:
     must generate the group.  A conflict raises CharacterConflictError with
     the offending element as witness.  Every key enters the frontier once and
     is multiplied by every generator there, so the pass compares
-    exps[a g] with exps[a] + e_g for every product relation.
+    exps[a g] with exps[a] + e_g for every product relation.  The exponents
+    sit in a list indexed by key, since the keys are `range(|G|)`.
     """
     roots = []
     for _, v in assignments:
@@ -57,7 +63,9 @@ def extend_character(group: FiniteGroup, assignments) -> Character:
     d = math.lcm(*(o for o, _ in roots)) if roots else 1
     gen_exps = [(key, e * (d // o)) for (key, _), (o, e) in zip(assignments, roots)]
 
-    exps = {group.identity: 0}
+    exps = [None] * group.order
+    exps[group.identity] = 0
+    reached = 1
     frontier = [group.identity]
     while frontier:
         new = []
@@ -66,20 +74,21 @@ def extend_character(group: FiniteGroup, assignments) -> Character:
             for gkey, ge in gen_exps:
                 b = group.mult(a, gkey)
                 eb = (ea + ge) % d
-                if b in exps:
-                    if exps[b] != eb:
-                        raise CharacterConflictError(
-                            f"assignments force zeta_{d}^{exps[b]} and zeta_{d}^{eb} "
-                            f"on the same element",
-                            witness=b,
-                        )
-                else:
+                old = exps[b]
+                if old is None:
                     exps[b] = eb
                     new.append(b)
+                elif old != eb:
+                    raise CharacterConflictError(
+                        f"assignments force zeta_{d}^{old} and zeta_{d}^{eb} "
+                        f"on the same element",
+                        witness=b,
+                    )
+        reached += len(new)
         frontier = new
-    if len(exps) != group.order:
+    if reached != group.order:
         raise ConstraintError("assigned elements do not generate the group")
-    return Character(group, d, [exps[k] for k in group.keys])
+    return Character(group, d, exps)
 
 
 _GEN_NAMES = {
@@ -193,43 +202,65 @@ def _pulled_back_forms(group, reps):
     return forms
 
 
-def section_equivariance_report(spec: GroupSpec) -> dict:
-    """Check f(gz) = rho(g) f(z) on generators; return the scalar per generator.
-
-    f is the product over coset representatives gamma of the fixed form
-    (1, 1) . (gamma z).  Each gamma is invertible, so no factor is zero.
-    The product polynomial is expanded once; f(gz) is expanded from the
-    composed linear factors, so both sides are compared coefficient by
-    coefficient as exact polynomial identities.
-    """
+def _section_inputs(spec: GroupSpec):
+    """The group, its bundle character and the coset representatives."""
     group = build_group(spec)
     character = rho(spec, group)
     reps = _coset_representatives(group)
     if len(reps) != spec.gamma_order:
         raise InternalInvariantError("coset representative count is off")
+    return group, character, reps
 
-    forms = _pulled_back_forms(group, reps)
-    f = _product_of_linear(forms)
-    report = {}
-    for gkey in group.gens:
-        mat = group.to_matrix(gkey).entries
-        composed = []
-        for a, b in forms:
-            (m11, m12), (m21, m22) = mat
-            composed.append((a * m11 + b * m21, a * m12 + b * m22))
-        fg = _product_of_linear(composed)
-        rho_g = character.value(gkey)
-        if fg != f.scale(rho_g):
-            report[gkey] = None
-            continue
-        report[gkey] = rho_g
+
+def _report(character: Character, holds) -> dict:
+    """The report shape of both routes: rho(g) per generator where the
+    identity holds, None where it fails."""
+    scalars = {g: character.value(g) if ok else None for g, ok in holds.items()}
     return {
         "character": character,
-        "scalars": report,
-        "ok": all(v is not None for v in report.values()),
+        "scalars": scalars,
+        "ok": all(v is not None for v in scalars.values()),
     }
+
+
+def section_equivariance_report(spec: GroupSpec) -> dict:
+    """Check f(gz) = rho(g) f(z) on generators by the transfer.
+
+    Key `b * K + s` is the coset representative `b * K` times mu_2m^s, so
+    for a representative r and a generator g, p = r g is the scalar
+    mu_2m^(p % K) times the representative p - p % K.  Hence
+    f(gz) = mu_2m^(sum_r p % K) f(z), and the identity holds iff that
+    exponent over 2m and rho(g) = zeta_D^e name the same root of unity.
+    """
+    group, character, reps = _section_inputs(spec)
+    K, d = group.block, character.zeta_order
+    holds = {}
+    for gkey in group.gens:
+        t = sum(group.mult(r, gkey) % K for r in reps)
+        holds[gkey] = (t * d - character.value_exp(gkey) * K) % (K * d) == 0
+    return _report(character, holds)
 
 
 def verify_section_equivariance(spec: GroupSpec) -> bool:
     """True iff the equivariant-section identity holds for all generators."""
     return section_equivariance_report(spec)["ok"]
+
+
+def polynomial_section_report(spec: GroupSpec) -> dict:
+    """The section check as exact polynomial identities, in the same shape
+    as `section_equivariance_report`.
+
+    f is expanded once from the forms of the exact matrices; f(gz) is
+    expanded from the forms composed with g, and both sides are compared
+    coefficient by coefficient.  The comparison reads the exact matrices
+    and never `mult`, so it is independent of the transfer's key arithmetic.
+    """
+    group, character, reps = _section_inputs(spec)
+    forms = _pulled_back_forms(group, reps)
+    f = _product_of_linear(forms)
+    holds = {}
+    for gkey in group.gens:
+        (m11, m12), (m21, m22) = group.to_matrix(gkey).entries
+        composed = [(a * m11 + b * m21, a * m12 + b * m22) for a, b in forms]
+        holds[gkey] = _product_of_linear(composed) == f.scale(character.value(gkey))
+    return _report(character, holds)

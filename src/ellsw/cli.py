@@ -259,8 +259,18 @@ def cmd_audit(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors (an unknown flag, a bad choice,
+    a value of the wrong type) are parameter errors: it prints the usage and
+    raises ConstraintError, so `main` exits 1 instead of argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConstraintError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellsw",
         description="Exact invariants of elliptic 3-manifold quotient groups",
     )
@@ -301,9 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Microbenchmarks of the per-element cross-check layers: the per-element
 `chi` sum (`sum_chi_by_elements`, closure plus one cyclotomic `chi` per
-element) on DD(7,2), OO(7) and II(1), and the polynomial-section check
-(`verify_section_equivariance`) on DD(1,3) and TT(1).
+element) on DD(7,2), OO(7) and II(1), and the section check by the
+transfer (`verify_section_equivariance`, which builds the group and `rho`
+itself) on DD(1,3) and TT(1).
 
     PYTHONPATH=src python -m pytest tests/bench_crosscheck.py
 

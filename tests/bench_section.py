@@ -1,0 +1,25 @@
+"""The section check at scale: `verify_section_equivariance`, the transfer
+route, on every spec of the `|G| <= 4000` pool (4107 specs), each building
+its group and `rho` from scratch.  All must pass, within 30 s.
+
+    PYTHONPATH=src python -m pytest tests/bench_section.py
+
+The file name keeps it out of the default `test_*.py` collection, so the
+Tier-1 suite does not run it.
+"""
+
+import time
+
+from ellsw.bundle import verify_section_equivariance
+from ellsw.swindex import sweep_specs
+
+
+def test_transfer_check_on_the_pool():
+    specs = sweep_specs(4000)
+    assert len(specs) == 4107
+    start = time.perf_counter()
+    failures = [spec for spec in specs if not verify_section_equivariance(spec)]
+    elapsed = time.perf_counter() - start
+    print(f"\n[section pool] {len(specs)} specs in {elapsed:.1f} s")
+    assert failures == []
+    assert elapsed < 30, elapsed

@@ -1,5 +1,7 @@
 """Checks on `ellsw.bundle.Character` shared by the test modules."""
 
+from ellsw.bundle import extend_character
+
 
 def is_multiplicative(character) -> bool:
     """True iff rho(a) rho(b) = rho(ab) for every pair of keys of the group."""
@@ -22,3 +24,21 @@ def trivial_rho(rho):
         return character
 
     return trivial
+
+
+def twisted_rho(rho, root):
+    """Wrap `rho` so that rho(h), on the scalar generator h, is multiplied by
+    the scalar root of unity `root`, and re-extend over the group.  The
+    result is a genuine character (for `root` of order dividing m) under the
+    same generator names, and it is wrong on h alone."""
+
+    def twisted(spec, group=None):
+        character = rho(spec, group)
+        group = character.group
+        h, x, y = group.gens
+        values = [character.value(h) * root, character.value(x), character.value(y)]
+        out = extend_character(group, list(zip(group.gens, values)))
+        out.generators = character.generators
+        return out
+
+    return twisted

@@ -173,7 +173,9 @@ EQUIVARIANCE_CASES = [
 
 
 def test_criterion_6_section_equivariance():
-    """f(gz) = rho(g) f(z) as exact polynomial identities, two specs per family."""
+    """f(gz) = rho(g) f(z), checked as rho(g) = V(g) for the transfer V, two
+    specs per family (the polynomial route is compared with it in
+    tests/test_bundle.py)."""
     for family, m, n in EQUIVARIANCE_CASES:
         assert verify_section_equivariance(GroupSpec(family, m, n)), (family, m, n)
     # Printed witnesses for the degree-six dihedral section (n = 3).

@@ -3,6 +3,7 @@ import pytest
 from ellsw import bundle
 from ellsw.bundle import (
     extend_character,
+    polynomial_section_report,
     rho,
     section_equivariance_report,
     verify_section_equivariance,
@@ -10,8 +11,9 @@ from ellsw.bundle import (
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import CharacterConflictError
 from ellsw.groups import GroupSpec, build_binary_polyhedral, build_group
+from ellsw.swindex import sweep_specs
 
-from character_checks import is_multiplicative, trivial_rho
+from character_checks import is_multiplicative, trivial_rho, twisted_rho
 
 
 def test_rho_generator_values_icosahedral():
@@ -122,3 +124,38 @@ def test_extend_character_multiplies_each_key_by_each_generator_once(spec):
     group.mult = lambda a, b: calls.append(1) or mult(a, b)
     rho(spec, group)  # assigns a value to each of the three generators
     assert len(calls) == group.order * len(group.gens)
+
+
+def test_transfer_and_polynomial_routes_agree():
+    # Every spec small enough for the expanded polynomials: |Gamma| <= 24
+    # and |G| <= 400 (II, with |Gamma| = 60, has none).
+    specs = [s for s in sweep_specs(400) if s.gamma_order <= 24]
+    assert len(specs) == 134
+    assert {s.family for s in specs} == {"DD", "DC", "TT", "TD", "OO"}
+    for spec in specs:
+        transfer = section_equivariance_report(spec)
+        polynomial = polynomial_section_report(spec)
+        assert transfer["ok"] and polynomial["ok"], spec
+        assert polynomial["scalars"] == transfer["scalars"], spec
+
+
+@pytest.mark.parametrize(
+    "spec,wrap,flagged",
+    [
+        # rho(x) = -1 on DD(1,3), but the trivial character says 1.
+        (GroupSpec("DD", 1, 3), trivial_rho, "x"),
+        # rho(h) times zeta_5, a root of order dividing m: still a character.
+        (GroupSpec("TT", 5), lambda rho: twisted_rho(rho, root_of_unity(1, 5)), "h"),
+        (GroupSpec("OO", 5), lambda rho: twisted_rho(rho, root_of_unity(2, 5)), "h"),
+    ],
+    ids=["DD(1,3)-trivial", "TT(5)-twisted-h", "OO(5)-twisted-h"],
+)
+def test_both_routes_reject_a_wrong_character(monkeypatch, spec, wrap, flagged):
+    monkeypatch.setattr(bundle, "rho", wrap(bundle.rho))
+    transfer = section_equivariance_report(spec)
+    polynomial = polynomial_section_report(spec)
+    assert transfer["ok"] is False and polynomial["ok"] is False
+    names = dict(transfer["character"].generators)
+    assert [g for g, v in transfer["scalars"].items() if v is None] == [names[flagged]]
+    assert [g for g, v in polynomial["scalars"].items() if v is None] == [names[flagged]]
+    assert not verify_section_equivariance(spec)

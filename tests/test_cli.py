@@ -127,6 +127,33 @@ def test_verify_rho_command_reports_a_failing_generator(capsys, monkeypatch):
     assert {"generator": "x", "ok": False} in rec["witnesses"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a removed flag
+        ["verify-rho", "--family", "DD", "--m", "1", "--n", "3", "--u1", "1"],
+        # a family that is not one of the choices
+        ["verify-rho", "--family", "XX", "--m", "1"],
+        # a value that is not an integer
+        ["verify-rho", "--family", "DD", "--m", "one", "--n", "3"],
+    ],
+    ids=["removed-flag", "bad-family", "non-integer-m"],
+)
+def test_usage_errors_are_parameter_errors(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-rho", "--help"])
+    assert exc.value.code == 0
+    assert "--family" in capsys.readouterr().out
+
+
 def test_audit_command(tmp_path, capsys):
     doc = {
         "class": {"CC": "2/3", "KC": "-4/3"},
