@@ -18,7 +18,8 @@ import sys
 from .bundle import section_equivariance_report
 from .curves import run_audit
 from .cyclo import root_exponent
-from .errors import ConstraintError, InputDocumentError, InternalInvariantError
+from .errors import CharacterConflictError, ConstraintError, DomainError, InputDocumentError
+from .errors import InternalInvariantError, NotRationalError
 from .groups import FAMILIES, GroupSpec, build_group, group_report
 from .seifert import euler_number, normalized_invariant
 from .swindex import closed_form_d_E, sw_dimension_report, sweep_specs
@@ -320,7 +321,8 @@ def main(argv=None) -> int:
     except InputDocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except InternalInvariantError as exc:
+    except (InternalInvariantError, CharacterConflictError, DomainError, NotRationalError) as exc:
+        # No user input reaches the last three: on a CLI path they are bugs.
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

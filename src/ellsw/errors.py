@@ -10,7 +10,12 @@ class InputDocumentError(ValueError):
 
 
 class InternalInvariantError(RuntimeError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
+    """An internal consistency check failed; indicates a bug, not bad input.
+    An optional witness holds the spec, keys or counts in question."""
+
+    def __init__(self, message, witness=None):
+        self.witness = witness
+        super().__init__(message)
 
 
 class NotRationalError(ValueError):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from .cyclo import CyclotomicNumber, factorize, root_of_unity, root_pair
 from .errors import ConstraintError, DomainError, InternalInvariantError
@@ -263,10 +262,10 @@ class FiniteGroup:
 
     The keys are `range(order)` and the identity is 0; `mult` multiplies
     two keys and `to_matrix` gives the exact unitary matrix of one, so all
-    queries are exact.  A family group (see _model) carries `block = K`,
-    and its scalars are the first block, `range(K)`.  A group closed from
-    matrices (`_matrix_group`) numbers them in breadth-first order and
-    carries its Cayley table: `table[a][b]` is the key of `a b`.
+    queries are exact.  A family group (see _model) carries `block = K`;
+    its blocks `b * K + range(K)` are the scalar cosets, block 0 the scalars.
+    A group closed from matrices (`_matrix_group`) numbers them in
+    breadth-first order and carries its Cayley table (`table[a][b] = a b`).
     """
 
     identity = 0
@@ -283,15 +282,50 @@ class FiniteGroup:
     @staticmethod
     def from_generators(gens, mult, to_matrix, order, block, spec=None):
         """Close a family model's generators over its dense keys `b * K + s`
-        (`K = block`) by breadth-first search; the closure must be all of
-        `range(order)` (see `_block_steps`).
+        (`K = block`); the closure must be all of `range(order)`.
+
+        Key `b * K + s` is key `b * K` times the central scalar `s`, so `g`
+        moves a block as one unit: `(b * K + s) g = t * K + (s + shift) % K`
+        with `(t, shift) = divmod((b * K) g, K)`.  The breadth-first search
+        keeps one `K`-bit int per block, bit `s` set once `b * K + s` is
+        reached.  Block 0 is closed under the scalar generators `g < K` by
+        doubling rotations; then each non-scalar generator costs one `mult`
+        per visit of a block, which is visited again only if its mask grows.
         """
-        steps = _block_steps(gens, mult, block, order)
-        found = _dense_closure(steps, order)
+        K = block
+        if order % K:
+            raise InternalInvariantError(
+                f"{order} keys of {spec} do not split into blocks of {K}",
+                witness={"spec": spec, "order": order, "block_size": K},
+            )
+        full, mask = (1 << K) - 1, 1
+        for g in gens:
+            if g < K:  # mask |= mask rotated by g, 2g, 4g, ...
+                for _ in range(K.bit_length()):
+                    mask |= (mask << g | mask >> (K - g)) & full
+                    g = 2 * g % K
+        masks = [mask] + [0] * (order // K - 1)
+        moves = [g for g in gens if g >= K]
+        queue = [0]
+        for b in queue:  # first in, first out: the queue grows as masks grow
+            mask = masks[b]
+            for g in moves:
+                p = mult(b * K, g)
+                if not 0 <= p < order:
+                    raise InternalInvariantError(
+                        f"product {p} of block {b} and generator {g} left the keys of {spec}",
+                        witness={"spec": spec, "block": b, "generator": g, "product": p},
+                    )
+                t, s = divmod(p, K)
+                grown = masks[t] | (mask << s | mask >> (K - s)) & full
+                if grown != masks[t]:
+                    masks[t] = grown
+                    queue.append(t)
+        found = sum(m.bit_count() for m in masks)
         if found != order:
             raise InternalInvariantError(
-                f"closure gave order {found}, expected {order}"
-                + (f" for {spec}" if spec is not None else "")
+                f"closure gave order {found}, expected {order} for {spec}",
+                witness={"spec": spec, "found": found, "expected": order},
             )
         return FiniteGroup(order, mult, to_matrix, gens, spec, block=block)
 
@@ -453,53 +487,6 @@ class FiniteGroup:
         return AbelianInvariants(tuple(reversed(chain)))
 
 
-def _block_steps(gens, mult, K, size):
-    """Per generator g, the list `step` with `step[a] = a g` for every key
-    `a < size` of a dense model (see `FiniteGroup.from_generators`).
-
-    Key `b * K + s` is the block's first key times the central scalar `s`,
-    so `(b * K + s) g = base_g[b] + (s + shift_g[b]) mod K`, where
-    `base_g[b] + shift_g[b] = (b * K) g` costs one `mult` per block (none
-    for a scalar `g < K`, which gives `b * K + g`).  Each block's row is
-    that rotation, laid out from two ranges.
-    """
-    if size % K:
-        raise InternalInvariantError(f"{size} keys do not split into blocks of {K}")
-    bases = range(0, size, K)
-    steps = []
-    for g in gens:
-        step = []
-        extend = step.extend
-        for p in [b + g for b in bases] if g < K else map(mult, bases, repeat(g)):
-            if not 0 <= p < size:
-                raise InternalInvariantError(f"product {p} left the key range {size}")
-            q = p - p % K
-            extend(range(p, q + K))
-            extend(range(q, p))
-        steps.append(step)
-    return steps
-
-
-def _dense_closure(steps, size) -> int:
-    """Number of keys reached from the identity 0 through the generator
-    steps, by breadth-first search over a bytearray of `size` flags."""
-    seen = bytearray(size)
-    seen[0] = 1
-    count = 1
-    frontier = [0]
-    while frontier:
-        new = []
-        push = new.append
-        for step in steps:
-            for p in map(step.__getitem__, frontier):
-                if not seen[p]:
-                    seen[p] = 1
-                    push(p)
-        count += len(new)
-        frontier = new
-    return count
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -581,7 +568,7 @@ def _matrix_group(gens, bound) -> FiniteGroup:
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:
-    """The full matrix group of a family spec, via breadth-first closure."""
+    """The full matrix group of a family spec, closed block by block."""
     from . import _model
 
     model = _model.family_model(spec)

@@ -2,6 +2,8 @@
 `scalar_subgroup` on one mid-size spec per family, `group_report`
 (conjugacy classes, commutator subgroup, abelianization) on DD/DC specs
 near |G| = 800, and the SU(2) atom-table build per binary polyhedral kind.
+One more case closes every spec of the `|G| <= 4000` pool once and prints
+the wall time.
 
     PYTHONPATH=src python -m pytest tests/bench_closure.py
 
@@ -9,10 +11,13 @@ The file name keeps it out of the default `test_*.py` collection, so the
 Tier-1 suite does not run it.
 """
 
+import time
+
 import pytest
 
 from ellsw import _model
 from ellsw.groups import GroupSpec, build_group, group_report, scalar_subgroup
+from ellsw.swindex import sweep_specs
 
 CLOSURE_SPECS = [
     GroupSpec("DD", 7, 71),  # |G| = 1988
@@ -56,3 +61,13 @@ def test_su2_table(benchmark, kind):
     # table and the per-atom data behind the TT/TD/OO/II models.
     table = benchmark(_model._SU2Table, kind)
     assert len(table.mult) == {"T": 24, "O": 48, "I": 120}[kind]
+
+
+def test_closure_over_the_pool():
+    specs = sweep_specs(4000)
+    assert len(specs) == 4107
+    start = time.perf_counter()
+    wrong = [spec for spec in specs if build_group(spec).order != spec.order]
+    elapsed = time.perf_counter() - start
+    print(f"\n[closure pool] {len(specs)} specs in {elapsed:.1f} s")
+    assert wrong == []

@@ -8,6 +8,7 @@ import pytest
 
 from ellsw import bundle, cli
 from ellsw.cli import main
+from ellsw.errors import CharacterConflictError, DomainError, NotRationalError
 from ellsw.swindex import _singular_sums
 
 from character_checks import trivial_rho
@@ -145,6 +146,26 @@ def test_usage_errors_are_parameter_errors(capsys, argv):
     assert out == ""
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, target, error",
+    [
+        ("verify-rho", "section_equivariance_report", CharacterConflictError("rho(x) conflicts")),
+        ("group", "group_report", DomainError("outside the domain")),
+        ("swdim", "sw_dimension_report", NotRationalError("zeta_3")),
+    ],
+    ids=["character-conflict", "domain", "not-rational"],
+)
+def test_library_errors_are_internal_errors(capsys, monkeypatch, command, target, error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, target, fail)
+    code, out, err = run([command, "--family", "DD", "--m", "1", "--n", "3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {error}\n"
 
 
 def test_help_exits_zero(capsys):

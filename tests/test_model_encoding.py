@@ -1,11 +1,15 @@
 """Property tests of the dense integer keys of the family models:
 `block * K + s`, with the scalars exactly block 0."""
 
+from unittest.mock import patch
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsw import _model
-from ellsw.groups import FAMILIES, _block_steps, build_group
+from ellsw.errors import InternalInvariantError
+from ellsw.groups import FAMILIES, FiniteGroup, build_group
 from ellsw.swindex import sweep_specs
 
 # Valid specs with |G| <= 480, drawn family first so that each of the six
@@ -32,14 +36,65 @@ def test_keys_round_trip_and_enumerate_the_closure(spec):
 
 @settings(max_examples=30, deadline=None)
 @given(spec=specs, data=st.data())
-def test_generator_steps_equal_mult_and_matrix_products(spec, data):
+def test_generators_move_whole_blocks_and_match_matrix_products(spec, data):
+    # The rule behind the block closure: key b*K + s is key b*K times the
+    # central scalar s, so a non-scalar generator rotates the whole block by
+    # the shift of b*K g.
+    model = _model.family_model(spec)
+    K = model.K
+    for g in model.generators():
+        if g < K:
+            continue
+        for b in range(spec.order // K):
+            t, shift = divmod(model.mult(b * K, g), K)
+            for s in range(K):
+                assert model.mult(b * K + s, g) == t * K + (s + shift) % K
+        for a in data.draw(st.lists(st.integers(0, spec.order - 1), min_size=1, max_size=3)):
+            assert model.to_matrix(model.mult(a, g)) == model.to_matrix(a) * model.to_matrix(g)
+
+
+def _closure_count(model, gens):
+    """The order the library's closure finds for `gens`: the spec's order,
+    or the count its wrong-order raise carries."""
+    try:
+        FiniteGroup.from_generators(gens, model.mult, model.to_matrix, model.size, model.K, model.spec)
+    except InternalInvariantError as exc:
+        assert exc.witness["expected"] == model.spec.order, exc.witness
+        return exc.witness["found"]
+    return model.spec.order
+
+
+def _oracle_count(model, gens):
+    """Keys reached from the identity by a plain per-key breadth-first search
+    over `model.mult`, independent of the block structure."""
+    seen = {0}
+    queue = [0]
+    for a in queue:
+        for g in gens:
+            p = model.mult(a, g)
+            if p not in seen:
+                seen.add(p)
+                queue.append(p)
+    return len(seen)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=specs)
+def test_block_closure_counts_match_a_per_key_search(spec):
     model = _model.family_model(spec)
     gens = model.generators()
-    steps = _block_steps(gens, model.mult, model.K, spec.order)
-    for g, step in zip(gens, steps):
-        assert step == [model.mult(a, g) for a in range(spec.order)]
-        for a in data.draw(st.lists(st.integers(0, spec.order - 1), min_size=1, max_size=3)):
-            assert model.to_matrix(step[a]) == model.to_matrix(a) * model.to_matrix(g)
+    scalar = next(g for g in gens if g < model.K)
+    trials = [gens]  # the full set, each generator dropped, h replaced by h^2
+    trials += [gens[:i] + gens[i + 1:] for i in range(len(gens))]
+    trials.append([model.mult(scalar, scalar) if g == scalar else g for g in gens])
+    for trial in trials:
+        expect = _oracle_count(model, trial)
+        assert _closure_count(model, trial) == expect, (spec, trial)
+        if expect < spec.order:
+            with patch.object(type(model), "generators", lambda self: trial):
+                with pytest.raises(InternalInvariantError):
+                    build_group(spec)
+    assert _oracle_count(model, gens) == spec.order
 
 
 @settings(max_examples=15, deadline=None)

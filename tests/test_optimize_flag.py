@@ -78,6 +78,54 @@ def test_internal_checks_fire_under_optimize(call):
     _run_optimized(SCRIPT.format(call=call))
 
 
+WITNESS_SCRIPT = """\
+import sys
+from ellsw import _model
+from ellsw.errors import InternalInvariantError
+from ellsw.groups import FiniteGroup, GroupSpec, build_group
+if not sys.flags.optimize:
+    sys.exit(2)
+spec = GroupSpec("DD", 3, 4)
+model = _model.family_model(spec)
+h, x, y = model.generators()
+try:
+    {call}
+except InternalInvariantError as exc:
+    sys.exit(0 if exc.witness == {witness} and str(spec) in str(exc) else 1)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize(
+    "call, witness",
+    [
+        # 49 keys do not split into blocks of K = 6.
+        (
+            "FiniteGroup.from_generators(model.generators(), model.mult, model.to_matrix, "
+            "spec.order + 1, model.K, spec)",
+            "{'spec': spec, 'order': spec.order + 1, 'block_size': model.K}",
+        ),
+        # A product of block 3 (y^3) and x that leaves range(|G|).
+        (
+            "mult = _model.DihedralModel.mult; "
+            "_model.DihedralModel.mult = "
+            "lambda self, a, b: self.size if a == 3 * self.K else mult(self, a, b); "
+            "build_group(spec)",
+            "{'spec': spec, 'block': 3, 'generator': x, 'product': model.size}",
+        ),
+        # Without y, h and x close to the 12 keys of blocks 0 and 4.
+        (
+            "FiniteGroup.from_generators([h, x], model.mult, model.to_matrix, "
+            "spec.order, model.K, spec)",
+            "{'spec': spec, 'found': 12, 'expected': 48}",
+        ),
+    ],
+    ids=["block-split", "key-range", "wrong-order"],
+)
+def test_closure_raises_carry_a_witness_under_optimize(call, witness):
+    _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
+
+
 BUNDLE_SCRIPT = """\
 import sys
 from ellsw import bundle
