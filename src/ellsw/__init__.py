@@ -31,6 +31,7 @@ from .bundle import (
     BivariatePolynomial,
     Character,
     extend_character,
+    generator_table,
     rho,
     section_equivariance_report,
     verify_section_equivariance,

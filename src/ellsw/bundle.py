@@ -1,18 +1,19 @@
 """The S^1 character defining the orbifold line bundle at the cone point,
 and the equivariant polynomial section that certifies it.
 
-Each family gets a character rho on generators; `extend_character` closes
-the assignment over the group with conflict detection.  The section is
-f = prod over coset representatives gamma of the fixed linear form
-(1, 1) . (gamma z), and the check is f(gz) = rho(g) f(z) on generators.
-The scalars Z are central, so gamma g = s_gamma gamma' with gamma -> gamma'
-a permutation of G/Z, and f(gz) = V(g) f(z) exactly, where
-V(g) = prod_gamma s_gamma is the transfer G -> Z.  The library's check,
-`section_equivariance_report`, reads V(g) off the dense keys with integer
-arithmetic and compares it with rho(g).  `polynomial_section_report`, the
-independent second route, expands f(gz) and rho(g) f(z) as exact
-polynomials over the cyclotomic field and compares their coefficients;
-its cost is cubic in |Gamma|, so only the tests run it, on small groups.
+`generator_table` gives rho on the family's three generators as powers of
+mu_2m; `rho` extends it over the group, with conflict detection, for the
+readers of per-key values.  The section is f = prod over coset
+representatives gamma of the fixed linear form (1, 1) . (gamma z), and the
+check is f(gz) = rho(g) f(z) on generators.  The scalars Z are central, so
+gamma g = s_gamma gamma' with gamma -> gamma' a permutation of G/Z, and
+f(gz) = V(g) f(z) exactly, where V(g) = prod_gamma s_gamma is the transfer
+G -> Z, a homomorphism.  So agreement with the table on the generators is
+the whole check, and both routes read only the table: the library's
+`section_equivariance_report` reads V(g) off the dense keys with integer
+arithmetic; `polynomial_section_report`, the independent second route,
+expands f(gz) and rho(g) f(z) as exact polynomials over the cyclotomic
+field, at a cost cubic in |Gamma|, so only the tests run it, on small groups.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class Character:
         self.group = group
         self.zeta_order = zeta_order
         self.exponents = list(exponents)
-        self.generators = []
 
     def value(self, key) -> CyclotomicNumber:
         return root_of_unity(self.exponents[key], self.zeta_order)
@@ -91,41 +91,29 @@ def extend_character(group: FiniteGroup, assignments) -> Character:
     return Character(group, d, exps)
 
 
-_GEN_NAMES = {
-    "DD": ("h", "x", "y"),
-    "DC": ("h^2", "hx", "y"),
-    "TT": ("h", "x", "y"),
-    "TD": ("h^3", "x", "hy"),
-    "OO": ("h", "x", "y"),
-    "II": ("h", "x", "y"),
-}
+def generator_table(spec: GroupSpec):
+    """The bundle character on the family's generators, in the order of
+    `model.generators()`: one row (name, e) per generator, with
+    rho(g) = mu_2m^e and 0 <= e < 2m."""
+    n = spec.n
+    if spec.family == "DD":
+        rows = [("h", 2 * n), ("x", spec.m * n), ("y", 0)]  # rho(x) = (-1)^n
+    elif spec.family == "DC":
+        rows = [("h^2", 2 * n), ("hx", (spec.m + 1) * n), ("y", 0)]  # rho(hx) = (-mu_2m)^n
+    elif spec.family == "TD":
+        rows = [("h^3", 12), ("x", 0), ("hy", 4)]
+    else:
+        rows = [("h", spec.gamma_order), ("x", 0), ("y", 0)]
+    return [(name, e % (2 * spec.m)) for name, e in rows]
 
 
 def rho(spec: GroupSpec, group: FiniteGroup | None = None) -> Character:
-    """The bundle character, extended from the family's generator table."""
+    """The bundle character on every key: `generator_table` extended over
+    the group by `extend_character`."""
     if group is None:
         group = build_group(spec)
-    m = spec.m
-    two_m = 2 * m
-    c0 = spec.gamma_order
-    h_key, x_key, y_key = group.gens
-    mu = lambda e: root_of_unity(e, two_m)
-    one = CyclotomicNumber.one()
-    f = spec.family
-    if f == "DD":
-        n = spec.n
-        assignments = [(h_key, mu(2 * n)), (x_key, -one if n % 2 else one), (y_key, one)]
-    elif f == "DC":
-        n = spec.n
-        minus_mu = -root_of_unity(1, two_m)
-        assignments = [(h_key, mu(2 * n)), (x_key, minus_mu**n), (y_key, one)]
-    elif f == "TD":
-        assignments = [(h_key, mu(12)), (x_key, one), (y_key, mu(4))]
-    else:
-        assignments = [(h_key, mu(c0)), (x_key, one), (y_key, one)]
-    ch = extend_character(group, assignments)
-    ch.generators = list(zip(_GEN_NAMES[f], group.gens))
-    return ch
+    rows = zip(group.gens, generator_table(spec))
+    return extend_character(group, [(g, root_of_unity(e, 2 * spec.m)) for g, (_, e) in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +191,27 @@ def _pulled_back_forms(group, reps):
 
 
 def _section_inputs(spec: GroupSpec):
-    """The group, its bundle character and the coset representatives."""
+    """The group, the generator table with each row's key, as (name, key, e),
+    and the coset representatives."""
     group = build_group(spec)
-    character = rho(spec, group)
     reps = _coset_representatives(group)
     if len(reps) != spec.gamma_order:
-        raise InternalInvariantError("coset representative count is off")
-    return group, character, reps
+        raise InternalInvariantError(
+            f"{len(reps)} coset representatives of {spec}, expected {spec.gamma_order}",
+            witness={"spec": spec, "found": len(reps), "expected": spec.gamma_order},
+        )
+    rows = [(name, g, e) for g, (name, e) in zip(group.gens, generator_table(spec))]
+    return group, rows, reps
 
 
-def _report(character: Character, holds) -> dict:
-    """The report shape of both routes: rho(g) per generator where the
-    identity holds, None where it fails."""
-    scalars = {g: character.value(g) if ok else None for g, ok in holds.items()}
-    return {
-        "character": character,
-        "scalars": scalars,
-        "ok": all(v is not None for v in scalars.values()),
-    }
+def _report(group: FiniteGroup, rows, holds) -> dict:
+    """The report shape of both routes.  `generators` holds the table's
+    rows as (name, key, e), with rho(g) = mu_2m^e; `scalars` maps each
+    generator key to rho(g) where the identity holds and to None where it
+    fails."""
+    K = group.block
+    scalars = {g: root_of_unity(e, K) if ok else None for (_, g, e), ok in zip(rows, holds)}
+    return {"generators": rows, "scalars": scalars, "ok": all(holds)}
 
 
 def section_equivariance_report(spec: GroupSpec) -> dict:
@@ -229,16 +220,14 @@ def section_equivariance_report(spec: GroupSpec) -> dict:
     Key `b * K + s` is the coset representative `b * K` times mu_2m^s, so
     for a representative r and a generator g, p = r g is the scalar
     mu_2m^(p % K) times the representative p - p % K.  Hence
-    f(gz) = mu_2m^(sum_r p % K) f(z), and the identity holds iff that
-    exponent over 2m and rho(g) = zeta_D^e name the same root of unity.
+    f(gz) = V(g) f(z) with V(g) = mu_2m^(sum_r p % K).  The report adds
+    `transfer`, that exponent mod K = 2m per generator, for the table's.
     """
-    group, character, reps = _section_inputs(spec)
-    K, d = group.block, character.zeta_order
-    holds = {}
-    for gkey in group.gens:
-        t = sum(group.mult(r, gkey) % K for r in reps)
-        holds[gkey] = (t * d - character.value_exp(gkey) * K) % (K * d) == 0
-    return _report(character, holds)
+    group, rows, reps = _section_inputs(spec)
+    K = group.block
+    transfer = [sum(group.mult(r, g) % K for r in reps) % K for _, g, _ in rows]
+    holds = [t == e for t, (_, _, e) in zip(transfer, rows)]
+    return {**_report(group, rows, holds), "transfer": transfer}
 
 
 def verify_section_equivariance(spec: GroupSpec) -> bool:
@@ -247,20 +236,21 @@ def verify_section_equivariance(spec: GroupSpec) -> bool:
 
 
 def polynomial_section_report(spec: GroupSpec) -> dict:
-    """The section check as exact polynomial identities, in the same shape
-    as `section_equivariance_report`.
+    """The section check as exact polynomial identities, in the shape of
+    `section_equivariance_report` without `transfer`.
 
     f is expanded once from the forms of the exact matrices; f(gz) is
-    expanded from the forms composed with g, and both sides are compared
-    coefficient by coefficient.  The comparison reads the exact matrices
-    and never `mult`, so it is independent of the transfer's key arithmetic.
+    expanded from the forms composed with g and compared, coefficient by
+    coefficient, with f scaled by the table value rho(g).  The comparison
+    reads the exact matrices and never `mult`, so it is independent of the
+    transfer's key arithmetic.
     """
-    group, character, reps = _section_inputs(spec)
+    group, rows, reps = _section_inputs(spec)
     forms = _pulled_back_forms(group, reps)
     f = _product_of_linear(forms)
-    holds = {}
-    for gkey in group.gens:
-        (m11, m12), (m21, m22) = group.to_matrix(gkey).entries
+    holds = []
+    for _, g, e in rows:
+        (m11, m12), (m21, m22) = group.to_matrix(g).entries
         composed = [(a * m11 + b * m21, a * m12 + b * m22) for a, b in forms]
-        holds[gkey] = _product_of_linear(composed) == f.scale(character.value(gkey))
-    return _report(character, holds)
+        holds.append(_product_of_linear(composed) == f.scale(root_of_unity(e, group.block)))
+    return _report(group, rows, holds)

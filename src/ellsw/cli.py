@@ -12,12 +12,12 @@ import argparse
 import contextlib
 import datetime
 import json
+import math
 import os
 import sys
 
 from .bundle import section_equivariance_report
 from .curves import run_audit
-from .cyclo import root_exponent
 from .errors import CharacterConflictError, ConstraintError, DomainError, InputDocumentError
 from .errors import InternalInvariantError, NotRationalError
 from .groups import FAMILIES, GroupSpec, build_group, group_report
@@ -220,21 +220,27 @@ def _swdim_sweep(args) -> int:
     return 3 if (mismatches or drift) else 0
 
 
+def _zeta(e: int, K: int) -> str:
+    """mu_K^e as zeta_d^e' with d its order."""
+    g = math.gcd(e, K)
+    return f"zeta_{K // g}^{e // g}"
+
+
 def cmd_verify_rho(args) -> int:
     spec = _spec_from_args(args)
     report = section_equivariance_report(spec)
-    scalars = report["scalars"]
-    character = report["character"]
+    K = 2 * spec.m
     lines = []
     payload = {"spec": spec.to_dict(), "ok": report["ok"], "witnesses": []}
-    for (name, key), (gkey, scalar) in zip(character.generators, scalars.items()):
-        if scalar is None:
+    for (name, _, e), t in zip(report["generators"], report["transfer"]):
+        rho_g, v_g = _zeta(e, K), _zeta(t, K)
+        if t != e:
             lines.append(f"FAIL  f({name} z) != rho({name}) f(z)")
-            payload["witnesses"].append({"generator": name, "ok": False})
+            lines.append(f"      V({name}) = {v_g}, rho({name}) = {rho_g}")
+            payload["witnesses"].append({"generator": name, "ok": False, "V": v_g, "rho": rho_g})
             continue
-        d, e = root_exponent(scalar)
-        lines.append(f"ok    f({name} z) = zeta_{d}^{e} f(z)")
-        payload["witnesses"].append({"generator": name, "scalar": f"zeta_{d}^{e}", "ok": True})
+        lines.append(f"ok    f({name} z) = {rho_g} f(z)")
+        payload["witnesses"].append({"generator": name, "scalar": rho_g, "ok": True})
     lines.append("PASS" if report["ok"] else "FAIL")
     _emit(payload, args, lines)
     return 0 if report["ok"] else 3

@@ -21,7 +21,6 @@ that form, so equal values hash equally whatever their order.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from fractions import Fraction
@@ -483,25 +482,12 @@ class CyclotomicNumber:
 
     # -- conversions -----------------------------------------------------
 
-    def to_complex(self) -> complex:
-        """Floating-point embedding; sanity checks only, never ground truth."""
-        z = 0j
-        for j, c in enumerate(self.coeffs):
-            if c:
-                z += float(c) * cmath.exp(2j * cmath.pi * j / self.order)
-        return z
-
     def to_dict(self) -> dict:
         r = self.reduced()
         return {
             "order": r.order,
             "coeffs": [f"{c.numerator}/{c.denominator}" for c in r.coeffs],
         }
-
-    @staticmethod
-    def from_dict(d) -> "CyclotomicNumber":
-        coeffs = [Fraction(s) for s in d["coeffs"]]
-        return CyclotomicNumber(int(d["order"]), coeffs)
 
     def __repr__(self):
         coeffs = self.coeffs

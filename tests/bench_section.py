@@ -1,6 +1,7 @@
 """The section check at scale: `verify_section_equivariance`, the transfer
 route, on every spec of the `|G| <= 4000` pool (4107 specs), each building
-its group and `rho` from scratch.  All must pass, within 30 s.
+its group from scratch and comparing the transfer with the generator table
+on the three generators.  All must pass, within 30 s.
 
     PYTHONPATH=src python -m pytest tests/bench_section.py
 

@@ -1,6 +1,5 @@
-"""Checks on `ellsw.bundle.Character` shared by the test modules."""
-
-from ellsw.bundle import extend_character
+"""Checks on `ellsw.bundle.Character`, and wrong generator tables, shared by
+the test modules."""
 
 
 def is_multiplicative(character) -> bool:
@@ -13,32 +12,25 @@ def is_multiplicative(character) -> bool:
     )
 
 
-def trivial_rho(rho):
-    """Wrap `rho` so that it returns the trivial character under the same
-    generator names: a genuine character that no section certifies when
-    rho(x) = -1."""
+def trivial_rho(table):
+    """Wrap `generator_table` so that it returns the trivial character under
+    the same generator names: a genuine character that no section certifies
+    when rho(x) = -1."""
 
-    def trivial(spec, group=None):
-        character = rho(spec, group)
-        character.exponents = [0] * len(character.exponents)
-        return character
+    def trivial(spec):
+        return [(name, 0) for name, _ in table(spec)]
 
     return trivial
 
 
-def twisted_rho(rho, root):
-    """Wrap `rho` so that rho(h), on the scalar generator h, is multiplied by
-    the scalar root of unity `root`, and re-extend over the group.  The
-    result is a genuine character (for `root` of order dividing m) under the
-    same generator names, and it is wrong on h alone."""
+def twisted_rho(table, k):
+    """Wrap `generator_table` so that rho(h), on the scalar generator h, is
+    multiplied by mu_2m^k.  For even k, mu_2m^k has order dividing m, so the
+    table is still a character under the same generator names, and it is
+    wrong on h alone."""
 
-    def twisted(spec, group=None):
-        character = rho(spec, group)
-        group = character.group
-        h, x, y = group.gens
-        values = [character.value(h) * root, character.value(x), character.value(y)]
-        out = extend_character(group, list(zip(group.gens, values)))
-        out.generators = character.generators
-        return out
+    def twisted(spec):
+        (h, e), *rest = table(spec)
+        return [(h, (e + k) % (2 * spec.m)), *rest]
 
     return twisted

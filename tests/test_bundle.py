@@ -1,8 +1,9 @@
 import pytest
 
-from ellsw import bundle
+from ellsw import _model, bundle
 from ellsw.bundle import (
     extend_character,
+    generator_table,
     polynomial_section_report,
     rho,
     section_equivariance_report,
@@ -14,6 +15,7 @@ from ellsw.groups import GroupSpec, build_binary_polyhedral, build_group
 from ellsw.swindex import sweep_specs
 
 from character_checks import is_multiplicative, trivial_rho, twisted_rho
+from test_acceptance import EQUIVARIANCE_CASES
 
 
 def test_rho_generator_values_icosahedral():
@@ -36,6 +38,17 @@ def test_rho_kills_minus_identity_dihedral():
         minus = group.mult(minus, h)
     assert ch.value(minus) == 1
     assert ch.value(group.identity) == 1
+
+
+def test_generator_table_matches_the_family_model():
+    # The table is written from the paper; the model's rho_exp_2m from the
+    # key encoding.  They agree on the generators of every spec to |G| <= 1200.
+    specs = sweep_specs(1200)
+    assert len(specs) == 1015
+    for spec in specs:
+        model = _model.family_model(spec)
+        exps = [model.rho_exp_2m(g) for g in model.generators()]
+        assert [e for _, e in generator_table(spec)] == exps, spec
 
 
 @pytest.mark.parametrize("family,m,n", [("DD", 3, 2), ("DC", 2, 3), ("TT", 1, 0), ("TD", 3, 0), ("OO", 1, 0)])
@@ -108,13 +121,26 @@ def test_icosahedral_section_invariant_on_binary_icosahedral_part():
 
 def test_section_check_fails_for_the_trivial_character(monkeypatch):
     # On DD(1,3) the trivial character is consistent, but f(xz) = -f(z).
-    monkeypatch.setattr(bundle, "rho", trivial_rho(bundle.rho))
+    monkeypatch.setattr(bundle, "generator_table", trivial_rho(bundle.generator_table))
     spec = GroupSpec("DD", 1, 3)
     report = section_equivariance_report(spec)
     h, x, y = build_group(spec).gens
     assert report["ok"] is False
     assert report["scalars"] == {h: CyclotomicNumber.one(), x: None, y: CyclotomicNumber.one()}
     assert not verify_section_equivariance(spec)
+
+
+def test_section_routes_read_only_the_generator_table(monkeypatch):
+    # Agreement on the generators is the whole check: neither route extends
+    # the character over the group.
+    def no_extension(*args):
+        raise AssertionError("a section route extended the character")
+
+    monkeypatch.setattr(bundle, "extend_character", no_extension)
+    for spec in (GroupSpec(*case) for case in EQUIVARIANCE_CASES):
+        assert verify_section_equivariance(spec), spec
+        assert section_equivariance_report(spec)["ok"], spec
+        assert polynomial_section_report(spec)["ok"], spec
 
 
 @pytest.mark.parametrize("spec", [GroupSpec("DD", 3, 2), GroupSpec("II", 1)], ids=str)
@@ -144,18 +170,19 @@ def test_transfer_and_polynomial_routes_agree():
     [
         # rho(x) = -1 on DD(1,3), but the trivial character says 1.
         (GroupSpec("DD", 1, 3), trivial_rho, "x"),
-        # rho(h) times zeta_5, a root of order dividing m: still a character.
-        (GroupSpec("TT", 5), lambda rho: twisted_rho(rho, root_of_unity(1, 5)), "h"),
-        (GroupSpec("OO", 5), lambda rho: twisted_rho(rho, root_of_unity(2, 5)), "h"),
+        # rho(h) times zeta_5 = mu_10^2, a root of order dividing m: still a
+        # character.
+        (GroupSpec("TT", 5), lambda table: twisted_rho(table, 2), "h"),
+        (GroupSpec("OO", 5), lambda table: twisted_rho(table, 4), "h"),
     ],
     ids=["DD(1,3)-trivial", "TT(5)-twisted-h", "OO(5)-twisted-h"],
 )
 def test_both_routes_reject_a_wrong_character(monkeypatch, spec, wrap, flagged):
-    monkeypatch.setattr(bundle, "rho", wrap(bundle.rho))
+    monkeypatch.setattr(bundle, "generator_table", wrap(bundle.generator_table))
     transfer = section_equivariance_report(spec)
     polynomial = polynomial_section_report(spec)
     assert transfer["ok"] is False and polynomial["ok"] is False
-    names = dict(transfer["character"].generators)
+    names = {name: key for name, key, _ in transfer["generators"]}
     assert [g for g, v in transfer["scalars"].items() if v is None] == [names[flagged]]
     assert [g for g, v in polynomial["scalars"].items() if v is None] == [names[flagged]]
     assert not verify_section_equivariance(spec)

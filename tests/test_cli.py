@@ -115,17 +115,20 @@ def test_verify_rho_command(capsys):
 
 def test_verify_rho_command_reports_a_failing_generator(capsys, monkeypatch):
     # The trivial character on DD(1,3) is consistent, but f(x z) = -f(z).
-    monkeypatch.setattr(bundle, "rho", trivial_rho(bundle.rho))
+    monkeypatch.setattr(bundle, "generator_table", trivial_rho(bundle.generator_table))
     argv = ["verify-rho", "--family", "DD", "--m", "1", "--n", "3"]
     code, out, _ = run(argv, capsys)
     assert code == 3
     lines = out.splitlines()
-    assert "FAIL  f(x z) != rho(x) f(z)" in lines and lines[-1] == "FAIL"
+    fail = lines.index("FAIL  f(x z) != rho(x) f(z)")
+    assert lines[fail + 1] == "      V(x) = zeta_2^1, rho(x) = zeta_1^0"
+    assert lines[-1] == "FAIL"
     code, out, _ = run(argv + ["--json"], capsys)
     assert code == 3
     rec = json.loads(out)
     assert rec["ok"] is False
-    assert {"generator": "x", "ok": False} in rec["witnesses"]
+    witness = {"generator": "x", "ok": False, "V": "zeta_2^1", "rho": "zeta_1^0"}
+    assert witness in rec["witnesses"]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ import pytest
 from ellsw.cyclo import CyclotomicNumber, cyclotomic_polynomial, euler_phi, root_of_unity
 from ellsw.errors import NotRationalError
 
+from cyclo_oracles import from_dict, to_complex
+
 
 def test_root_of_unity_identity_cases():
     assert root_of_unity(0, 12) == 1
@@ -129,8 +131,8 @@ def test_randomized_float_embedding_agreement():
         x = _random_value(rng, n)
         y = _random_value(rng, n)
         s = x * y + x - y
-        approx = x.to_complex() * y.to_complex() + x.to_complex() - y.to_complex()
-        assert abs(s.to_complex() - approx) < 1e-9
+        approx = to_complex(x) * to_complex(y) + to_complex(x) - to_complex(y)
+        assert abs(to_complex(s) - approx) < 1e-9
 
 
 def test_field_axioms_randomized():
@@ -148,7 +150,7 @@ def test_serialization_round_trip():
     d = x.to_dict()
     assert d["order"] == 8
     assert all("/" in s for s in d["coeffs"])
-    assert CyclotomicNumber.from_dict(d) == x
+    assert from_dict(d) == x
 
 
 def test_galois_conjugation_is_field_automorphism():

@@ -126,6 +126,17 @@ def test_closure_raises_carry_a_witness_under_optimize(call, witness):
     _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
 
 
+def test_coset_count_raise_carries_a_witness_under_optimize():
+    # The section check with one of the 8 coset representatives dropped.
+    call = (
+        "from ellsw import bundle; reps = bundle._coset_representatives; "
+        "bundle._coset_representatives = lambda g: reps(g)[1:]; "
+        "bundle.section_equivariance_report(spec)"
+    )
+    witness = "{'spec': spec, 'found': 7, 'expected': 8}"
+    _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
+
+
 BUNDLE_SCRIPT = """\
 import sys
 from ellsw import bundle
@@ -157,7 +168,7 @@ sys.exit(1)
         "    sys.exit(0 if 'generate' in str(exc) else 1)",
         # The trivial character on DD(1,3) is consistent, but f(xz) = -f(z).
         "from character_checks import trivial_rho\n"
-        "bundle.rho = trivial_rho(bundle.rho)\n"
+        "bundle.generator_table = trivial_rho(bundle.generator_table)\n"
         "report = bundle.section_equivariance_report(GroupSpec('DD', 1, 3))\n"
         "none = [k for k, v in report['scalars'].items() if v is None]\n"
         "sys.exit(0 if not report['ok'] and len(none) == 1 else 1)",
