@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .bundle import extend_character
 from .cyclo import CyclotomicNumber, root_of_unity
-from .errors import InternalInvariantError
-from .groups import GroupSpec, UnitaryElement, build_binary_polyhedral, eigen_exponents
-
-_BASE_ORDER = {"T": 12, "O": 24, "I": 60}
+from .errors import CharacterConflictError, ConstraintError, InternalInvariantError
+from .groups import BINARY_KIND, GroupSpec, UnitaryElement, build_binary_polyhedral, eigen_exponents
 
 
 class _SU2Table:
@@ -74,8 +73,8 @@ class _SU2Table:
         self.labels = tuple(f"S{r}" for r in range(len(orders) + 1))
         name = {o: f"S{r}" for r, o in enumerate(orders, start=1)}
         self.label = [name[label_order[p]] if p != self.ident else "S0" for p in self.pos]
-        b = _BASE_ORDER[kind]
-        self.base = b
+        # Eigenvalues as powers of zeta_base, base = n / 2 = 12, 24 or 60.
+        b = self.base = n // 2
         self.eigen = []
         for i, a in enumerate(self.atoms):
             d, e1, e2 = eigen_exponents(a)
@@ -83,30 +82,15 @@ class _SU2Table:
                 raise InternalInvariantError("atom eigenvalues disagree with the table order")
             self.eigen.append((e1 * (b // d), e2 * (b // d)))
         if kind == "T":
-            # Classes modulo the order-8 quaternion subgroup, indexed by powers
-            # of the chosen order-6 generator.
-            q8 = {i for i in range(n) if self.order[i] in (1, 2, 4)}
-            if len(q8) != 8:
+            # The grading T -> T/Q8 = Z/3 is the character x -> 0, y -> 1 of
+            # the table; TD keys encode their mu_6m part through it.
+            try:
+                grading = extend_character(group, 3, [(self.gen_x, 0), (self.gen_y, 1)])
+            except (CharacterConflictError, ConstraintError) as exc:
+                raise InternalInvariantError("T table is not graded mod 3") from exc
+            self.class3 = grading.exponents
+            if self.class3.count(0) != 8:
                 raise InternalInvariantError("quaternion subgroup of the T table is wrong")
-            y_idx = self.order.index(6)
-            *_, y_inv2, y_inv, _ = walks[y_idx]
-            self.class3 = []
-            for i in range(n):
-                if i in q8:
-                    self.class3.append(0)
-                elif self.mult[y_inv][i] in q8:
-                    self.class3.append(1)
-                else:
-                    if self.mult[y_inv2][i] not in q8:
-                        raise InternalInvariantError("T table is not graded mod 3")
-                    self.class3.append(2)
-            for i in range(n):
-                for j in range(n):
-                    if (self.class3[i] + self.class3[j]) % 3 != self.class3[self.mult[i][j]]:
-                        raise InternalInvariantError("class grading is not multiplicative")
-        if kind == "T" and self.class3[self.gen_y] != 1:
-            # The mixed-family grading is defined through powers of gen_y.
-            raise InternalInvariantError("order-6 generator must carry class 1")
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +255,7 @@ class PolyhedralModel:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.m = spec.m
-        self.kind = {"TT": "T", "TD": "T", "OO": "O", "II": "I"}[spec.family]
+        self.kind = BINARY_KIND[spec.family]
         self.table = su2_table(self.kind)
         self.labels = self.table.labels
         self.K = 2 * spec.m
@@ -387,6 +371,6 @@ class PolyhedralModel:
 
 
 def family_model(spec: GroupSpec):
-    if spec.family in ("DD", "DC"):
-        return DihedralModel(spec)
-    return PolyhedralModel(spec)
+    if spec.family in BINARY_KIND:
+        return PolyhedralModel(spec)
+    return DihedralModel(spec)

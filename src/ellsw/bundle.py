@@ -2,26 +2,27 @@
 and the equivariant polynomial section that certifies it.
 
 `generator_table` gives rho on the family's three generators as powers of
-mu_2m; `rho` extends it over the group, with conflict detection, for the
-readers of per-key values.  The section is f = prod over coset
-representatives gamma of the fixed linear form (1, 1) . (gamma z), and the
-check is f(gz) = rho(g) f(z) on generators.  The scalars Z are central, so
-gamma g = s_gamma gamma' with gamma -> gamma' a permutation of G/Z, and
-f(gz) = V(g) f(z) exactly, where V(g) = prod_gamma s_gamma is the transfer
-G -> Z, a homomorphism.  So agreement with the table on the generators is
-the whole check, and both routes read only the table: the library's
-`section_equivariance_report` reads V(g) off the dense keys with integer
-arithmetic; `polynomial_section_report`, the independent second route,
-expands f(gz) and rho(g) f(z) as exact polynomials over the cyclotomic
-field, at a cost cubic in |Gamma|, so only the tests run it, on small groups.
+mu_2m; `rho` extends those exponents over the group by `extend_character`,
+the one extension pass on integer exponents, for the readers of per-key
+values.  The section is f = prod over coset representatives gamma of the
+fixed linear form (1, 1) . (gamma z), and the check is f(gz) = rho(g) f(z)
+on generators.  The scalars Z are central, so gamma g = s_gamma gamma' with
+gamma -> gamma' a permutation of G/Z, and f(gz) = V(g) f(z) exactly, where
+V(g) = prod_gamma s_gamma is the transfer G -> Z, a homomorphism.  So
+agreement with the table on the generators is the whole check, and both
+routes read only the table: the library's `section_equivariance_report`
+reads V(g) off the dense keys with integer arithmetic;
+`polynomial_section_report`, the independent second route, expands f(gz)
+and rho(g) f(z) as exact polynomials over the cyclotomic field, at a cost
+cubic in |Gamma|, so only the tests run it, on small groups.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cyclo import CyclotomicNumber, root_exponent, root_of_unity
-from .errors import CharacterConflictError, ConstraintError, DomainError, InternalInvariantError
+from .cyclo import CyclotomicNumber, root_of_unity
+from .errors import CharacterConflictError, ConstraintError, InternalInvariantError
 from .groups import FiniteGroup, GroupSpec, build_group
 
 
@@ -44,24 +45,21 @@ class Character:
         return self.exponents[key]
 
 
-def extend_character(group: FiniteGroup, assignments) -> Character:
+def extend_character(group: FiniteGroup, order: int, assignments) -> Character:
     """Extend generator values multiplicatively over the whole group.
 
-    `assignments` is a list of (element key, root-of-unity value); the keys
-    must generate the group.  A conflict raises CharacterConflictError with
-    the offending element as witness.  Every key enters the frontier once and
-    is multiplied by every generator there, so the pass compares
-    exps[a g] with exps[a] + e_g for every product relation.  The exponents
-    sit in a list indexed by key, since the keys are `range(|G|)`.
+    `assignments` is a list of (element key, e), each meaning zeta_order^e;
+    the keys must generate the group.  The character is stored over the
+    least order that holds every value, d = order // gcd(order, e_1, ...).
+    A conflict raises CharacterConflictError with the offending element as
+    witness.  Every key enters the frontier once and is multiplied by every
+    generator there, so the pass compares exps[a g] with exps[a] + e_g for
+    every product relation.  The exponents sit in a list indexed by key,
+    since the keys are `range(|G|)`.
     """
-    roots = []
-    for _, v in assignments:
-        try:
-            roots.append(root_exponent(v))
-        except DomainError as exc:
-            raise ConstraintError("character values must be roots of unity") from exc
-    d = math.lcm(*(o for o, _ in roots)) if roots else 1
-    gen_exps = [(key, e * (d // o)) for (key, _), (o, e) in zip(assignments, roots)]
+    g = math.gcd(order, *(e for _, e in assignments))
+    d = order // g
+    gen_exps = [(key, e // g) for key, e in assignments]
 
     exps = [None] * group.order
     exps[group.identity] = 0
@@ -108,12 +106,12 @@ def generator_table(spec: GroupSpec):
 
 
 def rho(spec: GroupSpec, group: FiniteGroup | None = None) -> Character:
-    """The bundle character on every key: `generator_table` extended over
-    the group by `extend_character`."""
+    """The bundle character on every key: the exponents of mu_2m in
+    `generator_table`, extended over the group by `extend_character`."""
     if group is None:
         group = build_group(spec)
     rows = zip(group.gens, generator_table(spec))
-    return extend_character(group, [(g, root_of_unity(e, 2 * spec.m)) for g, (_, e) in rows])
+    return extend_character(group, 2 * spec.m, [(g, e) for g, (_, e) in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ from .swindex import closed_form_d_E, sw_dimension_report, sweep_specs
 
 CATALOG_ENV = "ELLSW_CATALOG"
 
+# Library errors that no user input reaches: on a CLI path they are bugs.
+_INTERNAL_ERRORS = (InternalInvariantError, CharacterConflictError, DomainError, NotRationalError)
+
 
 def _spec_from_args(args) -> GroupSpec:
     if args.family is None or args.m is None:
@@ -164,55 +167,53 @@ def _appending(path):
         raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
 
 
+def _append(catalog, path, record):
+    """Write `record` to the open catalog as one line; a failed write is an input error."""
+    try:
+        catalog.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        catalog.flush()
+    except OSError as exc:
+        raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
+
+
 def _swdim_sweep(args) -> int:
     specs = sweep_specs(args.max_order)
     path = _catalog_path(args)
     existing = _read_catalog(path) if path and os.path.exists(path) else {}
-    mismatches = 0
-    drift = 0
-    appended = 0
-    out_lines = []
-    new_records = []
+    mismatches = drift = appended = 0
     # The catalog is opened before the first spec is computed, so a path that
-    # cannot be appended to fails at once; the records are written after the loop.
+    # cannot be appended to fails at once.  Each spec's lines and new record go
+    # out as soon as it is computed: a sweep that stops keeps the specs before.
     with _appending(path) if path and specs else contextlib.nullcontext() as catalog:
         for spec in specs:
-            record = _sw_record(spec)
+            name = f"{spec.family} m={spec.m} n={spec.n}"
+            try:
+                record = _sw_record(spec)
+            except _INTERNAL_ERRORS as exc:
+                witness = getattr(exc, "witness", None)
+                raise InternalInvariantError(f"{name}: {exc}", witness) from exc
             ok = record["dE"] == record["closed_form_dE"]
             if not ok:
                 mismatches += 1
+            lines = []
             if path:
                 if spec in existing:
                     old = dict(existing[spec])
                     old.pop("computed_at", None)
                     if old != record:
                         drift += 1
-                        out_lines.append(f"DRIFT {spec.family} m={spec.m} n={spec.n}")
+                        lines.append(f"DRIFT {name}")
                 else:
-                    stamped = dict(record)
-                    stamped["computed_at"] = (
-                        datetime.datetime.now(datetime.timezone.utc).isoformat()
-                    )
-                    new_records.append(stamped)
+                    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+                    _append(catalog, path, {**record, "computed_at": now})
                     appended += 1
-            if args.json:
-                print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            else:
-                out_lines.append(
-                    f"{spec.family:>2} m={spec.m:<4} n={spec.n:<4} |G|={spec.order:<5} "
-                    f"dE={record['dE']:<3} closed={record['closed_form_dE']:<3} "
-                    f"{'ok' if ok else 'FAIL'}"
-                )
-        if new_records:
-            try:
-                for rec in new_records:
-                    catalog.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-                catalog.flush()
-            except OSError as exc:
-                raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
+            lines.append(
+                f"{spec.family:>2} m={spec.m:<4} n={spec.n:<4} |G|={spec.order:<5} "
+                f"dE={record['dE']:<3} closed={record['closed_form_dE']:<3} "
+                f"{'ok' if ok else 'FAIL'}"
+            )
+            _emit(record, args, lines)
     if not args.json:
-        for line in out_lines:
-            print(line)
         print(
             f"swept {len(specs)} specs: {mismatches} closed-form mismatches, "
             f"{drift} catalog drifts, {appended} records appended"
@@ -327,8 +328,7 @@ def main(argv=None) -> int:
     except InputDocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (InternalInvariantError, CharacterConflictError, DomainError, NotRationalError) as exc:
-        # No user input reaches the last three: on a CLI path they are bugs.
+    except _INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

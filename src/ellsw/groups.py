@@ -21,7 +21,10 @@ from .errors import ConstraintError, DomainError, InternalInvariantError
 
 FAMILIES = ("DD", "DC", "TT", "TD", "OO", "II")
 
-_FAMILY_NEEDS_N = {"DD": True, "DC": True, "TT": False, "TD": False, "OO": False, "II": False}
+# The binary polyhedral group of each polyhedral family, and per group
+# (order, k), with (2, 3, k) the triangle x^2 = (xy)^3 = y^k = -1.
+BINARY_KIND = {"TT": "T", "TD": "T", "OO": "O", "II": "I"}
+BINARY = {"T": (24, 3), "O": (48, 4), "I": (120, 5)}
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class GroupSpec:
             raise ConstraintError(f"m and n must be integers, not {m!r} and {n!r}")
         if m < 1:
             raise ConstraintError("m must be a positive integer")
-        if _FAMILY_NEEDS_N[f]:
+        if f not in BINARY_KIND:
             if n < 2:
                 raise ConstraintError(f"family {f} requires n >= 2")
             if math.gcd(m, n) != 1:
@@ -66,10 +69,9 @@ class GroupSpec:
     @property
     def order(self) -> int:
         """|G|, equal to |N1| * |H2| / 2 for the defining pair construction."""
-        f = self.family
-        if f in ("DD", "DC"):
-            return 4 * self.m * self.n
-        return {"TT": 24, "TD": 24, "OO": 48, "II": 120}[f] * self.m
+        if self.family in BINARY_KIND:
+            return BINARY[BINARY_KIND[self.family]][0] * self.m
+        return 4 * self.m * self.n
 
     @property
     def scalar_order(self) -> int:
@@ -82,7 +84,7 @@ class GroupSpec:
 
     def to_dict(self) -> dict:
         d = {"family": self.family, "m": self.m}
-        if _FAMILY_NEEDS_N[self.family]:
+        if self.family not in BINARY_KIND:
             d["n"] = self.n
         return d
 
@@ -492,9 +494,9 @@ class FiniteGroup:
 
 
 _POLYHEDRAL = {
-    "T": (binary_tetrahedral_generators, 24, 3),
-    "O": (binary_octahedral_generators, 48, 4),
-    "I": (binary_icosahedral_generators, 120, 5),
+    "T": binary_tetrahedral_generators,
+    "O": binary_octahedral_generators,
+    "I": binary_icosahedral_generators,
 }
 
 
@@ -514,8 +516,8 @@ def build_binary_polyhedral(kind: str, n: int = 0) -> FiniteGroup:
         x, y = binary_dihedral_generators(n)
         expect, yord = 4 * n, n
     elif kind in _POLYHEDRAL:
-        gen_fn, expect, yord = _POLYHEDRAL[kind]
-        x, y = gen_fn()
+        x, y = _POLYHEDRAL[kind]()
+        expect, yord = BINARY[kind]
     else:
         raise ConstraintError(f"unknown binary polyhedral kind {kind!r}")
     minus = UnitaryElement(((-1, 0), (0, -1)), check=False)

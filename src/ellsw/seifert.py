@@ -12,10 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInvariantError
-from .groups import GroupSpec
-
-# (a1, a2, a3) per family group: dihedral legs use the parameter n.
-_LEGS = {"DD": None, "DC": None, "TT": (2, 3, 3), "TD": (2, 3, 3), "OO": (2, 3, 4), "II": (2, 3, 5)}
+from .groups import BINARY, BINARY_KIND, GroupSpec
 
 
 @dataclass(frozen=True)
@@ -59,18 +56,18 @@ def euler_number(spec: GroupSpec) -> Fraction:
 def normalized_invariant(spec: GroupSpec) -> SeifertInvariant:
     m = spec.m
     family = spec.family
-    if family in ("DD", "DC"):
+    if family not in BINARY_KIND:
         n = spec.n
         # b1 = b2 = 1, m = (b+1)n + b3 with 0 < b3 < n.
         b3 = m % n
         b = (m - b3) // n - 1
         inv = SeifertInvariant(b, ((2, 1), (2, 1), (n, b3)))
     else:
-        a1, a2, a3 = _LEGS[family]
-        # m = lead*b + lead/2 + coef2*b2 + coef3*b3
-        lead = {"TT": 6, "TD": 6, "OO": 12, "II": 30}[family]
-        coef2 = {"TT": 2, "TD": 2, "OO": 4, "II": 10}[family]
-        coef3 = {"TT": 2, "TD": 2, "OO": 3, "II": 6}[family]
+        # e = m/lead = b + 1/2 + b2/3 + b3/a3 with lead = |binary group|/4, so
+        # m = lead*b + lead/2 + coef2*b2 + coef3*b3 with coef_i = lead/a_i.
+        order, a3 = BINARY[BINARY_KIND[family]]
+        a2, lead = 3, order // 4
+        coef2, coef3 = lead // a2, lead // a3
         solutions = [
             (b2, b3)
             for b2 in range(1, a2)
@@ -84,12 +81,10 @@ def normalized_invariant(spec: GroupSpec) -> SeifertInvariant:
         if a2 == a3:
             solutions = sorted({tuple(sorted(s)) for s in solutions})
         if len(solutions) != 1:
-            raise InternalInvariantError(
-                f"leg congruence for {spec} has {len(solutions)} solutions"
-            )
+            raise InternalInvariantError(f"leg congruence for {spec} has {len(solutions)} solutions")
         b2, b3 = solutions[0]
         b = (m - lead // 2 - coef2 * b2 - coef3 * b3) // lead
-        inv = SeifertInvariant(b, ((a1, 1), (a2, b2), (a3, b3)))
+        inv = SeifertInvariant(b, ((2, 1), (a2, b2), (a3, b3)))
     # b + sum b_i/a_i == 4m^2/|G|, cross-multiplied.
     num, den = _euler_ratio(inv.b, inv.legs)
     if num * spec.order != 4 * m * m * den:

@@ -22,7 +22,7 @@ from . import _model
 from .bundle import rho
 from .cyclo import CyclotomicNumber
 from .errors import ConstraintError, DomainError, InternalInvariantError
-from .groups import GroupSpec, UnitaryElement, build_group, eigen_angles
+from .groups import BINARY, BINARY_KIND, GroupSpec, UnitaryElement, build_group, eigen_angles
 from .rootsum import RootSum
 
 _ZERO = Fraction(0)
@@ -273,8 +273,8 @@ def sweep_specs(max_order: int):
                 if math.gcd(m, n) == 1:
                     specs.append(GroupSpec(family, m, n))
             m += 2
-    for family, unit in (("TT", 24), ("TD", 24), ("OO", 48), ("II", 120)):
-        for m in range(1, max_order // unit + 1):
+    for family, kind in BINARY_KIND.items():
+        for m in range(1, max_order // BINARY[kind][0] + 1):
             try:
                 specs.append(GroupSpec(family, m))
             except ConstraintError:

@@ -69,16 +69,24 @@ def test_rho_scalar_restriction_exponent_is_gamma_order():
 def test_extend_character_cyclic_faithful():
     c4 = build_binary_polyhedral("C", 4)
     gen = next(k for k in c4.keys if c4.element_order(k) == 4)
-    ch = extend_character(c4, [(gen, root_of_unity(1, 4))])
+    ch = extend_character(c4, 4, [(gen, 1)])
     assert is_multiplicative(ch)
     assert ch.value(gen) == root_of_unity(1, 4)
+
+
+def test_extend_character_normalizes_the_order():
+    # zeta_8^2 = zeta_4: the character is stored over the least order.
+    c4 = build_binary_polyhedral("C", 4)
+    gen = next(k for k in c4.keys if c4.element_order(k) == 4)
+    ch = extend_character(c4, 8, [(gen, 2)])
+    assert ch.zeta_order == 4
+    assert ch.exponents == extend_character(c4, 4, [(gen, 1)]).exponents
 
 
 def test_extend_character_consistent_order_two():
     d2 = build_binary_polyhedral("D", 2)
     x, y = d2.gens
-    minus_one = -CyclotomicNumber.one()
-    ch = extend_character(d2, [(x, minus_one), (y, minus_one)])
+    ch = extend_character(d2, 2, [(x, 1), (y, 1)])  # rho(x) = rho(y) = -1
     assert is_multiplicative(ch)
     assert ch.value(d2.mult(x, y)) == 1
 
@@ -88,7 +96,7 @@ def test_extend_character_conflict_detected():
     x, y = d2.gens
     # x^2 = y^2 = -1 forces rho(x)^2 = rho(y)^2; i and 1 disagree.
     with pytest.raises(CharacterConflictError):
-        extend_character(d2, [(x, root_of_unity(1, 4)), (y, CyclotomicNumber.one())])
+        extend_character(d2, 4, [(x, 1), (y, 0)])
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,9 @@ import pytest
 
 from ellsw import bundle, cli
 from ellsw.cli import main
-from ellsw.errors import CharacterConflictError, DomainError, NotRationalError
-from ellsw.swindex import _singular_sums
+from ellsw.errors import CharacterConflictError, DomainError, InternalInvariantError
+from ellsw.errors import NotRationalError
+from ellsw.swindex import _singular_sums, sweep_specs
 
 from character_checks import trivial_rho
 
@@ -242,6 +243,40 @@ def test_swdim_sweep_checks_the_catalog_before_any_spec(tmp_path, capsys, monkey
         f"[Errno 2] No such file or directory: '{catalog}'\n"
     )
     assert out == "" and computed == []
+
+
+def test_swdim_sweep_keeps_the_specs_before_an_internal_error(tmp_path, capsys, monkeypatch):
+    specs = sweep_specs(40)
+    expected = [cli._sw_record(spec) for spec in specs[:4]]
+    original = cli.sw_dimension_report
+
+    def report(spec):
+        if spec == specs[4]:
+            raise InternalInvariantError("forced", witness={"key": 7})
+        return original(spec)
+
+    monkeypatch.setattr(cli, "sw_dimension_report", report)
+    catalog = tmp_path / "records.jsonl"
+    argv = ["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)]
+    code, out, err = run(argv, capsys)
+    spec = specs[4]
+    name = f"{spec.family} m={spec.m} n={spec.n}"
+    assert code == 3
+    rows = out.splitlines()
+    assert len(rows) == 4 and all(row.endswith(" ok") for row in rows)
+    assert [row.split()[:3] for row in rows] == [
+        [s.family, f"m={s.m}", f"n={s.n}"] for s in specs[:4]
+    ]
+    records = [json.loads(line) for line in catalog.read_text().splitlines()]
+    assert [{k: v for k, v in r.items() if k != "computed_at"} for r in records] == expected
+    assert err == f"internal error: {name}: forced\n"
+    # The sweep's error names the spec, chains the original, keeps its witness.
+    monkeypatch.delenv("ELLSW_CATALOG", raising=False)
+    with pytest.raises(InternalInvariantError) as info:
+        cli._swdim_sweep(cli.build_parser().parse_args(argv[:4]))
+    assert str(info.value) == f"{name}: forced"
+    assert info.value.witness == {"key": 7}
+    assert str(info.value.__cause__) == "forced"
 
 
 def test_swdim_sweep_with_no_spec_creates_no_catalog(tmp_path, capsys):

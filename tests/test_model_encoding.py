@@ -112,3 +112,31 @@ def test_mult_matches_matrix_products(spec, data):
     keys = st.integers(0, spec.order - 1)
     for a, b in data.draw(st.lists(st.tuples(keys, keys), min_size=1, max_size=4)):
         assert model.to_matrix(model.mult(a, b)) == model.to_matrix(a) * model.to_matrix(b)
+
+
+def test_t_grading_matches_the_quaternion_cosets():
+    # The grading T -> Z/3 built by hand, as a reference for the character:
+    # Q8 is the atoms of order 1, 2 or 4, and for an atom y of order 6 an
+    # atom a has class 1 if y^-1 a lies in Q8 and class 2 if y^-2 a does.
+    t = _model.su2_table("T")
+    n = len(t.atoms)
+    q8 = {a for a in range(n) if t.order[a] in (1, 2, 4)}
+    assert len(q8) == 8
+    y = t.order.index(6)
+    y_inv = next(b for b in range(n) if t.mult[y][b] == t.ident)
+    y_inv2 = t.mult[y_inv][y_inv]
+    reference = []
+    for a in range(n):
+        if a in q8:
+            reference.append(0)
+        elif t.mult[y_inv][a] in q8:
+            reference.append(1)
+        else:
+            assert t.mult[y_inv2][a] in q8
+            reference.append(2)
+    assert all(
+        (reference[a] + reference[b] - reference[t.mult[a][b]]) % 3 == 0
+        for a in range(n) for b in range(n)
+    )
+    assert t.class3 == reference
+    assert t.class3[t.gen_x] == 0 and t.class3[t.gen_y] == 1

@@ -140,14 +140,12 @@ def test_coset_count_raise_carries_a_witness_under_optimize():
 BUNDLE_SCRIPT = """\
 import sys
 from ellsw import bundle
-from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import CharacterConflictError, ConstraintError
 from ellsw.groups import GroupSpec, build_binary_polyhedral
 if not sys.flags.optimize:
     sys.exit(2)
 d2 = build_binary_polyhedral("D", 2)
 x, y = d2.gens
-one = CyclotomicNumber.one()
 {body}
 sys.exit(1)
 """
@@ -158,12 +156,12 @@ sys.exit(1)
     [
         # x^2 = y^2 = -1 forces rho(x)^2 = rho(y)^2; i and 1 disagree.
         "try:\n"
-        "    bundle.extend_character(d2, [(x, root_of_unity(1, 4)), (y, one)])\n"
+        "    bundle.extend_character(d2, 4, [(x, 1), (y, 0)])\n"
         "except CharacterConflictError as exc:\n"
         "    sys.exit(0 if exc.witness is not None else 1)",
         # x alone generates a cyclic subgroup of order 4.
         "try:\n"
-        "    bundle.extend_character(d2, [(x, -one)])\n"
+        "    bundle.extend_character(d2, 2, [(x, 1)])\n"
         "except ConstraintError as exc:\n"
         "    sys.exit(0 if 'generate' in str(exc) else 1)",
         # The trivial character on DD(1,3) is consistent, but f(xz) = -f(z).
