@@ -234,11 +234,18 @@ class DihedralModel:
         step = self.N // self.K
         # The coset of y^l holds an element with eigenvalue 1 iff step divides
         # l * rot_step; the least such l > 0 is step // gcd(step, rot_step).
-        if step // math.gcd(step, self._rot_step) < self.n:
-            raise InternalInvariantError("rotation coset contains a non-free element")
+        l = step // math.gcd(step, self._rot_step)
+        if l < self.n:
+            raise InternalInvariantError(
+                f"rotation coset of y^{l} in {self.spec} contains a non-free element",
+                witness={"spec": self.spec, "l": l},
+            )
         for e in self.eigen_exps(self.encode(1, 0, 0)):
             if e % step == 0:
-                raise InternalInvariantError("reflection coset contains a non-free element")
+                raise InternalInvariantError(
+                    f"reflection coset of {self.spec} contains a non-free element",
+                    witness={"spec": self.spec, "exponent": e, "N": self.N},
+                )
 
 
 class PolyhedralModel:
@@ -367,7 +374,11 @@ class PolyhedralModel:
         step = self.N // self.K
         for data in self.nonscalar_cosets():
             if data.a_exp % step == 0 or data.b_exp % step == 0:
-                raise InternalInvariantError("coset contains a non-free element")
+                raise InternalInvariantError(
+                    f"{data.label} coset of {self.spec} contains a non-free element",
+                    witness={"spec": self.spec, "label": data.label,
+                             "exponents": (data.a_exp, data.b_exp), "N": self.N},
+                )
 
 
 def family_model(spec: GroupSpec):

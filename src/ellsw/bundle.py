@@ -159,9 +159,7 @@ class BivariatePolynomial:
     def __eq__(self, other):
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(v == other.terms[k] for k, v in self.terms.items())
+        return self.terms == other.terms
 
     def __repr__(self):
         return f"BivariatePolynomial({len(self.terms)} terms)"

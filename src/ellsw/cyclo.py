@@ -22,7 +22,6 @@ that form, so equal values hash equally whatever their order.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -212,17 +211,6 @@ def _reduce(n: int, dense: list) -> list:
 def _monomial(n: int, e: int) -> list:
     """Canonical integer coordinates of zeta_n^e."""
     return _reduce(n, [0] * (e % n) + [1])
-
-
-# Keyed by order; a table holds n * phi(n) ints, so only a few dozen are kept.
-@lru_cache(maxsize=32)
-def _powers(n: int):
-    """Canonical vectors of zeta_n^k for k = 0 .. n-1."""
-    rows = [tuple(_monomial(n, 0))]
-    for _ in range(n - 1):
-        # zeta * zeta^k: shift by one place, then one reduction step.
-        rows.append(tuple(_reduce(n, [0, *rows[-1]])))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +557,21 @@ def _root_of_unity(k: int, n: int) -> CyclotomicNumber:
     return _raw(n, _monomial(n, k), 1).reduced()
 
 
+# Keyed by order; a table holds up to 2n * phi(n) ints, so only a few dozen are kept.
 @lru_cache(maxsize=32)
 def _root_table(n: int) -> dict:
     """Numerators at order n of every root of unity in Q(zeta_n) -> its
-    exponent as a power of zeta_L, L = lcm(n, 2)."""
-    if n % 2 == 0:
-        return {row: j for j, row in enumerate(_powers(n))}
-    # zeta_2n^(2i) = zeta_n^i and zeta_2n^(2i+1) = -zeta_n^(i + (n+1)/2)
+    exponent as a power of zeta_L, L = lcm(n, 2).  For even n the entries
+    are in exponent order."""
+    L = n if n % 2 == 0 else 2 * n
     table = {}
-    for i, row in enumerate(_powers(n)):
-        table[row] = 2 * i
-        table[tuple(-c for c in row)] = (2 * i + n) % (2 * n)
+    row = _monomial(n, 0)
+    for i in range(n):
+        table[tuple(row)] = i * (L // n)
+        if L != n:  # zeta_2n^(2i + n) = -zeta_n^i
+            table[tuple(-c for c in row)] = (2 * i + n) % L
+        # zeta * zeta^i: shift by one place, then one reduction step.
+        row = _reduce(n, [0, *row])
     return table
 
 
@@ -600,20 +592,6 @@ def root_exponent(value: CyclotomicNumber):
     return L // g, j // g
 
 
-@lru_cache(maxsize=32)
-def _key_weights(deg: int):
-    """Fixed integer weights of a linear form on Z^deg, hashed from the index."""
-    return tuple((i * 2654435761 + 97) % 65521 for i in range(deg))
-
-
-@lru_cache(maxsize=32)
-def _row_keys(n: int):
-    """The linear form of each row of _powers(n).  The form is additive, so
-    it screens a sum of two rows before the whole vectors are compared."""
-    w = _key_weights(euler_phi(n))
-    return tuple(sum(map(operator.mul, row, w)) for row in _powers(n))
-
-
 def root_pair(s: CyclotomicNumber, p: CyclotomicNumber):
     """The roots of unity with sum s and product p, as exponents.
 
@@ -632,16 +610,14 @@ def root_pair(s: CyclotomicNumber, p: CyclotomicNumber):
     L = 2 * c if c % 3 == 0 else 6 * c
     t = s.embed(L)
     if t.den == 1:
+        # L is even, so the table lists a = 0, 1, ... in order, and the first
+        # a with s - zeta_L^a = zeta_L^b and a + b = e is the smaller root.
+        table = _root_table(L)
         target = t.num
-        rows = _powers(L)
-        keys = _row_keys(L)
-        key = sum(map(operator.mul, target, _key_weights(len(target))))
         e *= L // D
-        for a in range(L):
-            b = (e - a) % L
-            if keys[a] + keys[b] == key and all(
-                x + y == z for x, y, z in zip(rows[a], rows[b], target)
-            ):
+        for row, a in table.items():
+            b = table.get(tuple(x - y for x, y in zip(target, row)))
+            if b is not None and (a + b - e) % L == 0:
                 g = math.gcd(a, b, L)
                 return L // g, a // g, b // g
     raise DomainError("x^2 - s x + p has a root that is not a root of unity")

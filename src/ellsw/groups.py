@@ -585,13 +585,9 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
 
 def verify_free_action(group: FiniteGroup) -> bool:
     """True iff no non-identity element fixes a nonzero vector (eigenvalue 1)."""
-    one = CyclotomicNumber.one()
-    for k in group.keys:
-        if k == group.identity:
-            continue
-        m = group.to_matrix(k)
-        (a, b), (c, d) = m.entries
-        if ((a - one) * (d - one) - b * c).is_zero():
+    for k in group.keys[1:]:  # every key but the identity 0
+        (a, b), (c, d) = group.to_matrix(k).entries
+        if ((a - 1) * (d - 1) - b * c).is_zero():  # det(g - 1)
             return False
     return True
 
@@ -618,16 +614,12 @@ def eigen_angles(g: UnitaryElement):
 
 def scalar_subgroup(group: FiniteGroup) -> FiniteGroup:
     """The subgroup of scalar matrices of a family group: its first block,
-    cyclic of order 2m for every family."""
+    cyclic of order 2m for every family and generated by key 1, mu_2m."""
     if group.block is None:
         raise ConstraintError("scalar_subgroup needs a family group")
-    sub = FiniteGroup(group.block, group.mult, group.to_matrix, spec=group.spec, block=group.block)
-    # Closed by centrality; pick a generator for conjugacy/abelianization use.
-    for k in sub.keys:
-        if sub.element_order(k) == sub.order:
-            sub.gens = [k]
-            break
-    return sub
+    return FiniteGroup(
+        group.block, group.mult, group.to_matrix, [1], spec=group.spec, block=group.block
+    )
 
 
 def group_report(group: FiniteGroup) -> dict:

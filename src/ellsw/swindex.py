@@ -22,7 +22,7 @@ from . import _model
 from .bundle import rho
 from .cyclo import CyclotomicNumber
 from .errors import ConstraintError, DomainError, InternalInvariantError
-from .groups import BINARY, BINARY_KIND, GroupSpec, UnitaryElement, build_group, eigen_angles
+from .groups import BINARY, BINARY_KIND, GroupSpec, UnitaryElement, build_group
 from .rootsum import RootSum
 
 _ZERO = Fraction(0)
@@ -31,15 +31,17 @@ _ZERO = Fraction(0)
 def chi(g: UnitaryElement, rho_value: CyclotomicNumber) -> CyclotomicNumber:
     """Isolated cone-point contribution of a single group element,
     2 (rho(g) - 1) / ((1 - conj l1)(1 - conj l2)); the free action makes
-    the fixed point's isotropy trivial, and no other sector term arises."""
+    the fixed point's isotropy trivial, and no other sector term arises.
+    The denominator is conj det(g - 1), read off the entries with no
+    eigenvalue search, and inverted at its conductor, which can be far
+    below the order of the entries."""
     if g.is_identity():
         raise DomainError("chi is undefined at the identity")
-    lam1, lam2 = eigen_angles(g)
-    if lam1.is_one() or lam2.is_one():
+    (a, b), (c, d) = g.entries
+    den = ((a - 1) * (d - 1) - b * c).reduced().conjugate()
+    if den.is_zero():
         raise DomainError("element has eigenvalue 1; the action is not free")
-    one = CyclotomicNumber.one()
-    den = (one - lam1.conjugate()) * (one - lam2.conjugate())
-    return (rho_value - one) * 2 * den.inverse()
+    return (rho_value - 1) * 2 * den.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +216,8 @@ def s_breakdown_by_elements(spec: GroupSpec) -> dict:
     group = build_group(spec)
     character = rho(spec, group)
     out = dict.fromkeys(model.labels, CyclotomicNumber.zero())
-    for k in group.keys:
-        if k != group.identity:
-            out[model.label(k)] += chi(group.to_matrix(k), character.value(k))
+    for k in group.keys[1:]:  # every key but the identity 0
+        out[model.label(k)] += chi(group.to_matrix(k), character.value(k))
     return {label: v.as_rational() for label, v in out.items()}
 
 

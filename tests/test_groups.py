@@ -77,7 +77,9 @@ def test_octahedral_cyclic_subgroup_structure():
 def test_family_orders(family, m, n, order):
     group = build_group(GroupSpec(family, m, n))
     assert group.order == order
-    assert len(scalar_subgroup(group)) == 2 * m
+    sub = scalar_subgroup(group)
+    assert len(sub) == 2 * m
+    assert sub.element_order(sub.gens[0]) == 2 * m
 
 
 def test_scalar_subgroup_needs_a_family_group():

@@ -39,12 +39,6 @@ sys.exit(1)
         "gens = _model.PolyhedralModel.generators; "
         "_model.PolyhedralModel.generators = lambda self: gens(self)[1:]; "
         "build_group(GroupSpec('TT', 5))",
-        # A rotation coset made non-free by hand: the coset of y then holds
-        # an element with eigenvalue 1.
-        "from ellsw import _model; from ellsw.groups import GroupSpec; "
-        "model = _model.DihedralModel(GroupSpec('DD', 3, 4)); "
-        "model._rot_step = model.N // model.K; "
-        "model.validate_free_action()",
         # A wrong [G,G] for the abelianization of DD(3,4): {0, x} with x of
         # order 4 is not a subgroup, though its translates partition G (the
         # greedy quotient used to return Z24 for it); {0, 2} is not one
@@ -134,6 +128,35 @@ def test_coset_count_raise_carries_a_witness_under_optimize():
         "bundle.section_equivariance_report(spec)"
     )
     witness = "{'spec': spec, 'found': 7, 'expected': 8}"
+    _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
+
+
+@pytest.mark.parametrize(
+    "call, witness",
+    [
+        # A rotation coset made non-free by hand: the coset of y then holds
+        # an element with eigenvalue 1.
+        (
+            "model._rot_step = model.N // model.K; model.validate_free_action()",
+            "{'spec': spec, 'l': 1}",
+        ),
+        # The reflection x with eigenvalue exponents N/K and -N/K over N: then
+        # mu_2m^-1 x has eigenvalue 1.
+        (
+            "model._quarter = model.N // model.K; model.validate_free_action()",
+            "{'spec': spec, 'exponent': model.N // model.K, 'N': model.N}",
+        ),
+        # TT(5) with the first non-identity atom given eigenvalues 1, 1.
+        (
+            "spec = GroupSpec('TT', 5); model = _model.family_model(spec); "
+            "a = model.table.pos_atoms[1]; model.table.eigen[a] = (0, 0); "
+            "model.validate_free_action()",
+            "{'spec': spec, 'label': model.table.label[a], 'exponents': (0, 0), 'N': model.N}",
+        ),
+    ],
+    ids=["rotation", "reflection", "polyhedral"],
+)
+def test_free_action_raises_carry_a_witness_under_optimize(call, witness):
     _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ellsw.bundle import rho
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import DomainError
-from ellsw.groups import FAMILIES, GroupSpec, UnitaryElement, build_group
+from ellsw.groups import FAMILIES, GroupSpec, UnitaryElement, build_group, eigen_angles
 from ellsw.swindex import (
     chi,
     closed_form_d_E,
@@ -45,6 +46,26 @@ def test_chi_domain_errors():
     fixes_line = UnitaryElement(((1, 0), (0, -1)), check=False)
     with pytest.raises(DomainError):
         chi(fixes_line, -ONE)
+
+
+def _chi_by_eigenvalues(g, rho_value):
+    """The cone-point term as the paper writes it, from the eigenvalues."""
+    lam1, lam2 = eigen_angles(g)
+    return (rho_value - ONE) * 2 * ((ONE - lam1.conjugate()) * (ONE - lam2.conjugate())).inverse()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec("DD", 3, 4), GroupSpec("DC", 2, 5), GroupSpec("TT", 5), GroupSpec("TD", 3),
+     GroupSpec("OO", 1), GroupSpec("II", 1)],
+    ids=lambda spec: f"{spec.family}-{spec.m}-{spec.n}",
+)
+def test_chi_matches_the_eigenvalue_formula(spec):
+    group = build_group(spec)
+    character = rho(spec, group)
+    for k in group.keys[1:]:
+        g, value = group.to_matrix(k), character.value(k)
+        assert chi(g, value) == _chi_by_eigenvalues(g, value), k
 
 
 def test_singular_point_contribution_examples():
@@ -191,8 +212,6 @@ def test_coset_sum_closed_form_matches_direct_summation(params):
 
 
 def test_chi_conjugate_pairs_are_real():
-    from ellsw.bundle import rho
-
     spec = GroupSpec("DD", 3, 4)
     group = build_group(spec)
     character = rho(spec, group)
