@@ -123,6 +123,13 @@ def fredholm_index(c1TX_pairing: Fraction, underlying_genus: int, weights) -> in
 # audit documents
 
 
+def _integer(value) -> int:
+    """A JSON integer field: a float or a bool is malformed, not truncated."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
 def run_audit(document: dict) -> dict:
     """Evaluate an adjunction audit document; see the schema in the README.
 
@@ -132,13 +139,13 @@ def run_audit(document: dict) -> dict:
         cls = document["class"]
         data = CurveClassData(Fraction(cls["CC"]), Fraction(cls["KC"]))
         lhs = virtual_genus(data)
-        g0 = int(document.get("underlying_genus", 0))
+        g0 = _integer(document.get("underlying_genus", 0))
         points = [
             OrbifoldPointRecord(
-                order=int(p["order"]),
-                l=int(p.get("l", 1)),
-                l_prime=None if p.get("lp") is None else int(p["lp"]),
-                ambient=int(p.get("ambient", p["order"])),
+                order=_integer(p["order"]),
+                l=_integer(p.get("l", 1)),
+                l_prime=None if p.get("lp") is None else _integer(p["lp"]),
+                ambient=_integer(p.get("ambient", p["order"])),
             )
             for p in document.get("points", [])
         ]
@@ -149,14 +156,16 @@ def run_audit(document: dict) -> dict:
         detail.append(("orbifold_genus", genus_term))
         for i, (p, doc) in enumerate(zip(points, document.get("points", []))):
             if doc.get("cone_point"):
-                term = kz_min_at_p0(p.order, int(doc["group_order"]))
+                term = kz_min_at_p0(p.order, _integer(doc["group_order"]))
             else:
                 term = kz_lower_bound(p, p.ambient)
             rhs.append(term)
             detail.append((f"k_z{i}", term))
         for pair in document.get("pairs", []):
-            i, j = int(pair["i"]), int(pair["j"])
-            amb = int(pair.get("ambient", points[i].ambient))
+            i, j = _integer(pair["i"]), _integer(pair["j"])
+            if not (0 <= i < len(points) and 0 <= j < len(points)):
+                raise IndexError(f"pair indices ({i}, {j}) are not in range({len(points)})")
+            amb = _integer(pair.get("ambient", points[i].ambient))
             term = kpair_lower_bound(points[i], points[j], amb)
             rhs.append(term)
             detail.append((f"k_pair_{i}_{j}", term))

@@ -154,35 +154,20 @@ def _poly_modinv(a, mod):
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_squarefree(n: int):
-    # n squarefree; Phi built by Phi_{pm}(x) = Phi_m(x^p) / Phi_m(x).
-    if n == 1:
-        return (-1, 1)
-    p = min(factorize(n))
-    m = n // p
-    base = _cyclotomic_squarefree(m)
-    spread = [0] * ((len(base) - 1) * p + 1)
-    for i, c in enumerate(base):
-        spread[i * p] = c
-    return tuple(_poly_divexact(spread, base))
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
-    """Coefficients of Phi_n, constant term first."""
+    """Coefficients of Phi_n, constant term first: for n = p d, p prime (a
+    repeated one first), Phi_d(x^p) if p | d, else Phi_d(x^p) / Phi_d(x)."""
     if n <= 0:
         raise ValueError("cyclotomic_polynomial expects a positive integer")
-    rad = 1
-    for p in factorize(n):
-        rad *= p
-    base = _cyclotomic_squarefree(rad) if n > 1 else (-1, 1)
-    s = n // rad
-    if s == 1:
-        return tuple(base)
-    spread = [0] * ((len(base) - 1) * s + 1)
-    for i, c in enumerate(base):
-        spread[i * s] = c
-    return tuple(spread)
+    if n == 1:
+        return (-1, 1)
+    primes = factorize(n)
+    p = next((q for q, e in primes.items() if e > 1), min(primes))
+    d = n // p
+    base = cyclotomic_polynomial(d)
+    spread = [0] * ((len(base) - 1) * p + 1)
+    spread[::p] = base
+    return tuple(spread) if d % p == 0 else tuple(_poly_divexact(spread, base))
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,9 @@ has one key domain, the dense integers `range(|G|)` with identity 0, and
 gives the exact 2x2 cyclotomic matrix of each key.  The family groups
 number their elements through a structured scalar*atom model (see
 _model) whose multiplication agrees with matrix multiplication by
-construction; the binary polyhedral groups number their matrices in
-breadth-first order and multiply through a Cayley table.
+construction; the binary tetrahedral, octahedral and icosahedral groups
+number their matrices in breadth-first order and multiply through a
+Cayley table.  The binary dihedral group D*_4n is family DD with m = 1.
 """
 
 from __future__ import annotations
@@ -220,39 +221,24 @@ def quaternion_matrix(a, b, c, d) -> UnitaryElement:
     )
 
 
-def binary_dihedral_generators(n: int):
-    y = UnitaryElement(
-        ((root_of_unity(1, 2 * n), 0), (0, root_of_unity(-1, 2 * n))), check=False
-    )
-    x = UnitaryElement(((0, 1), (-1, 0)), check=False)
-    return x, y
-
-
-def binary_tetrahedral_generators():
-    # x = j; y = (1 + i - j + k)/2, of order 6 with (xy)^3 = -1.
-    h = Fraction(1, 2)
-    x = quaternion_matrix(0, 0, 1, 0)
-    y = quaternion_matrix(h, h, -h, h)
-    return x, y
-
-
-def binary_octahedral_generators():
-    # y = (1 + i)/sqrt2 = diag(zeta_8, zeta_8^-1); x = (-i + j)/sqrt2.
-    r = (root_of_unity(1, 8) - root_of_unity(3, 8)) * Fraction(1, 2)  # 1/sqrt2
-    x = quaternion_matrix(0, -r, r, 0)
-    y = UnitaryElement(((root_of_unity(1, 8), 0), (0, root_of_unity(-1, 8))), check=False)
-    return x, y
-
-
-def binary_icosahedral_generators():
-    # tau = (1 + sqrt5)/2 with sqrt5 = 1 + 2(zeta_5 + zeta_5^4);
-    # y = (tau + tau^-1 i + j)/2 of order 10, x = -j, (xy)^3 = -1.
+def _binary_generators(kind: str):
+    """(x, y) with x^2 = y^k = (xy)^3 = -1, for (order, k) = BINARY[kind]."""
+    if kind == "T":
+        # x = j; y = (1 + i - j + k)/2, of order 6.
+        h = Fraction(1, 2)
+        return quaternion_matrix(0, 0, 1, 0), quaternion_matrix(h, h, -h, h)
+    if kind == "O":
+        # y = (1 + i)/sqrt2 = diag(zeta_8, zeta_8^-1); x = (-i + j)/sqrt2.
+        r = (root_of_unity(1, 8) - root_of_unity(3, 8)) * Fraction(1, 2)  # 1/sqrt2
+        x = quaternion_matrix(0, -r, r, 0)
+        y = UnitaryElement(((root_of_unity(1, 8), 0), (0, root_of_unity(-1, 8))), check=False)
+        return x, y
+    # I: tau = (1 + sqrt5)/2 with sqrt5 = 1 + 2(zeta_5 + zeta_5^4);
+    # y = (tau + tau^-1 i + j)/2 of order 10, x = -j.
     sqrt5 = CyclotomicNumber.one() + (root_of_unity(1, 5) + root_of_unity(4, 5)) * 2
     a = (sqrt5 + 1) * Fraction(1, 4)
     b = (sqrt5 - 1) * Fraction(1, 4)
-    x = quaternion_matrix(0, 0, -1, 0)
-    y = quaternion_matrix(a, b, Fraction(1, 2), 0)
-    return x, y
+    return quaternion_matrix(0, 0, -1, 0), quaternion_matrix(a, b, Fraction(1, 2), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -493,41 +479,22 @@ class FiniteGroup:
 # constructors
 
 
-_POLYHEDRAL = {
-    "T": binary_tetrahedral_generators,
-    "O": binary_octahedral_generators,
-    "I": binary_icosahedral_generators,
-}
-
-
-def build_binary_polyhedral(kind: str, n: int = 0) -> FiniteGroup:
-    """Binary cyclic/dihedral/tetrahedral/octahedral/icosahedral subgroup of SU(2)."""
-    if kind == "C":
-        if n < 1:
-            raise ConstraintError("cyclic subgroup needs order n >= 1")
-        g = UnitaryElement(((root_of_unity(1, n), 0), (0, root_of_unity(-1, n))), check=False)
-        group = _matrix_group([g], 2 * n)
-        if group.order != n:
-            raise InternalInvariantError("cyclic group closure has wrong order")
-        return group
-    if kind == "D":
-        if n < 2:
-            raise ConstraintError("binary dihedral group needs n >= 2")
-        x, y = binary_dihedral_generators(n)
-        expect, yord = 4 * n, n
-    elif kind in _POLYHEDRAL:
-        x, y = _POLYHEDRAL[kind]()
-        expect, yord = BINARY[kind]
-    else:
+def build_binary_polyhedral(kind: str) -> FiniteGroup:
+    """Binary tetrahedral, octahedral or icosahedral subgroup of SU(2)."""
+    if kind not in BINARY:
         raise ConstraintError(f"unknown binary polyhedral kind {kind!r}")
+    x, y = _binary_generators(kind)
+    expect, k = BINARY[kind]
     minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
-    for g, k in ((x, 2), (y, yord), (x * y, 2 if kind == "D" else 3)):
-        if g**k != minus:
-            raise InternalInvariantError(f"{kind} generator relations failed")
+    for g, e in ((x, 2), (y, k), (x * y, 3)):
+        if g**e != minus:
+            witness = {"kind": kind, "found": g.matrix_order(), "expected": 2 * e}
+            raise InternalInvariantError(f"{kind} generator relations failed", witness)
     group = _matrix_group([x, y], 2 * expect)
     if group.order != expect:
         raise InternalInvariantError(
-            f"{kind} closure gave order {group.order}, expected {expect}"
+            f"{kind} closure gave order {group.order}, expected {expect}",
+            witness={"kind": kind, "found": group.order, "expected": expect},
         )
     return group
 

@@ -142,7 +142,8 @@ class RootSum:
             return Fraction(0)
         if not self.is_galois_stable():
             raise InternalInvariantError(
-                "root sum is not Galois stable; cannot certify rationality"
+                "root sum is not Galois stable; cannot certify rationality",
+                witness={"n": self.n, "den": self.den, "terms": len(self.c)},
             )
         n = self.n
         trace = sum(v * ramanujan_sum(n, e) for e, v in self.c.items())

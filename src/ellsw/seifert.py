@@ -81,14 +81,20 @@ def normalized_invariant(spec: GroupSpec) -> SeifertInvariant:
         if a2 == a3:
             solutions = sorted({tuple(sorted(s)) for s in solutions})
         if len(solutions) != 1:
-            raise InternalInvariantError(f"leg congruence for {spec} has {len(solutions)} solutions")
+            raise InternalInvariantError(
+                f"leg congruence for {spec} has {len(solutions)} solutions",
+                witness={"spec": spec, "solutions": solutions},
+            )
         b2, b3 = solutions[0]
         b = (m - lead // 2 - coef2 * b2 - coef3 * b3) // lead
         inv = SeifertInvariant(b, ((2, 1), (a2, b2), (a3, b3)))
     # b + sum b_i/a_i == 4m^2/|G|, cross-multiplied.
     num, den = _euler_ratio(inv.b, inv.legs)
     if num * spec.order != 4 * m * m * den:
-        raise InternalInvariantError(f"Seifert data for {spec} misses the Euler number")
+        raise InternalInvariantError(
+            f"Seifert data for {spec} misses the Euler number",
+            witness={"spec": spec, "b": inv.b, "legs": inv.legs},
+        )
     return inv
 
 

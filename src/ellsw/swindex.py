@@ -69,9 +69,15 @@ def _scalar_sum(K: int, c: int) -> int:
 
 def _coset_sum(N, K, c, w2m, a_exp, b_exp) -> RootSum:
     if (a_exp * K) % N == 0 or (b_exp * K) % N == 0:
-        raise InternalInvariantError("coset has a K-th-power eigenvalue of 1")
+        raise InternalInvariantError(
+            "coset has a K-th-power eigenvalue of 1",
+            witness={"N": N, "K": K, "a_exp": a_exp, "b_exp": b_exp},
+        )
     if (a_exp - b_exp) % N == 0:
-        raise InternalInvariantError("scalar coset fed to the non-scalar formula")
+        raise InternalInvariantError(
+            "scalar coset fed to the non-scalar formula",
+            witness={"N": N, "K": K, "a_exp": a_exp, "b_exp": b_exp},
+        )
     w_exp = (w2m * (N // K)) % N
     inv_a = RootSum.inv_one_minus(N, (-a_exp * K) % N)
     inv_b = RootSum.inv_one_minus(N, (-b_exp * K) % N)
@@ -171,11 +177,16 @@ def _dimension(spec: GroupSpec, c1E_sq: Fraction, minus_K_c1E: Fraction, chi_tot
     num = (c1E_sq.numerator * k + minus_K_c1E.numerator * b) * q + chi_total.numerator * b * k
     d, rem = divmod(num, den)
     if rem:
+        value = Fraction(num, den)
         raise InternalInvariantError(
-            f"dimension for {spec} is not an integer: {Fraction(num, den)}"
+            f"dimension for {spec} is not an integer: {value}",
+            witness={"spec": spec, "value": value},
         )
     if d % 2 or d < 2:
-        raise InternalInvariantError(f"dimension for {spec} is not an even integer >= 2: {d}")
+        raise InternalInvariantError(
+            f"dimension for {spec} is not an even integer >= 2: {d}",
+            witness={"spec": spec, "value": d},
+        )
     return d
 
 

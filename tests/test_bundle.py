@@ -11,7 +11,7 @@ from ellsw.bundle import (
 )
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import CharacterConflictError
-from ellsw.groups import GroupSpec, build_binary_polyhedral, build_group
+from ellsw.groups import GroupSpec, build_group, scalar_subgroup
 from ellsw.swindex import sweep_specs
 
 from character_checks import is_multiplicative, trivial_rho, twisted_rho
@@ -67,7 +67,7 @@ def test_rho_scalar_restriction_exponent_is_gamma_order():
 
 
 def test_extend_character_cyclic_faithful():
-    c4 = build_binary_polyhedral("C", 4)
+    c4 = scalar_subgroup(build_group(GroupSpec("DC", 2, 3)))
     gen = next(k for k in c4.keys if c4.element_order(k) == 4)
     ch = extend_character(c4, 4, [(gen, 1)])
     assert is_multiplicative(ch)
@@ -76,7 +76,7 @@ def test_extend_character_cyclic_faithful():
 
 def test_extend_character_normalizes_the_order():
     # zeta_8^2 = zeta_4: the character is stored over the least order.
-    c4 = build_binary_polyhedral("C", 4)
+    c4 = scalar_subgroup(build_group(GroupSpec("DC", 2, 3)))
     gen = next(k for k in c4.keys if c4.element_order(k) == 4)
     ch = extend_character(c4, 8, [(gen, 2)])
     assert ch.zeta_order == 4
@@ -84,16 +84,16 @@ def test_extend_character_normalizes_the_order():
 
 
 def test_extend_character_consistent_order_two():
-    d2 = build_binary_polyhedral("D", 2)
-    x, y = d2.gens
+    d2 = build_group(GroupSpec("DD", 1, 2))
+    _, x, y = d2.gens
     ch = extend_character(d2, 2, [(x, 1), (y, 1)])  # rho(x) = rho(y) = -1
     assert is_multiplicative(ch)
     assert ch.value(d2.mult(x, y)) == 1
 
 
 def test_extend_character_conflict_detected():
-    d2 = build_binary_polyhedral("D", 2)
-    x, y = d2.gens
+    d2 = build_group(GroupSpec("DD", 1, 2))
+    _, x, y = d2.gens
     # x^2 = y^2 = -1 forces rho(x)^2 = rho(y)^2; i and 1 disagree.
     with pytest.raises(CharacterConflictError):
         extend_character(d2, 4, [(x, 1), (y, 0)])

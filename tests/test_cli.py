@@ -202,6 +202,36 @@ def test_audit_bad_document_exit_code(tmp_path, capsys):
     assert "line" in err
 
 
+MEMBER_POINT = {"order": 6, "l": 1, "lp": None, "ambient": 6, "cone_point": True, "group_order": 24}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # Negative indices would silently pick the last two points.
+        {
+            "class": {"CC": "1/2", "KC": "0"},
+            "points": [
+                {"order": 3, "l": 1, "lp": 1, "ambient": 6},
+                {"order": 2, "l": 1, "lp": 1, "ambient": 6},
+            ],
+            "pairs": [{"i": -1, "j": -2}],
+        },
+        # int() would truncate 6.9 to 6 and 0.5 to 0, and read true as 1.
+        {"class": {"CC": "2/3", "KC": "-4/3"}, "points": [{**MEMBER_POINT, "order": 6.9}]},
+        {"class": {"CC": "2/3", "KC": "-4/3"}, "underlying_genus": 0.5, "points": [MEMBER_POINT]},
+        {"class": {"CC": "2/3", "KC": "-4/3"}, "points": [{**MEMBER_POINT, "l": True}]},
+    ],
+    ids=["negative-pair-index", "float-order", "float-genus", "bool-winding"],
+)
+def test_audit_integer_fields_take_only_integers(tmp_path, capsys, doc):
+    path = tmp_path / "bad.audit"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["audit", "--input", str(path)], capsys)
+    assert code == 2
+    assert "input error: malformed audit document: " in err
+
+
 def test_audit_missing_file_exit_code(capsys):
     code, _, _ = run(["audit", "--input", "/nonexistent/file.audit"], capsys)
     assert code == 2

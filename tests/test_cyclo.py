@@ -104,6 +104,25 @@ def test_cyclotomic_polynomial_values():
         assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
 
 
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_of_the_divisors_multiply_to_x_n_minus_1():
+    for n in range(1, 601):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = _convolve(product, cyclotomic_polynomial(d))
+        assert product == [-1] + [0] * (n - 1) + [1], n
+
+
 def _random_value(rng, n):
     deg = euler_phi(n)
     coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(deg)]

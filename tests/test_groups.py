@@ -11,7 +11,6 @@ from ellsw.errors import ConstraintError
 from ellsw.groups import (
     GroupSpec,
     UnitaryElement,
-    binary_dihedral_generators,
     build_binary_polyhedral,
     build_group,
     eigen_angles,
@@ -23,12 +22,42 @@ from ellsw.groups import (
 from ellsw import _model
 
 
+def _binary(kind, n):
+    """The binary polyhedral group of a kind: T, O and I from
+    build_binary_polyhedral, the binary dihedral group D*_4n ("D") as family
+    DD with m = 1, and the cyclic group of order n ("C") closed from
+    diag(zeta_n, zeta_n^-1)."""
+    if kind == "D":
+        return build_group(GroupSpec("DD", 1, n))
+    if kind == "C":
+        g = UnitaryElement(((root_of_unity(1, n), 0), (0, root_of_unity(-1, n))), check=False)
+        return _matrix_group([g], 2 * n)
+    return build_binary_polyhedral(kind)
+
+
 @pytest.mark.parametrize(
     "kind,n,order",
     [("D", 2, 8), ("D", 3, 12), ("D", 5, 20), ("T", 0, 24), ("O", 0, 48), ("I", 0, 120), ("C", 7, 7)],
 )
 def test_binary_polyhedral_orders(kind, n, order):
-    assert build_binary_polyhedral(kind, n).order == order
+    assert _binary(kind, n).order == order
+
+
+@pytest.mark.parametrize("kind", ["C", "D", "X"])
+def test_build_binary_polyhedral_builds_only_t_o_i(kind):
+    with pytest.raises(ConstraintError):
+        build_binary_polyhedral(kind)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_dd1_is_the_binary_dihedral_group(n):
+    # D*_4n = <x, y | x^2 = y^n = (xy)^2 = -1>, of order 4n.
+    group = build_group(GroupSpec("DD", 1, n))
+    x, y = (group.to_matrix(g) for g in group.gens[1:])
+    minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
+    assert x**2 == y**n == (x * y) ** 2 == minus
+    assert group.order == 4 * n
+    assert verify_free_action(group)
 
 
 def test_octahedral_cyclic_subgroup_structure():
@@ -118,7 +147,8 @@ def test_eigen_angles_examples():
     assert eigen_angles(scal) == (mu, mu)
     minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
     assert eigen_angles(minus) == (-CyclotomicNumber.one(), -CyclotomicNumber.one())
-    _, y = binary_dihedral_generators(4)
+    y = build_group(GroupSpec("DD", 1, 4))
+    y = y.to_matrix(y.gens[2])  # diag(zeta_8, zeta_8^-1)
     lams = set(eigen_angles(y))
     assert lams == {root_of_unity(1, 8), root_of_unity(-1, 8)}
 
@@ -138,7 +168,7 @@ def test_conjugacy_classes():
     assert len(classes) == 7
     assert sum(len(c) for c in classes) == 24
     assert all(24 % len(c) == 0 for c in classes)
-    c6 = build_binary_polyhedral("C", 6)
+    c6 = scalar_subgroup(build_group(GroupSpec("DD", 3, 2)))
     assert len(c6.conjugacy_classes()) == 6
     # central element: singleton class
     group = build_group(GroupSpec("DD", 3, 2))
@@ -229,7 +259,7 @@ def test_scalar_subgroup_has_singleton_classes():
 
 @pytest.mark.parametrize(
     "source",
-    [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0),
+    [("C", 7), ("T", 0), ("O", 0), ("I", 0), GroupSpec("DD", 1, 5),
      GroupSpec("DD", 3, 4), GroupSpec("DC", 2, 3), GroupSpec("TD", 9)],
     ids=str,
 )
@@ -237,7 +267,7 @@ def test_powers_inverse_and_order_on_every_key(source):
     if isinstance(source, GroupSpec):
         group = build_group(source)
     else:
-        group = build_binary_polyhedral(*source)
+        group = _binary(*source)
     for k in group.keys:
         walk = list(group.powers(k))
         assert walk[0] == k and walk[-1] == 0 and 0 not in walk[:-1], k
@@ -401,14 +431,17 @@ def test_commutator_subgroup_matches_reference():
     for spec in specs:
         group = build_group(spec)
         assert group.commutator_subgroup() == _commutator_subgroup_by_products(group), spec
-    for kind, n in (("T", 0), ("O", 0), ("I", 0), ("D", 5)):
-        group = build_binary_polyhedral(kind, n)
-        assert group.commutator_subgroup() == _commutator_subgroup_by_products(group), kind
+    for source in ("T", "O", "I", GroupSpec("DD", 1, 5)):
+        if isinstance(source, GroupSpec):
+            group = build_group(source)
+        else:
+            group = build_binary_polyhedral(source)
+        assert group.commutator_subgroup() == _commutator_subgroup_by_products(group), source
 
 
 @pytest.mark.parametrize("kind,n", [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0)])
 def test_binary_polyhedral_dense_keys_multiply_like_matrices(kind, n):
-    group = build_binary_polyhedral(kind, n)
+    group = _binary(kind, n)
     assert group.keys == range(group.order)
     assert group.identity == 0 and group.to_matrix(0).is_identity()
     mats = group.matrices()

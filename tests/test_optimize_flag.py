@@ -160,15 +160,105 @@ def test_free_action_raises_carry_a_witness_under_optimize(call, witness):
     _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
 
 
+@pytest.mark.parametrize(
+    "call, witness",
+    [
+        # d_E = 1/3: the three terms do not sum to an integer.
+        (
+            "from fractions import Fraction; from ellsw.swindex import _dimension; "
+            "_dimension(spec, Fraction(1, 3), Fraction(0), Fraction(0))",
+            "{'spec': spec, 'value': Fraction(1, 3)}",
+        ),
+        # d_E = 3: an integer, but odd.
+        (
+            "from fractions import Fraction; from ellsw.swindex import _dimension; "
+            "_dimension(spec, Fraction(3), Fraction(0), Fraction(0))",
+            "{'spec': spec, 'value': 3}",
+        ),
+        # TT(2), which validation rejects, has no leg solution: 3 + 2(b2 + b3)
+        # is odd and so never 2 mod 6.
+        (
+            "GroupSpec.validate = lambda self: self; spec = GroupSpec('TT', 2); "
+            "from ellsw.seifert import normalized_invariant; normalized_invariant(spec)",
+            "{'spec': spec, 'solutions': []}",
+        ),
+        # The legs of DD(3,4) checked against an Euler ratio of 0.
+        (
+            "from ellsw import seifert; seifert._euler_ratio = lambda b, legs: (0, 1); "
+            "seifert.normalized_invariant(spec)",
+            "{'spec': spec, 'b': -1, 'legs': ((2, 1), (2, 1), (4, 3))}",
+        ),
+    ],
+    ids=["dimension-fraction", "dimension-odd", "seifert-legs", "seifert-euler"],
+)
+def test_swdim_raises_carry_a_witness_under_optimize(call, witness):
+    _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
+
+
+MESSAGE_SCRIPT = """\
+import sys
+from ellsw.errors import InternalInvariantError
+if not sys.flags.optimize:
+    sys.exit(2)
+try:
+    {call}
+except InternalInvariantError as exc:
+    sys.exit(0 if exc.witness == {witness} and str(exc) == {message!r} else 1)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize(
+    "call, witness, message",
+    [
+        # zeta_12^(3 * 4) = 1: an eigenvalue whose K-th power is 1.
+        (
+            "from ellsw.swindex import _coset_sum; _coset_sum(12, 4, 0, 0, 3, 1)",
+            {"N": 12, "K": 4, "a_exp": 3, "b_exp": 1},
+            "coset has a K-th-power eigenvalue of 1",
+        ),
+        # Exponents 1 and 13 name the same eigenvalue over N = 12.
+        (
+            "from ellsw.swindex import _coset_sum; _coset_sum(12, 4, 0, 0, 1, 13)",
+            {"N": 12, "K": 4, "a_exp": 1, "b_exp": 13},
+            "scalar coset fed to the non-scalar formula",
+        ),
+        # zeta_5 alone is not Galois stable.
+        (
+            "from ellsw.rootsum import RootSum; RootSum(5, {1: 1}).rational_value()",
+            {"n": 5, "den": 1, "terms": 1},
+            "root sum is not Galois stable; cannot certify rationality",
+        ),
+        # y^8 = 1, not -1: the octahedral y has order 8.
+        (
+            "from ellsw import groups; groups.BINARY['O'] = (48, 8); "
+            "groups.build_binary_polyhedral('O')",
+            {"kind": "O", "found": 8, "expected": 16},
+            "O generator relations failed",
+        ),
+        # The tetrahedral generators close to 24 elements, not 48.
+        (
+            "from ellsw import groups; groups.BINARY['T'] = (48, 3); "
+            "groups.build_binary_polyhedral('T')",
+            {"kind": "T", "found": 24, "expected": 48},
+            "T closure gave order 24, expected 48",
+        ),
+    ],
+    ids=["coset-root", "coset-scalar", "rational-value", "binary-relations", "binary-order"],
+)
+def test_arithmetic_raises_carry_a_witness_under_optimize(call, witness, message):
+    _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
+
+
 BUNDLE_SCRIPT = """\
 import sys
 from ellsw import bundle
 from ellsw.errors import CharacterConflictError, ConstraintError
-from ellsw.groups import GroupSpec, build_binary_polyhedral
+from ellsw.groups import GroupSpec, build_group
 if not sys.flags.optimize:
     sys.exit(2)
-d2 = build_binary_polyhedral("D", 2)
-x, y = d2.gens
+d2 = build_group(GroupSpec("DD", 1, 2))
+_, x, y = d2.gens
 {body}
 sys.exit(1)
 """
