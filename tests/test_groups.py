@@ -147,8 +147,8 @@ def test_eigen_angles_examples():
     assert eigen_angles(scal) == (mu, mu)
     minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
     assert eigen_angles(minus) == (-CyclotomicNumber.one(), -CyclotomicNumber.one())
-    y = build_group(GroupSpec("DD", 1, 4))
-    y = y.to_matrix(y.gens[2])  # diag(zeta_8, zeta_8^-1)
+    d4 = _binary("D", 4)
+    y = d4.to_matrix(d4.gens[2])  # diag(zeta_8, zeta_8^-1)
     lams = set(eigen_angles(y))
     assert lams == {root_of_unity(1, 8), root_of_unity(-1, 8)}
 
@@ -259,7 +259,7 @@ def test_scalar_subgroup_has_singleton_classes():
 
 @pytest.mark.parametrize(
     "source",
-    [("C", 7), ("T", 0), ("O", 0), ("I", 0), GroupSpec("DD", 1, 5),
+    [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0),
      GroupSpec("DD", 3, 4), GroupSpec("DC", 2, 3), GroupSpec("TD", 9)],
     ids=str,
 )
@@ -431,12 +431,9 @@ def test_commutator_subgroup_matches_reference():
     for spec in specs:
         group = build_group(spec)
         assert group.commutator_subgroup() == _commutator_subgroup_by_products(group), spec
-    for source in ("T", "O", "I", GroupSpec("DD", 1, 5)):
-        if isinstance(source, GroupSpec):
-            group = build_group(source)
-        else:
-            group = build_binary_polyhedral(source)
-        assert group.commutator_subgroup() == _commutator_subgroup_by_products(group), source
+    for kind, n in (("T", 0), ("O", 0), ("I", 0), ("D", 5)):
+        group = _binary(kind, n)
+        assert group.commutator_subgroup() == _commutator_subgroup_by_products(group), kind
 
 
 @pytest.mark.parametrize("kind,n", [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0)])
