@@ -19,6 +19,7 @@ label of one key (Lambda1..Lambda3 for DD/DC, S0..S3 for TT/TD/OO/II).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 from .bundle import extend_character
@@ -98,17 +99,8 @@ def su2_table(kind: str) -> _SU2Table:
     return _SU2Table(kind)
 
 
-class CosetData:
-    """One scalar-subgroup coset for the index engine."""
-
-    __slots__ = ("label", "count", "w2m", "a_exp", "b_exp")
-
-    def __init__(self, label, count, w2m, a_exp, b_exp):
-        self.label = label
-        self.count = count
-        self.w2m = w2m
-        self.a_exp = a_exp
-        self.b_exp = b_exp
+# One scalar-subgroup coset for the index engine.
+CosetData = namedtuple("CosetData", ("label", "count", "w2m", "a_exp", "b_exp"))
 
 
 class DihedralModel:
@@ -119,7 +111,6 @@ class DihedralModel:
     """
 
     is_dihedral = True
-    identity = 0
     labels = ("Lambda1", "Lambda2", "Lambda3")
 
     def __init__(self, spec: GroupSpec):
@@ -257,7 +248,6 @@ class PolyhedralModel:
     """
 
     is_dihedral = False
-    identity = 0
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec

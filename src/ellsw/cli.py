@@ -36,6 +36,11 @@ def _spec_from_args(args) -> GroupSpec:
     return GroupSpec(args.family, args.m, args.n or 0)
 
 
+def _header(spec) -> str:
+    """The first line of a text report: `family X  m=..`, then `  n=..` if n is set."""
+    return f"family {spec.family}  m={spec.m}" + (f"  n={spec.n}" if spec.n else "")
+
+
 def _emit(payload, args, human_lines):
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -52,7 +57,7 @@ def cmd_group(args) -> int:
         report,
         args,
         [
-            f"family {spec.family}  m={spec.m}" + (f"  n={spec.n}" if spec.n else ""),
+            _header(spec),
             f"order          {report['order']}",
             f"scalar order   {report['scalar_order']}",
             f"classes        {report['class_count']}",
@@ -71,7 +76,7 @@ def cmd_seifert(args) -> int:
         payload,
         args,
         [
-            f"family {spec.family}  m={spec.m}" + (f"  n={spec.n}" if spec.n else ""),
+            _header(spec),
             f"euler number  {e}",
             f"b             {inv.b}",
             "legs          " + "  ".join(f"({a},{b})" for a, b in inv.legs),
@@ -99,7 +104,7 @@ def cmd_swdim(args) -> int:
         record,
         args,
         [
-            f"family {spec.family}  m={spec.m}" + (f"  n={spec.n}" if spec.n else ""),
+            _header(spec),
             f"c1(E)^2       {record['c1E_sq']}",
             f"-K.c1(E)      {record['minus_K_c1E']}",
             "S             " + "  ".join(f"{k}={v}" for k, v in record["S"].items()),

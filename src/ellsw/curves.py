@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cyclo import frac_str
 from .errors import DomainError, InputDocumentError
-
-INFINITE = object()  # winding exponent of a branch with vanishing first factor
-
 
 @dataclass(frozen=True)
 class OrbifoldPointRecord:
@@ -78,18 +76,11 @@ def kz_lower_bound(rec: OrbifoldPointRecord, n_ambient: int) -> Fraction:
 def kpair_lower_bound(
     rec_i: OrbifoldPointRecord, rec_j: OrbifoldPointRecord, n_ambient: int
 ) -> Fraction:
-    """(1/n)(n/m_i)(n/m_j) min(l_i l'_j, l_j l'_i), undefined l' acting as infinity."""
-    cross1 = INFINITE if rec_j.l_prime is None else rec_i.l * rec_j.l_prime
-    cross2 = INFINITE if rec_i.l_prime is None else rec_j.l * rec_i.l_prime
-    if cross1 is INFINITE and cross2 is INFINITE:
+    """(1/n)(n/m_i)(n/m_j) min(l_i l'_j, l_j l'_i), over the products whose l' is defined."""
+    crosses = [a.l * b.l_prime for a, b in ((rec_i, rec_j), (rec_j, rec_i)) if b.l_prime is not None]
+    if not crosses:
         raise DomainError("at least one branch pairing must be finite")
-    if cross1 is INFINITE:
-        smallest = cross2
-    elif cross2 is INFINITE:
-        smallest = cross1
-    else:
-        smallest = min(cross1, cross2)
-    return Fraction(n_ambient, rec_i.order * rec_j.order) * smallest
+    return Fraction(n_ambient, rec_i.order * rec_j.order) * min(crosses)
 
 
 def intersection_with_c0(records) -> Fraction:
@@ -149,40 +140,31 @@ def run_audit(document: dict) -> dict:
             )
             for p in document.get("points", [])
         ]
-        rhs = []
-        detail = []
-        genus_term = orbifold_genus(g0, [p.order for p in points])
-        rhs.append(genus_term)
-        detail.append(("orbifold_genus", genus_term))
+        detail = [("orbifold_genus", orbifold_genus(g0, [p.order for p in points]))]
         for i, (p, doc) in enumerate(zip(points, document.get("points", []))):
             if doc.get("cone_point"):
                 term = kz_min_at_p0(p.order, _integer(doc["group_order"]))
             else:
                 term = kz_lower_bound(p, p.ambient)
-            rhs.append(term)
             detail.append((f"k_z{i}", term))
         for pair in document.get("pairs", []):
             i, j = _integer(pair["i"]), _integer(pair["j"])
             if not (0 <= i < len(points) and 0 <= j < len(points)):
                 raise IndexError(f"pair indices ({i}, {j}) are not in range({len(points)})")
             amb = _integer(pair.get("ambient", points[i].ambient))
-            term = kpair_lower_bound(points[i], points[j], amb)
-            rhs.append(term)
-            detail.append((f"k_pair_{i}_{j}", term))
+            detail.append((f"k_pair_{i}_{j}", kpair_lower_bound(points[i], points[j], amb)))
         for extra in document.get("extra_terms", []):
-            term = Fraction(extra)
-            rhs.append(term)
-            detail.append(("extra", term))
+            detail.append(("extra", Fraction(extra)))
     except (KeyError, ValueError, TypeError, IndexError, AttributeError, ArithmeticError) as exc:
         # ArithmeticError: "1/0" (ZeroDivisionError), or 1e400 read as inf
         # (OverflowError in int() and Fraction()).
         raise InputDocumentError(f"malformed audit document: {exc}") from exc
+    rhs = [t for _, t in detail]
     slack = adjunction_slack(lhs, rhs)
-    fmt = lambda x: f"{x.numerator}/{x.denominator}"
     return {
-        "lhs": fmt(lhs),
-        "rhs_terms": [[name, fmt(v)] for name, v in detail],
-        "rhs_total": fmt(sum(rhs, Fraction(0))),
-        "slack": fmt(slack),
+        "lhs": frac_str(lhs),
+        "rhs_terms": [[name, frac_str(v)] for name, v in detail],
+        "rhs_total": frac_str(sum(rhs, Fraction(0))),
+        "slack": frac_str(slack),
         "feasible": slack >= 0,
     }

@@ -65,6 +65,22 @@ def mobius(n: int) -> int:
     return -1 if len(f) % 2 else 1
 
 
+def frac_str(x) -> str:
+    """An exact rational (a Fraction or an int) as the string "p/q"."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def power(base, k: int, one):
+    """base**k for k >= 0 by square-and-multiply, with `one` as base**0."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials: coefficient lists, constant term first
 
@@ -417,16 +433,8 @@ class CyclotomicNumber:
         return _coerce(other) * self.inverse()
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CyclotomicNumber.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        base = self.inverse() if k < 0 else self
+        return power(base, abs(k), _ONE_CYC)
 
     def conjugate(self) -> "CyclotomicNumber":
         if self.order <= 2:
@@ -459,7 +467,7 @@ class CyclotomicNumber:
         r = self.reduced()
         return {
             "order": r.order,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in r.coeffs],
+            "coeffs": [frac_str(c) for c in r.coeffs],
         }
 
     def __repr__(self):

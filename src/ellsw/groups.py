@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CyclotomicNumber, factorize, root_of_unity, root_pair
+from .cyclo import CyclotomicNumber, factorize, power, root_of_unity, root_pair
 from .errors import ConstraintError, DomainError, InternalInvariantError
 
 FAMILIES = ("DD", "DC", "TT", "TD", "OO", "II")
@@ -183,14 +183,7 @@ class UnitaryElement:
 
     def __pow__(self, k: int) -> "UnitaryElement":
         """Non-negative power by square-and-multiply."""
-        out = UnitaryElement(((1, 0), (0, 1)), check=False)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, UnitaryElement(((1, 0), (0, 1)), check=False))
 
     def __eq__(self, other):
         if not isinstance(other, UnitaryElement):

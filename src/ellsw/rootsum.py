@@ -20,8 +20,7 @@ from .errors import InternalInvariantError
 
 def ramanujan_sum(n: int, e: int) -> int:
     """Sum of zeta_n^(e*t) over t coprime to n."""
-    g = math.gcd(e % n if n > 1 else 0, n)
-    k = n // g if g else 1
+    k = n // math.gcd(e, n)
     mu = mobius(k)
     if mu == 0:
         return 0

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .cyclo import frac_str
 from .errors import InternalInvariantError
 from .groups import BINARY, BINARY_KIND, GroupSpec
 
@@ -32,9 +33,8 @@ class SeifertInvariant:
         return Fraction(*_euler_ratio(self.b, self.legs))
 
     def to_dict(self) -> dict:
-        e = self.euler_number
         return {
-            "e": f"{e.numerator}/{e.denominator}",
+            "e": frac_str(self.euler_number),
             "b": self.b,
             "legs": [list(leg) for leg in self.legs],
         }

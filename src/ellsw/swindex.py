@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import _model
 from .bundle import rho
-from .cyclo import CyclotomicNumber
+from .cyclo import CyclotomicNumber, frac_str
 from .errors import ConstraintError, DomainError, InternalInvariantError
 from .groups import BINARY, BINARY_KIND, GroupSpec, UnitaryElement, build_group
 from .rootsum import RootSum
@@ -248,16 +248,12 @@ class SWDimensionReport:
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
-            "c1E_sq": _frac_str(self.c1E_squared),
-            "minus_K_c1E": _frac_str(self.minus_K_dot_c1E),
-            "S": {k: _frac_str(v) for k, v in self.s_breakdown.items()},
-            "sum_chi": _frac_str(self.sum_chi),
+            "c1E_sq": frac_str(self.c1E_squared),
+            "minus_K_c1E": frac_str(self.minus_K_dot_c1E),
+            "S": {k: frac_str(v) for k, v in self.s_breakdown.items()},
+            "sum_chi": frac_str(self.sum_chi),
             "dE": self.d_E,
         }
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def sw_dimension_report(spec: GroupSpec) -> SWDimensionReport:
