@@ -141,17 +141,32 @@ def _parse_json(text, where):
         raise InputDocumentError(f"invalid JSON in {where}: {exc}") from exc
 
 
-def _read_catalog(path) -> dict:
-    """Validated GroupSpec -> stored record; a malformed line, or a spec
-    that is not a valid GroupSpec, is an input error."""
+def _read_catalog(path):
+    """(validated GroupSpec -> stored line, torn, open_end) for the catalog at `path`.
+
+    Every line is parsed and its spec validated, but only the stripped line
+    text is kept; the sweep parses it again when it reaches the spec.  A
+    last line without a newline that does not parse is a record cut short
+    by a crash: `torn` is then (its line number, the bytes before it, its
+    length in bytes), else None.  `open_end` is true when the last line
+    kept has no newline.  Any other malformed line, or a spec that is not a
+    valid GroupSpec, is an input error.
+    """
     existing = {}
+    line = ""
     with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            text = line.strip()
+            if not text:
                 continue
             where = f"catalog {path} line {lineno}"
-            rec = _parse_json(line, where)
+            try:
+                rec = _parse_json(text, where)
+            except InputDocumentError:
+                if line.endswith("\n"):
+                    raise
+                size = len(line.encode("utf-8"))
+                return existing, (lineno, os.fstat(fh.fileno()).st_size - size, size), False
             try:
                 spec = rec["spec"]
                 key = GroupSpec(spec["family"], spec["m"], spec.get("n", 0))
@@ -159,37 +174,68 @@ def _read_catalog(path) -> dict:
                 raise InputDocumentError(f"{where}: record has no valid spec") from exc
             except ConstraintError as exc:
                 raise InputDocumentError(f"{where}: invalid spec: {exc}") from exc
-            existing[key] = rec
-    return existing
+            existing[key] = text
+    return existing, None, bool(line) and not line.endswith("\n")
 
 
-def _appending(path):
-    """The catalog at `path` opened for append; a path that cannot be opened
-    (say, in a missing directory) is an input error."""
+@contextlib.contextmanager
+def _append_errors(path):
+    """An OS error while appending to the catalog (say, a path in a missing
+    directory) is an input error."""
     try:
-        return open(path, "a", encoding="utf-8")
+        yield
     except OSError as exc:
         raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _appending(path, torn, open_end):
+    """The catalog at `path` opened for append, its last line made whole
+    first, and synced to disk once when it is closed.
+
+    A torn last line (see `_read_catalog`) is cut off and named on stderr; a
+    last line without its newline gets one, so the next record starts a
+    line of its own.
+    """
+    with _append_errors(path):
+        catalog = open(path, "a", encoding="utf-8")
+    with catalog:
+        try:
+            with _append_errors(path):
+                if torn:
+                    lineno, keep, size = torn
+                    catalog.truncate(keep)
+                    print(f"catalog {path} line {lineno}: dropped a torn last record ({size} bytes)",
+                          file=sys.stderr)
+                elif open_end:
+                    catalog.write("\n")
+            yield catalog
+        finally:
+            # Each record is flushed as it is written; one fsync at close
+            # makes them durable without paying a disk sync per line.
+            with _append_errors(path):
+                catalog.flush()
+                os.fsync(catalog.fileno())
 
 
 def _append(catalog, path, record):
-    """Write `record` to the open catalog as one line; a failed write is an input error."""
-    try:
+    """Write `record` to the open catalog as one line and flush it."""
+    with _append_errors(path):
         catalog.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
         catalog.flush()
-    except OSError as exc:
-        raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
 
 
 def _swdim_sweep(args) -> int:
     specs = sweep_specs(args.max_order)
     path = _catalog_path(args)
-    existing = _read_catalog(path) if path and os.path.exists(path) else {}
+    existing, torn, open_end = {}, None, False
+    if path and os.path.exists(path):
+        existing, torn, open_end = _read_catalog(path)
     mismatches = drift = appended = 0
     # The catalog is opened before the first spec is computed, so a path that
     # cannot be appended to fails at once.  Each spec's lines and new record go
     # out as soon as it is computed: a sweep that stops keeps the specs before.
-    with _appending(path) if path and specs else contextlib.nullcontext() as catalog:
+    with _appending(path, torn, open_end) if path and specs else contextlib.nullcontext() as catalog:
         for spec in specs:
             name = f"{spec.family} m={spec.m} n={spec.n}"
             try:
@@ -203,7 +249,7 @@ def _swdim_sweep(args) -> int:
             lines = []
             if path:
                 if spec in existing:
-                    old = dict(existing[spec])
+                    old = json.loads(existing[spec])
                     old.pop("computed_at", None)
                     if old != record:
                         drift += 1

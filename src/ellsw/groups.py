@@ -97,11 +97,12 @@ class AbelianInvariants:
     factors: tuple
 
     def __post_init__(self):
+        witness = {"factors": self.factors}
         for a, b in zip(self.factors, self.factors[1:]):
             if b % a:
-                raise InternalInvariantError("invariant factors must form a divisor chain")
+                raise InternalInvariantError("invariant factors must form a divisor chain", witness)
         if any(d <= 1 for d in self.factors):
-            raise InternalInvariantError("invariant factors must exceed 1")
+            raise InternalInvariantError("invariant factors must exceed 1", witness)
 
     @property
     def group_order(self) -> int:
@@ -431,15 +432,24 @@ class FiniteGroup:
                 for x in sub:
                     p = mult(k, x)
                     if coset[p] >= 0:
-                        raise InternalInvariantError(f"key {p} lands in two cosets of [G,G]")
+                        raise InternalInvariantError(
+                            f"key {p} lands in two cosets of [G,G]",
+                            witness={"key": p, "cosets": (coset[p], len(reps))},
+                        )
                     coset[p] = len(reps)
                 reps.append(k)
         gens = self.gens or self.keys
         for g in gens:
             if any(coset[mult(x, g)] != coset[g] for x in sub):
-                raise InternalInvariantError("[G,G] is not normal: [G,G] g lands in two cosets")
-            if any(coset[mult(g, h)] != coset[mult(h, g)] for h in gens):
-                raise InternalInvariantError("G/[G,G] is not abelian")
+                raise InternalInvariantError(
+                    "[G,G] is not normal: [G,G] g lands in two cosets", witness={"generator": g}
+                )
+            for h in gens:
+                gh, hg = coset[mult(g, h)], coset[mult(h, g)]
+                if gh != hg:
+                    raise InternalInvariantError(
+                        "G/[G,G] is not abelian", witness={"generators": (g, h), "cosets": (gh, hg)}
+                    )
         order = [0] * len(reps)
         for c, rep in enumerate(reps):
             if order[c]:

@@ -239,13 +239,54 @@ def test_audit_missing_file_exit_code(capsys):
 
 def test_swdim_sweep_torn_catalog_line_exit_code(tmp_path, capsys):
     catalog = tmp_path / "records.jsonl"
-    run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
+    argv = ["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)]
+    run(argv, capsys)
     text = catalog.read_text()
     catalog.write_text(text + text.splitlines()[0][:25])  # a crash mid-append
     n_lines = len(text.splitlines()) + 1
-    code, _, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == f"catalog {catalog} line {n_lines}: dropped a torn last record (25 bytes)\n"
+    assert "0 catalog drifts, 0 records appended" in out
+    assert catalog.read_text() == text
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert "0 catalog drifts, 0 records appended" in out
+
+
+def test_swdim_sweep_appends_after_a_last_line_without_newline(tmp_path, capsys):
+    catalog = tmp_path / "records.jsonl"
+    run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
+    catalog.write_text(catalog.read_text().rstrip("\n"))  # an editor dropped the newline
+    argv = ["swdim", "--sweep", "--max-order", "60", "--catalog", str(catalog)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and "0 catalog drifts" in out
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert "0 catalog drifts, 0 records appended" in out
+    assert all(json.loads(line) for line in catalog.read_text().splitlines())
+
+
+def test_swdim_sweep_torn_line_before_the_last_exit_code(tmp_path, capsys):
+    catalog = tmp_path / "records.jsonl"
+    argv = ["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)]
+    run(argv, capsys)
+    lines = catalog.read_text().splitlines(keepends=True)
+    torn = "".join(lines[:3]) + lines[3][:25] + "".join(lines[4:])
+    catalog.write_text(torn)
+    code, _, err = run(argv, capsys)
     assert code == 2
-    assert str(catalog) in err and f"line {n_lines}" in err
+    assert str(catalog) in err and "line 4" in err
+    assert catalog.read_text() == torn  # nothing cut, nothing appended
+
+
+def test_swdim_sweep_syncs_the_catalog_once(tmp_path, capsys, monkeypatch):
+    synced = []
+    monkeypatch.setattr(cli.os, "fsync", synced.append)
+    catalog = tmp_path / "records.jsonl"
+    code, _, _ = run(["swdim", "--sweep", "--max-order", "60", "--catalog", str(catalog)], capsys)
+    assert code == 0 and len(synced) == 1
+    assert len(catalog.read_text().splitlines()) == len(sweep_specs(60))
 
 
 def test_swdim_sweep_unwritable_catalog_exit_code(tmp_path, capsys):

@@ -55,8 +55,12 @@ def test_kz_lower_bound():
 def test_kpair_lower_bound():
     a = OrbifoldPointRecord(4, 3, 3, 4)
     b = OrbifoldPointRecord(4, 1, None, 4)
-    # min(l * infinity, 1 * 3) with the (1/n)(n/m_i)(n/m_j) factor
-    assert kpair_lower_bound(a, b, 4) == Fraction(3, 4)
+    # min(l * infinity, 1 * 3) with the (1/n)(n/m_i)(n/m_j) factor, with
+    # the undefined l' on either side
+    assert kpair_lower_bound(a, b, 4) == kpair_lower_bound(b, a, 4) == Fraction(3, 4)
+    # Unequal cross products: min(2 * 1, 3 * 5) in either order.
+    c, d = OrbifoldPointRecord(3, 2, 5, 6), OrbifoldPointRecord(2, 3, 1, 6)
+    assert kpair_lower_bound(c, d, 6) == kpair_lower_bound(d, c, 6) == 2
     smooth = OrbifoldPointRecord(1, 1, 1, 1)
     assert kpair_lower_bound(smooth, smooth, 1) == 1
     with pytest.raises(DomainError):

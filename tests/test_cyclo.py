@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellsw.cyclo import CyclotomicNumber, cyclotomic_polynomial, euler_phi, root_of_unity
+from ellsw.cyclo import CyclotomicNumber, cyclotomic_polynomial, euler_phi, power, root_of_unity
 from ellsw.errors import NotRationalError
 
 from cyclo_oracles import from_dict, to_complex
@@ -69,6 +69,15 @@ def test_power_and_root_sum_identities_sampled():
         assert acc == 1, f"zeta_{n}^{n} != 1"
         if n > 1:
             assert total.is_zero(), f"root sum at order {n} is nonzero"
+
+
+def test_power_matches_repeated_multiplication():
+    x = 1 + root_of_unity(1, 5) * Fraction(2, 3)
+    expected = CyclotomicNumber.one()  # x^k
+    for k in range(9):
+        assert x**k == power(x, k, CyclotomicNumber.one()) == expected
+        assert x**-k == expected.inverse()
+        expected = expected * x
 
 
 def test_mixed_order_arithmetic_embeds_into_lcm():

@@ -49,6 +49,17 @@ def test_build_binary_polyhedral_builds_only_t_o_i(kind):
         build_binary_polyhedral(kind)
 
 
+def test_unitary_power_matches_repeated_multiplication():
+    group = build_binary_polyhedral("T")
+    identity = UnitaryElement(((1, 0), (0, 1)))
+    for g in (group.to_matrix(k) for k in group.gens):  # of orders 4 and 6
+        expected = identity  # g^k
+        for k in range(13):
+            assert g**k == expected
+            expected = expected * g
+    assert g**0 == identity and g**6 == identity
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_dd1_is_the_binary_dihedral_group(n):
     # D*_4n = <x, y | x^2 = y^n = (xy)^2 = -1>, of order 4n.

@@ -250,6 +250,50 @@ def test_arithmetic_raises_carry_a_witness_under_optimize(call, witness, message
     _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
 
 
+# DD(3,4) has generators h, x, y = 1, 24, 6.
+DD34 = "from ellsw.groups import GroupSpec, build_group; group = build_group(GroupSpec('DD', 3, 4)); "
+
+
+@pytest.mark.parametrize(
+    "call, witness, message",
+    [
+        # {0, 2} is not a subgroup: the scalar keys 0 and 4 (mu_6^4, the
+        # inverse of mu_6^2), the first and third coset representatives,
+        # both translate it onto key 0.
+        (
+            DD34 + "group.commutator_subgroup = lambda: {0, 2}; group.abelianization()",
+            {"key": 0, "cosets": (0, 2)},
+            "key 0 lands in two cosets of [G,G]",
+        ),
+        # {0, x}: its translates partition G, but x {0, x} is not {0, x} x.
+        (
+            DD34 + "group.commutator_subgroup = lambda: {0, 24}; group.abelianization()",
+            {"generator": 24},
+            "[G,G] is not normal: [G,G] g lands in two cosets",
+        ),
+        # G/{0} is G itself: x y and y x are different keys.
+        (
+            DD34 + "group.commutator_subgroup = lambda: {0}; group.abelianization()",
+            {"generators": (24, 6), "cosets": (30, 45)},
+            "G/[G,G] is not abelian",
+        ),
+        (
+            "from ellsw.groups import AbelianInvariants; AbelianInvariants((4, 6))",
+            {"factors": (4, 6)},
+            "invariant factors must form a divisor chain",
+        ),
+        (
+            "from ellsw.groups import AbelianInvariants; AbelianInvariants((1, 2))",
+            {"factors": (1, 2)},
+            "invariant factors must exceed 1",
+        ),
+    ],
+    ids=["coset-overlap", "not-normal", "not-abelian", "divisor-chain", "trivial-factor"],
+)
+def test_abelianization_raises_carry_a_witness_under_optimize(call, witness, message):
+    _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
+
+
 BUNDLE_SCRIPT = """\
 import sys
 from ellsw import bundle
