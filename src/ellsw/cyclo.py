@@ -72,6 +72,8 @@ def frac_str(x) -> str:
 
 def power(base, k: int, one):
     """base**k for k >= 0 by square-and-multiply, with `one` as base**0."""
+    if k < 0:  # k >>= 1 would never reach 0
+        raise ValueError(f"power expects k >= 0, not {k}")
     out = one
     while k:
         if k & 1:

@@ -58,6 +58,8 @@ def test_unitary_power_matches_repeated_multiplication():
             assert g**k == expected
             expected = expected * g
     assert g**0 == identity and g**6 == identity
+    with pytest.raises(ValueError):
+        g**-1
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
