@@ -1,12 +1,15 @@
 """Structured exact models of the six group families.
 
 Every group element is a scalar root of unity times an element of a fixed
-binary polyhedral group ("atom").  Keys are dense integers
-`block * K + s` with `K = 2m`: the block is the coset of the scalar
-subgroup, and `s` is the exponent of the scalar `mu_2m^s` that multiplies
-the block's first element.  The identity is 0 and the scalars are exactly
-block 0, so `range(|G|)` is the whole group.  `mult` mirrors matrix
-multiplication exactly and `to_matrix` recovers the honest unitary
+binary polyhedral group ("atom").  Keys are dense integers `b * K + s`
+with `K = 2m`: the block `b` is the coset of the scalar subgroup, and the
+key is the block's element times `mu_2mw^(w*s + c(b))` for a character `c`
+of the binary group onto `Z/w`.  DC (`w = 2`, `c(x^t y^l) = t`) and TD
+(`w = 3`, `c` the grading T -> T/Q8) are the index-`w` subgroups that `c`
+cuts out of `Z_2mw` times the binary group; DD, TT, OO and II are the
+untwisted case `w = 1`, `c = 0`.  The identity is 0 and the scalars are
+exactly block 0, so `range(|G|)` is the whole group.  `mult` mirrors
+matrix multiplication exactly and `to_matrix` recovers the honest unitary
 matrix.  The polyhedral atom tables are built once per kind on the keys
 of `build_binary_polyhedral`, reusing its Cayley table and exact
 matrices, and are validated against the defining relations.
@@ -47,7 +50,10 @@ class _SU2Table:
         # {pos_atoms[r], -pos_atoms[r]}, with the identity at rank 0.
         self.pos_atoms = [i for i in range(n) if self.pos[i] == i]
         if self.pos_atoms[0] != self.ident:
-            raise InternalInvariantError("the identity atom must have rank 0")
+            raise InternalInvariantError(
+                "the identity atom must have rank 0",
+                witness={"kind": kind, "identity": self.ident, "rank0": self.pos_atoms[0]},
+            )
         self.rank = [0] * n
         for r, a in enumerate(self.pos_atoms):
             self.rank[a] = self.rank[self.neg[a]] = r
@@ -80,7 +86,10 @@ class _SU2Table:
         for i, a in enumerate(self.atoms):
             d, e1, e2 = eigen_exponents(a)
             if d != self.order[i] or b % d:
-                raise InternalInvariantError("atom eigenvalues disagree with the table order")
+                raise InternalInvariantError(
+                    "atom eigenvalues disagree with the table order",
+                    witness={"kind": kind, "atom": i, "order": self.order[i], "eigen_order": d},
+                )
             self.eigen.append((e1 * (b // d), e2 * (b // d)))
         if kind == "T":
             # The grading T -> T/Q8 = Z/3 is the character x -> 0, y -> 1 of
@@ -88,10 +97,16 @@ class _SU2Table:
             try:
                 grading = extend_character(group, 3, [(self.gen_x, 0), (self.gen_y, 1)])
             except (CharacterConflictError, ConstraintError) as exc:
-                raise InternalInvariantError("T table is not graded mod 3") from exc
+                raise InternalInvariantError(
+                    "T table is not graded mod 3",
+                    witness={"kind": kind, "x": self.gen_x, "y": self.gen_y},
+                ) from exc
             self.class3 = grading.exponents
             if self.class3.count(0) != 8:
-                raise InternalInvariantError("quaternion subgroup of the T table is wrong")
+                raise InternalInvariantError(
+                    "quaternion subgroup of the T table is wrong",
+                    witness={"kind": kind, "found": self.class3.count(0), "expected": 8},
+                )
 
 
 @lru_cache(maxsize=None)
@@ -106,8 +121,8 @@ CosetData = namedtuple("CosetData", ("label", "count", "w2m", "a_exp", "b_exp"))
 class DihedralModel:
     """Families DD and DC: scalars times a binary dihedral group.
 
-    Key `(t * n + l) * K + s` is x^t y^l mu_2m^s for DD and
-    x^t y^l mu_4m^(2s + t) for DC, with t in {0, 1} and 0 <= l < n.
+    Key `(t * n + l) * K + s` is `x^t y^l mu_4m^(2s + dc*t)`, t in {0, 1},
+    0 <= l < n: `w = 2` and `c(x^t y^l) = dc*t`, with `dc = 0` for DD.
     """
 
     is_dihedral = True
@@ -120,15 +135,12 @@ class DihedralModel:
         self.size = 2 * spec.n * self.K
         self.c0 = spec.gamma_order  # 2n
         self._dc = 1 if spec.family == "DC" else 0
-        if self._dc:
-            self.N = math.lcm(4 * spec.m, 2 * spec.n, 4)
-        else:
-            self.N = math.lcm(2 * spec.m, 2 * spec.n, 4)
+        self.N = math.lcm(4 * spec.m, 2 * spec.n)
         self._rot_step = self.N // (2 * spec.n)
         self._quarter = self.N // 4
         # eigenvalue exponents (over N) of mu_2m and of the x-part scalar
         self._s_step = self.N // self.K
-        self._t_step = self.N // (4 * spec.m) if self._dc else 0
+        self._t_step = self._dc * self.N // (4 * spec.m)
         # x^2 = -1 = mu_2m^m; in DC the two mu_4m factors add one more step.
         self._flip = spec.m + self._dc
 
@@ -202,10 +214,7 @@ class DihedralModel:
 
     def to_matrix(self, key) -> UnitaryElement:
         t, l, s = self.decode(key)
-        if self._dc:
-            scal = root_of_unity(2 * s + t, 4 * self.m)
-        else:
-            scal = root_of_unity(s, 2 * self.m)
+        scal = root_of_unity(2 * s + self._dc * t, 4 * self.m)
         a = root_of_unity(l, 2 * self.n)
         ai = root_of_unity(-l, 2 * self.n)
         zero = CyclotomicNumber.zero()
@@ -242,9 +251,8 @@ class DihedralModel:
 class PolyhedralModel:
     """Families TT, TD, OO, II: scalars times a binary polyhedral group.
 
-    Key `r * K + s` is the atom `a = table.pos_atoms[r]` times
-    `mu_amb^k`, with `k = s` for TT/OO/II (`amb = 2m`) and
-    `k = 3s + class3(a)` for TD (`amb = 6m`).
+    Key `r * K + s` is the atom `a = table.pos_atoms[r]` times `mu_amb^k`,
+    `amb = 2m*w`, `k = w*s + cls[a]`: `w = 3` and `cls = table.class3` in TD.
     """
 
     is_dihedral = False
@@ -258,13 +266,12 @@ class PolyhedralModel:
         self.K = 2 * spec.m
         self.size = len(self.table.pos_atoms) * self.K
         self.c0 = spec.gamma_order
-        self._td = spec.family == "TD"
-        if self._td:
-            self.amb = 6 * spec.m
-            self.halfshift = 3 * spec.m
+        if spec.family == "TD":
+            self._w, self._cls = 3, self.table.class3
         else:
-            self.amb = 2 * spec.m
-            self.halfshift = spec.m
+            self._w, self._cls = 1, [0] * len(self.table.atoms)
+        self.amb = self.K * self._w
+        self.halfshift = spec.m * self._w
         self.N = math.lcm(self.amb, self.table.base)
 
     def decode(self, key):
@@ -273,7 +280,7 @@ class PolyhedralModel:
         return self.table.pos_atoms[r], s
 
     def encode(self, a: int, s: int) -> int:
-        """Key of the `pos` atom `a` times mu_2m^s (times mu_6m^class3(a) in TD)."""
+        """Key of the `pos` atom `a` times mu_2m^s times mu_amb^cls[a]."""
         return self.table.rank[a] * self.K + s
 
     def label(self, key) -> str:
@@ -283,9 +290,7 @@ class PolyhedralModel:
     def _atom_exp(self, key):
         """(atom, k): the key as atom times mu_amb^k."""
         a, s = self.decode(key)
-        if self._td:
-            return a, 3 * s + self.table.class3[a]
-        return a, s
+        return a, self._w * s + self._cls[a]
 
     def _key(self, a: int, k: int) -> int:
         """The key of atom `a` (any sign) times mu_amb^k."""
@@ -294,17 +299,17 @@ class PolyhedralModel:
             a = t.neg[a]
             k += self.halfshift
         k %= self.amb
-        if self._td:
-            k, c = divmod(k, 3)
-            if c != t.class3[a]:
-                raise InternalInvariantError("TD element off the index-3 grading")
-        return self.encode(a, k)
+        if k % self._w != self._cls[a]:
+            raise InternalInvariantError(
+                f"element of {self.spec} off the index-{self._w} grading",
+                witness={"spec": self.spec, "atom": a, "k": k},
+            )
+        return self.encode(a, k // self._w)
 
     def generators(self):
-        t = self.table
-        if self._td:
-            return [self._key(t.ident, 3), self._key(t.gen_x, 0), self._key(t.gen_y, 1)]
-        return [self._key(t.ident, 1), self._key(t.gen_x, 0), self._key(t.gen_y, 0)]
+        t, cls = self.table, self._cls
+        return [self._key(t.ident, self._w), self._key(t.gen_x, cls[t.gen_x]),
+                self._key(t.gen_y, cls[t.gen_y])]
 
     def mult(self, A, B):
         K, t = self.K, self.table
@@ -312,9 +317,7 @@ class PolyhedralModel:
         r2, s2 = divmod(B, K)
         a1, a2 = t.pos_atoms[r1], t.pos_atoms[r2]
         p = t.mult[a1][a2]
-        s += s2
-        if self._td:
-            s += (t.class3[a1] + t.class3[a2]) // 3
+        s += s2 + (self._cls[a1] + self._cls[a2]) // self._w
         if p != t.pos[p]:
             s += self.m  # -1 = mu_2m^m
         return t.rank[p] * K + s % K
@@ -326,10 +329,7 @@ class PolyhedralModel:
         return key % self.K
 
     def rho_exp_2m(self, key) -> int:
-        k = self._atom_exp(key)[1]
-        if self._td:
-            return (4 * k) % (2 * self.m)
-        return (self.c0 * k) % (2 * self.m)
+        return (self.c0 // self._w) * self._atom_exp(key)[1] % self.K
 
     def eigen_exps(self, key):
         a, k = self._atom_exp(key)

@@ -93,8 +93,8 @@ def _coset_sum(N, K, c, w2m, a_exp, b_exp) -> RootSum:
     return final
 
 
-def _dihedral_rotation_sums(m: int, n: int):
-    """(scalar part, full rotation-label sum) for the dihedral families.
+def _dihedral_rotation_sum(m: int, n: int):
+    """The full rotation-label sum (Lambda1) for the dihedral families.
 
     Summing the coset formula over all rotation cosets reduces, after
     pairing u with 1/u and substituting xi = u^2, to the classical sums
@@ -102,7 +102,6 @@ def _dihedral_rotation_sums(m: int, n: int):
     """
     K = 2 * m
     c = (2 * n) % K
-    s0 = _scalar_sum(K, c)
     minv = pow(m % n, -1, n)
     # v2 is twice the sum: each i takes off (n - 1) / 2 when b = 0, else
     # (b - 1) - (n - 1) / 2.
@@ -110,7 +109,7 @@ def _dihedral_rotation_sums(m: int, n: int):
     for i in range(1, c // 2 + 1):
         b = (i * minv) % n
         v2 -= n - 1 if b == 0 else 2 * b - 1 - n
-    return s0, s0 - 4 * m * v2
+    return _scalar_sum(K, c) - 4 * m * v2
 
 
 @lru_cache(maxsize=2048)
@@ -121,7 +120,7 @@ def _singular_sums(spec: GroupSpec):
     N, K = model.N, model.K
     c = model.c0 % K
     if model.is_dihedral:
-        _, lam1 = _dihedral_rotation_sums(spec.m, spec.n)
+        lam1 = _dihedral_rotation_sum(spec.m, spec.n)
         refl = model.reflection_coset()
         rs = _coset_sum(N, K, c, refl.w2m, refl.a_exp, refl.b_exp)
         lam2 = rs.rational_value() * refl.count

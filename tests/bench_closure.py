@@ -1,7 +1,8 @@
 """Microbenchmarks of the family closure: `build_group` plus
 `scalar_subgroup` on one mid-size spec per family, `group_report`
-(conjugacy classes, commutator subgroup, abelianization) on DD/DC specs
-near |G| = 800, and the SU(2) atom-table build per binary polyhedral kind.
+(conjugacy classes, commutator subgroup, abelianization) on specs of every
+family near |G| = 800, and the SU(2) atom-table build per binary
+polyhedral kind.
 One more case closes every spec of the `|G| <= 4000` pool once and prints
 the wall time.
 
@@ -33,6 +34,10 @@ REPORT_SPECS = [
     GroupSpec("DD", 7, 29),  # 812
     GroupSpec("DC", 8, 25),  # 800
     GroupSpec("DC", 2, 101),  # 808
+    GroupSpec("TT", 31),  # 744
+    GroupSpec("TD", 33),  # 792
+    GroupSpec("OO", 17),  # 816
+    GroupSpec("II", 7),  # 840
 ]
 
 

@@ -306,22 +306,21 @@ def test_model_matches_matrix_closure():
 
 
 def test_model_eigen_exponents_match_matrices():
-    for spec in (GroupSpec("DD", 3, 4), GroupSpec("DC", 2, 3), GroupSpec("OO", 1), GroupSpec("TD", 3)):
+    # One spec of each family, on every key; TT, OO and II run the TD code.
+    for spec in (GroupSpec("DD", 3, 4), GroupSpec("DC", 2, 3), GroupSpec("TT", 5),
+                 GroupSpec("TD", 3), GroupSpec("OO", 1), GroupSpec("II", 7)):
         model = _model.family_model(spec)
-        count = 0
         for key in model.elements():
             e1, e2 = model.eigen_exps(key)
             lams = {root_of_unity(e1, model.N), root_of_unity(e2, model.N)}
-            assert lams == set(eigen_angles(model.to_matrix(key)))
-            count += 1
-            if count >= 40:
-                break
+            assert lams == set(eigen_angles(model.to_matrix(key))), (spec, key)
 
 
 def test_model_rho_exponents_match_character():
     from ellsw.bundle import rho
 
-    for spec in (GroupSpec("DD", 3, 2), GroupSpec("DC", 2, 3), GroupSpec("TD", 3), GroupSpec("TT", 1)):
+    for spec in (GroupSpec("DD", 3, 2), GroupSpec("DC", 2, 3), GroupSpec("TT", 1),
+                 GroupSpec("TD", 3), GroupSpec("OO", 5), GroupSpec("II", 7)):
         model = _model.family_model(spec)
         group = build_group(spec)
         character = rho(spec, group)

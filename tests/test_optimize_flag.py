@@ -294,6 +294,59 @@ def test_abelianization_raises_carry_a_witness_under_optimize(call, witness, mes
     _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
 
 
+PATCH_BUILD = (
+    "from ellsw import _model; build = _model.build_binary_polyhedral; "
+    "_model.build_binary_polyhedral = lambda kind: (lambda g: setattr(g, {!r}, {}) or g)(build(kind)); "
+)
+
+
+@pytest.mark.parametrize(
+    "call, witness, message",
+    [
+        # An O table whose identity is said to be atom 1: rank 0 is atom 0.
+        (
+            PATCH_BUILD.format("identity", "1") + "_model._SU2Table('O')",
+            {"kind": "O", "identity": 1, "rank0": 0},
+            "the identity atom must have rank 0",
+        ),
+        # Every atom given eigenvalues of order 7; the identity atom has order 1.
+        (
+            "from ellsw import _model; _model.eigen_exponents = lambda a: (7, 0, 0); "
+            "_model._SU2Table('O')",
+            {"kind": "O", "atom": 0, "order": 1, "eigen_order": 7},
+            "atom eigenvalues disagree with the table order",
+        ),
+        # A T table whose order-6 generator y was replaced by x: x -> 0 and
+        # x -> 1 conflict.
+        (
+            "from ellsw.groups import build_binary_polyhedral; x = build_binary_polyhedral('T').gens[0]; "
+            + PATCH_BUILD.format("gens", "g.gens[:1] * 2") + "_model._SU2Table('T')",
+            "{'kind': 'T', 'x': x, 'y': x}",
+            "T table is not graded mod 3",
+        ),
+        # A grading that puts all 24 atoms of T in the quaternion subgroup.
+        (
+            "from types import SimpleNamespace; from ellsw import _model; "
+            "_model.extend_character = lambda *args: SimpleNamespace(exponents=[0] * 24); "
+            "_model._SU2Table('T')",
+            {"kind": "T", "found": 24, "expected": 8},
+            "quaternion subgroup of the T table is wrong",
+        ),
+        # In TD(3) the identity atom has class 0, so mu_18^1 times it is not
+        # in the group.
+        (
+            "from ellsw import _model; from ellsw.groups import GroupSpec; "
+            "spec = GroupSpec('TD', 3); _model.family_model(spec)._key(0, 1)",
+            "{'spec': spec, 'atom': 0, 'k': 1}",
+            "element of GroupSpec(family='TD', m=3, n=0) off the index-3 grading",
+        ),
+    ],
+    ids=["identity-rank", "atom-eigen-order", "t-grading", "quaternion-count", "td-grading"],
+)
+def test_model_raises_carry_a_witness_under_optimize(call, witness, message):
+    _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
+
+
 BUNDLE_SCRIPT = """\
 import sys
 from ellsw import bundle
