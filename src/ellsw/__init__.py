@@ -6,7 +6,7 @@ moduli dimension, and orbifold curve adjunction arithmetic, all in exact
 cyclotomic/rational arithmetic.
 """
 
-from .cyclo import CyclotomicNumber, Rational, root_of_unity
+from .cyclo import CyclotomicNumber, root_of_unity
 from .errors import (
     CharacterConflictError,
     ConstraintError,

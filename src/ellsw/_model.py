@@ -231,7 +231,7 @@ class DihedralModel:
         return CosetData(self.label(base), self.n, self.rho_exp_2m(base), a, b)
 
     def validate_free_action(self):
-        step = self.N // self.K
+        step = self._s_step
         # The coset of y^l holds an element with eigenvalue 1 iff step divides
         # l * rot_step; the least such l > 0 is step // gcd(step, rot_step).
         l = step // math.gcd(step, self._rot_step)

@@ -385,7 +385,3 @@ def main(argv=None) -> int:
     except _INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -28,8 +28,6 @@ from types import MappingProxyType
 
 from .errors import DomainError, InternalInvariantError, NotRationalError
 
-Rational = Fraction
-
 
 # The sweep meets thousands of distinct orders once each; a bounded cache keeps
 # its hits (about 80%) without holding every factorization for the process.
@@ -101,16 +99,6 @@ def _poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_divexact(num, den):
-    """Exact division of integer polynomials."""
-    m, q, r = _poly_pseudo_divmod(num, den)
-    if m != 1:
-        raise InternalInvariantError("polynomial quotient has a non-integer coefficient")
-    if r:
-        raise InternalInvariantError("polynomial division was not exact")
-    return q
 
 
 def _poly_pseudo_divmod(num, den):
@@ -185,7 +173,15 @@ def cyclotomic_polynomial(n: int):
     base = cyclotomic_polynomial(d)
     spread = [0] * ((len(base) - 1) * p + 1)
     spread[::p] = base
-    return tuple(spread) if d % p == 0 else tuple(_poly_divexact(spread, base))
+    if d % p == 0:
+        return tuple(spread)
+    scale, q, r = _poly_pseudo_divmod(spread, base)
+    if scale != 1 or r:
+        raise InternalInvariantError(
+            f"Phi_{d}(x^{p}) / Phi_{d}(x) is not an integer polynomial",
+            witness={"n": n, "p": p, "scale": scale, "remainder": r},
+        )
+    return tuple(q)
 
 
 @lru_cache(maxsize=None)

@@ -9,13 +9,16 @@ class InputDocumentError(ValueError):
     """A user-supplied document (audit file, catalog record) is malformed."""
 
 
-class InternalInvariantError(RuntimeError):
-    """An internal consistency check failed; indicates a bug, not bad input.
-    An optional witness holds the spec, keys or counts in question."""
+class _WitnessError(Exception):
+    """An error with an optional witness: the spec, keys or counts in question."""
 
     def __init__(self, message, witness=None):
         self.witness = witness
         super().__init__(message)
+
+
+class InternalInvariantError(_WitnessError, RuntimeError):
+    """An internal consistency check failed; indicates a bug, not bad input."""
 
 
 class NotRationalError(ValueError):
@@ -26,12 +29,8 @@ class NotRationalError(ValueError):
         super().__init__(f"value is not rational: {value!r}")
 
 
-class CharacterConflictError(ValueError):
-    """Generator assignments cannot extend to a character; carries a witness."""
-
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
+class CharacterConflictError(_WitnessError, ValueError):
+    """Generator assignments cannot extend to a character."""
 
 
 class DomainError(ValueError):

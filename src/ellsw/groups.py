@@ -111,11 +111,6 @@ class AbelianInvariants:
             out *= d
         return out
 
-    def __str__(self):
-        if not self.factors:
-            return "1"
-        return " + ".join(f"Z{d}" for d in self.factors)
-
 
 # ---------------------------------------------------------------------------
 # matrix layer
@@ -179,7 +174,9 @@ class UnitaryElement:
         eigenvalues, confirmed by an exact power of the matrix."""
         d = eigen_exponents(self)[0]
         if not (self**d).is_identity():
-            raise InternalInvariantError("matrix is not of finite order")
+            raise InternalInvariantError(
+                "matrix is not of finite order", witness={"matrix": self, "eigen_order": d}
+            )
         return d
 
     def __pow__(self, k: int) -> "UnitaryElement":
@@ -252,7 +249,7 @@ class FiniteGroup:
 
     identity = 0
 
-    def __init__(self, order, mult, to_matrix, gens=(), spec=None, block=None, table=None):
+    def __init__(self, order, mult, to_matrix, gens, spec=None, block=None, table=None):
         self.keys = range(order)
         self.mult = mult
         self.to_matrix = to_matrix
@@ -348,34 +345,37 @@ class FiniteGroup:
         return [k for k in self.keys if self.is_scalar_key(k)]
 
     def _noncentral_generators(self):
-        """(g, g^-1) for each non-scalar generator (every key if none are
-        listed).  A scalar g fixes every key under conjugation and has
-        trivial commutators, so conjugating by it is wasted work."""
-        gens = self.gens or self.keys
-        return [(g, self.inverse(g)) for g in gens if not self.is_scalar_key(g)]
+        """(g, g^-1) for each non-scalar generator.  A scalar g fixes every
+        key under conjugation and has trivial commutators, so conjugating by
+        it is wasted work."""
+        return [(g, self.inverse(g)) for g in self.gens if not self.is_scalar_key(g)]
+
+    def _conjugation_closure(self, seeds, seen, ginv):
+        """The keys of `seeds` not marked in `seen`, then every key reached
+        from them by `a -> g^-1 a g` for `(g, g^-1)` in `ginv`; each key
+        returned is marked in `seen`."""
+        mult = self.mult
+        out = []
+        for k in seeds:
+            if not seen[k]:
+                seen[k] = 1
+                out.append(k)
+        for a in out:  # out grows as new keys are reached
+            for g, gi in ginv:
+                b = mult(gi, mult(a, g))
+                if not seen[b]:
+                    seen[b] = 1
+                    out.append(b)
+        return out
 
     def conjugacy_classes(self):
         """Partition of the keys into conjugacy classes, each sorted, in
         order of their least key."""
         seen = bytearray(self.order)
         ginv = self._noncentral_generators()
-        classes = []
-        for k in self.keys:
-            if seen[k]:
-                continue
-            orbit = [k]
-            seen[k] = 1
-            queue = [k]
-            while queue:
-                a = queue.pop()
-                for g, gi in ginv:
-                    b = self.mult(gi, self.mult(a, g))
-                    if not seen[b]:
-                        seen[b] = 1
-                        orbit.append(b)
-                        queue.append(b)
-            classes.append(sorted(orbit))
-        return classes
+        return [
+            sorted(self._conjugation_closure((k,), seen, ginv)) for k in self.keys if not seen[k]
+        ]
 
     def commutator_subgroup(self):
         """Keys of [G, G]: the normal closure of the generator commutators.
@@ -386,18 +386,10 @@ class FiniteGroup:
         """
         mult = self.mult
         ginv = self._noncentral_generators()
-        conj = {mult(mult(ai, bi), mult(a, b)) for a, ai in ginv for b, bi in ginv}
-        conj.discard(self.identity)
-        frontier = list(conj)
-        while frontier:
-            new = []
-            for a in frontier:
-                for g, gi in ginv:
-                    c = mult(mult(gi, a), g)
-                    if c not in conj:
-                        conj.add(c)
-                        new.append(c)
-            frontier = new
+        seen = bytearray(self.order)
+        seen[self.identity] = 1  # the identity adds nothing to the products
+        comms = [mult(mult(ai, bi), mult(a, b)) for a, ai in ginv for b, bi in ginv]
+        conj = self._conjugation_closure(comms, seen, ginv)
         sub = {self.identity}
         frontier = [self.identity]
         while frontier:
@@ -438,13 +430,12 @@ class FiniteGroup:
                         )
                     coset[p] = len(reps)
                 reps.append(k)
-        gens = self.gens or self.keys
-        for g in gens:
+        for g in self.gens:
             if any(coset[mult(x, g)] != coset[g] for x in sub):
                 raise InternalInvariantError(
                     "[G,G] is not normal: [G,G] g lands in two cosets", witness={"generator": g}
                 )
-            for h in gens:
+            for h in self.gens:
                 gh, hg = coset[mult(g, h)], coset[mult(h, g)]
                 if gh != hg:
                     raise InternalInvariantError(
@@ -522,7 +513,10 @@ def _matrix_group(gens, bound) -> FiniteGroup:
             if j is None:
                 j = seen[p] = len(mats)
                 if j == bound:
-                    raise InternalInvariantError(f"closure exceeded the order bound {bound}")
+                    raise InternalInvariantError(
+                        f"closure exceeded the order bound {bound}",
+                        witness={"bound": bound, "generators": gens},
+                    )
                 mats.append(p)
                 parent.append((i, step))
             step.append(j)
@@ -570,10 +564,13 @@ def eigen_exponents(g: UnitaryElement):
     characteristic polynomial), so the result owes nothing to how g was
     built.
     """
+    trace, det = g.trace(), g.det()
     try:
-        return root_pair(g.trace(), g.det())
+        return root_pair(trace, det)
     except DomainError as exc:
-        raise InternalInvariantError("no root-of-unity eigenvalues found") from exc
+        raise InternalInvariantError(
+            "no root-of-unity eigenvalues found", witness={"trace": trace, "det": det}
+        ) from exc
 
 
 def eigen_angles(g: UnitaryElement):

@@ -23,10 +23,14 @@ class SeifertInvariant:
 
     def __post_init__(self):
         if len(self.legs) != 3:
-            raise InternalInvariantError("expected exactly three exceptional fibers")
+            raise InternalInvariantError(
+                "expected exactly three exceptional fibers", witness={"legs": self.legs}
+            )
         for a, b in self.legs:
             if not (0 < b < a) or gcd(a, b) != 1:
-                raise InternalInvariantError(f"leg ({a},{b}) is not normalized")
+                raise InternalInvariantError(
+                    f"leg ({a},{b}) is not normalized", witness={"legs": self.legs, "leg": (a, b)}
+                )
 
     @property
     def euler_number(self) -> Fraction:

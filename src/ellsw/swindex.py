@@ -146,11 +146,7 @@ def s_breakdown(spec: GroupSpec) -> dict:
 
 def singular_point_contribution(spec: GroupSpec) -> Fraction:
     """(1/|G|) of the total chi-sum over non-identity elements."""
-    return _chi_total(spec) / spec.order
-
-
-def _chi_total(spec: GroupSpec) -> Fraction:
-    return sum(_singular_sums(spec).values(), _ZERO)
+    return sum(_singular_sums(spec).values(), _ZERO) / spec.order
 
 
 def c1E_squared(spec: GroupSpec) -> Fraction:
@@ -163,7 +159,7 @@ def minus_K_dot_c1E(spec: GroupSpec) -> Fraction:
 
 def d_E(spec: GroupSpec) -> int:
     """Moduli-space dimension from the group data; even integer >= 2."""
-    return _dimension(spec, c1E_squared(spec), minus_K_dot_c1E(spec), _chi_total(spec))
+    return sw_dimension_report(spec).d_E
 
 
 def _dimension(spec: GroupSpec, c1E_sq: Fraction, minus_K_c1E: Fraction, chi_total: Fraction) -> int:

@@ -12,64 +12,40 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPT = """\
 import sys
 from ellsw.errors import InternalInvariantError
+from ellsw.groups import GroupSpec
 if not sys.flags.optimize:
     sys.exit(2)
 try:
     {call}
-except InternalInvariantError:
-    sys.exit(0)
+except InternalInvariantError as exc:
+    sys.exit(0 if exc.witness == {witness} else 1)
 sys.exit(1)
 """
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, witness",
     [
-        # x^2 + 1 = (x + 1)(x - 1) + 2: a remainder is left
-        "from ellsw.cyclo import _poly_divexact; _poly_divexact([1, 0, 1], [1, 1])",
-        # (1 + x) / (2x): the quotient is not an integer polynomial
-        "from ellsw.cyclo import _poly_divexact; _poly_divexact([1, 1], [0, 2])",
         # The closure discovers the order: a model that lost a generator
         # (here y, then the scalar h) closes to a smaller group.
-        "from ellsw import _model; from ellsw.groups import GroupSpec, build_group; "
-        "gens = _model.DihedralModel.generators; "
-        "_model.DihedralModel.generators = lambda self: gens(self)[:2]; "
-        "build_group(GroupSpec('DD', 3, 4))",
-        "from ellsw import _model; from ellsw.groups import GroupSpec, build_group; "
-        "gens = _model.PolyhedralModel.generators; "
-        "_model.PolyhedralModel.generators = lambda self: gens(self)[1:]; "
-        "build_group(GroupSpec('TT', 5))",
-        # A wrong [G,G] for the abelianization of DD(3,4): {0, x} with x of
-        # order 4 is not a subgroup, though its translates partition G (the
-        # greedy quotient used to return Z24 for it); {0, 2} is not one
-        # either, and two of its translates meet; {0} is normal, but G/{0}
-        # is not abelian.
-        "from ellsw.groups import GroupSpec, build_group; "
-        "group = build_group(GroupSpec('DD', 3, 4)); x = group.gens[1]; "
-        "group.commutator_subgroup = lambda: {0, x}; group.abelianization()",
-        "from ellsw.groups import GroupSpec, build_group; "
-        "group = build_group(GroupSpec('DD', 3, 4)); "
-        "group.commutator_subgroup = lambda: {0, 2}; group.abelianization()",
-        "from ellsw.groups import GroupSpec, build_group; "
-        "group = build_group(GroupSpec('DD', 3, 4)); "
-        "group.commutator_subgroup = lambda: {0}; group.abelianization()",
-        # SU(2) atom tables: eigenvalues that disagree with the table
-        # order, and a T table whose order-6 generator was replaced by x.
-        "from ellsw import _model; _model.eigen_exponents = lambda a: (7, 0, 0); "
-        "_model._SU2Table('O')",
-        "from ellsw import _model; build = _model.build_binary_polyhedral; "
-        "_model.build_binary_polyhedral = "
-        "lambda kind: (lambda g: setattr(g, 'gens', g.gens[:1] * 2) or g)(build(kind)); "
-        "_model._SU2Table('T')",
-        # The section check with one coset representative too few.
-        "from ellsw import bundle; from ellsw.groups import GroupSpec; "
-        "reps = bundle._coset_representatives; "
-        "bundle._coset_representatives = lambda g: reps(g)[1:]; "
-        "bundle.section_equivariance_report(GroupSpec('DD', 1, 3))",
+        (
+            "from ellsw import _model; from ellsw.groups import GroupSpec, build_group; "
+            "gens = _model.DihedralModel.generators; "
+            "_model.DihedralModel.generators = lambda self: gens(self)[:2]; "
+            "build_group(GroupSpec('DD', 3, 4))",
+            "{'spec': GroupSpec('DD', 3, 4), 'found': 12, 'expected': 48}",
+        ),
+        (
+            "from ellsw import _model; from ellsw.groups import GroupSpec, build_group; "
+            "gens = _model.PolyhedralModel.generators; "
+            "_model.PolyhedralModel.generators = lambda self: gens(self)[1:]; "
+            "build_group(GroupSpec('TT', 5))",
+            "{'spec': GroupSpec('TT', 5), 'found': 24, 'expected': 120}",
+        ),
     ],
 )
-def test_internal_checks_fire_under_optimize(call):
-    _run_optimized(SCRIPT.format(call=call))
+def test_internal_checks_fire_under_optimize(call, witness):
+    _run_optimized(SCRIPT.format(call=call, witness=witness))
 
 
 WITNESS_SCRIPT = """\
@@ -243,10 +219,78 @@ sys.exit(1)
             {"kind": "T", "found": 24, "expected": 48},
             "T closure gave order 24, expected 48",
         ),
+        # Phi_3 = (x^3 - 1) / (x - 1), with a remainder forced into the division.
+        (
+            "from ellsw import cyclo; div = cyclo._poly_pseudo_divmod; "
+            "cyclo._poly_pseudo_divmod = lambda a, b: div(a, b)[:2] + ([1],); "
+            "cyclo.cyclotomic_polynomial.cache_clear(); cyclo.cyclotomic_polynomial(3)",
+            {"n": 3, "p": 3, "scale": 1, "remainder": [1]},
+            "Phi_1(x^3) / Phi_1(x) is not an integer polynomial",
+        ),
     ],
-    ids=["coset-root", "coset-scalar", "rational-value", "binary-relations", "binary-order"],
+    ids=[
+        "coset-root",
+        "coset-scalar",
+        "rational-value",
+        "binary-relations",
+        "binary-order",
+        "cyclotomic-division",
+    ],
 )
 def test_arithmetic_raises_carry_a_witness_under_optimize(call, witness, message):
+    _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
+
+
+@pytest.mark.parametrize(
+    "call, witness, message",
+    [
+        # j has order 4; told its eigenvalues have order 3, j^3 = -j is not I.
+        (
+            "from ellsw import groups; groups.eigen_exponents = lambda g: (3, 0, 1); "
+            "j = groups.quaternion_matrix(0, 0, 1, 0); j.matrix_order()",
+            "{'matrix': j, 'eigen_order': 3}",
+            "matrix is not of finite order",
+        ),
+        # diag(2, 1): trace 3 and det 2 are not sums and products of roots of unity.
+        (
+            "from ellsw.groups import UnitaryElement, eigen_exponents; "
+            "eigen_exponents(UnitaryElement(((2, 0), (0, 1)), check=False))",
+            {"trace": 3, "det": 2},
+            "no root-of-unity eigenvalues found",
+        ),
+        # The octahedral y has order 8, over a bound of 4.
+        (
+            "from ellsw.groups import _binary_generators, _matrix_group; "
+            "x, y = _binary_generators('O'); _matrix_group([y], 4)",
+            "{'bound': 4, 'generators': [y]}",
+            "closure exceeded the order bound 4",
+        ),
+    ],
+    ids=["matrix-order", "eigen-exponents", "order-bound"],
+)
+def test_matrix_raises_carry_a_witness_under_optimize(call, witness, message):
+    _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
+
+
+@pytest.mark.parametrize(
+    "call, witness, message",
+    [
+        (
+            "from ellsw.seifert import SeifertInvariant; SeifertInvariant(-1, ((2, 1), (2, 1)))",
+            {"legs": ((2, 1), (2, 1))},
+            "expected exactly three exceptional fibers",
+        ),
+        # b_3 = 2 and a_3 = 4 share the factor 2.
+        (
+            "from ellsw.seifert import SeifertInvariant; "
+            "SeifertInvariant(-1, ((2, 1), (2, 1), (4, 2)))",
+            {"legs": ((2, 1), (2, 1), (4, 2)), "leg": (4, 2)},
+            "leg (4,2) is not normalized",
+        ),
+    ],
+    ids=["fiber-count", "leg-normalized"],
+)
+def test_seifert_raises_carry_a_witness_under_optimize(call, witness, message):
     _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
 
 

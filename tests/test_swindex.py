@@ -339,6 +339,7 @@ def test_free_action_closed_form_matches_the_rotation_loop():
                 step, rot_step = N // K, N // (2 * n)
                 loop = any((l * rot_step) % step == 0 for l in range(1, n))
                 model.N, model.K, model.n, model._rot_step = N, K, n, rot_step
+                model._s_step = step
                 try:
                     model.validate_free_action()
                     raised = False
