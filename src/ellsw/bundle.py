@@ -52,7 +52,7 @@ def extend_character(group: FiniteGroup, order: int, assignments) -> Character:
     the keys must generate the group.  The character is stored over the
     least order that holds every value, d = order // gcd(order, e_1, ...).
     A conflict raises CharacterConflictError with the offending element as
-    witness.  Every key enters the frontier once and is multiplied by every
+    witness.  Every key enters the queue once and is multiplied by every
     generator there, so the pass compares exps[a g] with exps[a] + e_g for
     every product relation.  The exponents sit in a list indexed by key,
     since the keys are `range(|G|)`.
@@ -63,28 +63,23 @@ def extend_character(group: FiniteGroup, order: int, assignments) -> Character:
 
     exps = [None] * group.order
     exps[group.identity] = 0
-    reached = 1
-    frontier = [group.identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            ea = exps[a]
-            for gkey, ge in gen_exps:
-                b = group.mult(a, gkey)
-                eb = (ea + ge) % d
-                old = exps[b]
-                if old is None:
-                    exps[b] = eb
-                    new.append(b)
-                elif old != eb:
-                    raise CharacterConflictError(
-                        f"assignments force zeta_{d}^{old} and zeta_{d}^{eb} "
-                        f"on the same element",
-                        witness=b,
-                    )
-        reached += len(new)
-        frontier = new
-    if reached != group.order:
+    queue = [group.identity]
+    for a in queue:  # queue grows as new keys are reached
+        ea = exps[a]
+        for gkey, ge in gen_exps:
+            b = group.mult(a, gkey)
+            eb = (ea + ge) % d
+            old = exps[b]
+            if old is None:
+                exps[b] = eb
+                queue.append(b)
+            elif old != eb:
+                raise CharacterConflictError(
+                    f"assignments force zeta_{d}^{old} and zeta_{d}^{eb} "
+                    f"on the same element",
+                    witness=b,
+                )
+    if len(queue) != group.order:
         raise ConstraintError("assigned elements do not generate the group")
     return Character(group, d, exps)
 

@@ -16,7 +16,8 @@ reduced modulo the monic integer polynomial Phi_N; a sum cross-multiplies
 the denominators; `inverse` runs a fraction-free remainder sequence against
 Phi_N.  `reduced()` rewrites a value at its conductor (the least order
 whose field contains it, never 2 mod 4); hashing and serialization use
-that form, so equal values hash equally whatever their order.
+that form, so equal values hash equally whatever their order, and a
+rational value hashes as its Fraction.
 """
 
 from __future__ import annotations
@@ -225,12 +226,12 @@ class CyclotomicNumber:
 
     __slots__ = ("order", "num", "den", "_hash")
 
-    def __init__(self, order: int, coeffs):
+    def __new__(cls, order: int, coeffs):
         """From phi(order) ints or Fractions, the power-basis coordinates."""
         num, den = _over_common_denominator(coeffs)
         if len(num) != euler_phi(order):
             raise ValueError(f"need {euler_phi(order)} coefficients for order {order}")
-        _init(self, order, num, den)
+        return _make(order, num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicNumber is immutable")
@@ -388,7 +389,10 @@ class CyclotomicNumber:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not CyclotomicNumber:
@@ -428,7 +432,10 @@ class CyclotomicNumber:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, k: int):
         base = self.inverse() if k < 0 else self
@@ -456,7 +463,9 @@ class CyclotomicNumber:
     def __hash__(self):
         if self._hash is None:
             r = self.reduced()
-            object.__setattr__(self, "_hash", hash((r.order, r.num, r.den)))
+            # A rational value equals its int or Fraction, so it hashes as one.
+            h = hash(Fraction(r.num[0], r.den)) if r.order == 1 else hash((r.order, r.num, r.den))
+            object.__setattr__(self, "_hash", h)
         return self._hash
 
     # -- conversions -----------------------------------------------------
@@ -489,7 +498,8 @@ def _over_common_denominator(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _init(self, order, num, den):
+def _make(order, num, den) -> CyclotomicNumber:
+    """A value from phi(order) integer numerators over a nonzero int den."""
     if den < 0:
         num, den = [-c for c in num], -den
     if den != 1:
@@ -497,17 +507,7 @@ def _init(self, order, num, den):
         if g != 1:
             num = [c // g for c in num]
             den //= g
-    _set(self, "order", order)
-    _set(self, "num", tuple(num))
-    _set(self, "den", den)
-    _set(self, "_hash", None)
-
-
-def _make(order, num, den) -> CyclotomicNumber:
-    """A value from phi(order) integer numerators over a nonzero int den."""
-    self = object.__new__(CyclotomicNumber)
-    _init(self, order, num, den)
-    return self
+    return _raw(order, num, den)
 
 
 def _raw(order, num, den) -> CyclotomicNumber:

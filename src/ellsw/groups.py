@@ -391,16 +391,13 @@ class FiniteGroup:
         comms = [mult(mult(ai, bi), mult(a, b)) for a, ai in ginv for b, bi in ginv]
         conj = self._conjugation_closure(comms, seen, ginv)
         sub = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for a in frontier:
-                for c in conj:
-                    p = mult(a, c)
-                    if p not in sub:
-                        sub.add(p)
-                        new.append(p)
-            frontier = new
+        queue = [self.identity]
+        for a in queue:  # queue grows as new keys are reached
+            for c in conj:
+                p = mult(a, c)
+                if p not in sub:
+                    sub.add(p)
+                    queue.append(p)
         return sub
 
     def abelianization(self) -> AbelianInvariants:

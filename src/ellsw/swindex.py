@@ -81,16 +81,14 @@ def _coset_sum(N, K, c, w2m, a_exp, b_exp) -> RootSum:
     w_exp = (w2m * (N // K)) % N
     inv_a = RootSum.inv_one_minus(N, (-a_exp * K) % N)
     inv_b = RootSum.inv_one_minus(N, (-b_exp * K) % N)
+    # 2K (w P(c) - P(0)), with the factor zeta^a of 1/(u - v) =
+    # zeta^a / (1 - zeta^(a-b)) shifted into each term
     t = RootSum(N)
-    t.add_scaled(inv_a, (w_exp - a_exp * (c + 1)) % N, 1)
-    t.add_scaled(inv_a, (-a_exp) % N, -1)
-    t.add_scaled(inv_b, (w_exp - b_exp * (c + 1)) % N, -1)
-    t.add_scaled(inv_b, (-b_exp) % N, 1)
-    # 1/(u - v) = zeta^a / (1 - zeta^(a-b))
-    out = t.mul(RootSum.inv_one_minus(N, (a_exp - b_exp) % N))
-    final = RootSum(N)
-    final.add_scaled(out, a_exp % N, 2 * K)
-    return final
+    t.add_scaled(inv_a, (w_exp - a_exp * c) % N, 2 * K)
+    t.add_scaled(inv_a, 0, -2 * K)
+    t.add_scaled(inv_b, (w_exp - b_exp * (c + 1) + a_exp) % N, -2 * K)
+    t.add_scaled(inv_b, (a_exp - b_exp) % N, 2 * K)
+    return t.mul(RootSum.inv_one_minus(N, (a_exp - b_exp) % N))
 
 
 def _dihedral_rotation_sum(m: int, n: int):
@@ -124,8 +122,8 @@ def _singular_sums(spec: GroupSpec):
         refl = model.reflection_coset()
         rs = _coset_sum(N, K, c, refl.w2m, refl.a_exp, refl.b_exp)
         lam2 = rs.rational_value() * refl.count
-        return {"Lambda1": Fraction(lam1), "Lambda2": lam2, "Lambda3": _ZERO}
-    labels = {"S0": Fraction(_scalar_sum(K, c))}
+        return dict(zip(model.labels, (Fraction(lam1), lam2, _ZERO)))
+    labels = {model.labels[0]: Fraction(_scalar_sum(K, c))}
     buckets = {label: {} for label in model.labels[1:]}
     for data in model.nonscalar_cosets():
         key = (data.w2m, min(data.a_exp, data.b_exp), max(data.a_exp, data.b_exp))

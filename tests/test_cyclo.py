@@ -103,6 +103,31 @@ def test_equality_and_hash_are_order_independent():
     assert root_of_unity(3, 6) == -1
 
 
+@pytest.mark.parametrize(
+    "value, plain",
+    [
+        (CyclotomicNumber.from_rational(2), 2),
+        (CyclotomicNumber.from_rational(Fraction(1, 2)), Fraction(1, 2)),
+        (root_of_unity(0, 7), 1),
+        (root_of_unity(3, 6), -1),
+        (root_of_unity(1, 3) + root_of_unity(2, 3), -1),
+        (CyclotomicNumber(4, [Fraction(3, 4), 0]), Fraction(3, 4)),
+    ],
+)
+def test_rational_values_hash_as_their_int_or_fraction(value, plain):
+    assert value == plain
+    assert hash(value) == hash(plain)
+    assert len({value, plain}) == 1
+
+
+def test_reflected_operators_reject_a_non_number():
+    z = root_of_unity(1, 5)
+    with pytest.raises(TypeError):
+        1.5 - z
+    with pytest.raises(TypeError):
+        1.5 / z
+
+
 def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
