@@ -49,6 +49,8 @@ def virtual_genus(data: CurveClassData) -> Fraction:
 
 def orbifold_genus(underlying_genus: int, point_orders) -> Fraction:
     """Genus of the underlying surface plus (1 - 1/m)/2 per orbifold point."""
+    if underlying_genus < 0:
+        raise DomainError("underlying genus must be >= 0")
     if any(m < 1 for m in point_orders):
         raise DomainError("orbifold point orders must be >= 1")
     return underlying_genus + sum(Fraction(m - 1, 2 * m) for m in point_orders)
@@ -56,6 +58,8 @@ def orbifold_genus(underlying_genus: int, point_orders) -> Fraction:
 
 def kz_min_at_p0(point_order: int, group_order: int) -> Fraction:
     """The least possible cone-point defect: (|G|/m0 - 1) / (2 m0)."""
+    if group_order < 1:
+        raise DomainError("group order must be positive")
     if point_order < 1 or group_order % point_order:
         raise DomainError("point order must divide the group order")
     return Fraction(group_order // point_order - 1, 2 * point_order)
@@ -121,6 +125,14 @@ def _integer(value) -> int:
     return value
 
 
+def _rational(value) -> Fraction:
+    """A JSON rational field: an integer, or a string such as "2/3" or "0.1"
+    read exactly; a float or a bool is malformed, not rounded."""
+    if type(value) not in (int, str):
+        raise TypeError(f"expected an integer or a string, not {value!r}")
+    return Fraction(value)
+
+
 def run_audit(document: dict) -> dict:
     """Evaluate an adjunction audit document; see the schema in the README.
 
@@ -128,7 +140,7 @@ def run_audit(document: dict) -> dict:
     """
     try:
         cls = document["class"]
-        data = CurveClassData(Fraction(cls["CC"]), Fraction(cls["KC"]))
+        data = CurveClassData(_rational(cls["CC"]), _rational(cls["KC"]))
         lhs = virtual_genus(data)
         g0 = _integer(document.get("underlying_genus", 0))
         points = [
@@ -154,10 +166,9 @@ def run_audit(document: dict) -> dict:
             amb = _integer(pair.get("ambient", points[i].ambient))
             detail.append((f"k_pair_{i}_{j}", kpair_lower_bound(points[i], points[j], amb)))
         for extra in document.get("extra_terms", []):
-            detail.append(("extra", Fraction(extra)))
+            detail.append(("extra", _rational(extra)))
     except (KeyError, ValueError, TypeError, IndexError, AttributeError, ArithmeticError) as exc:
-        # ArithmeticError: "1/0" (ZeroDivisionError), or 1e400 read as inf
-        # (OverflowError in int() and Fraction()).
+        # ArithmeticError: "1/0" (ZeroDivisionError).
         raise InputDocumentError(f"malformed audit document: {exc}") from exc
     rhs = [t for _, t in detail]
     slack = adjunction_slack(lhs, rhs)

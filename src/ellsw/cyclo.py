@@ -236,6 +236,9 @@ class CyclotomicNumber:
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicNumber is immutable")
 
+    def __reduce__(self):
+        return _raw, (self.order, self.num, self.den)
+
     # -- construction ------------------------------------------------
 
     @staticmethod

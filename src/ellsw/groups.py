@@ -133,6 +133,9 @@ class UnitaryElement:
     def __setattr__(self, *a):
         raise AttributeError("UnitaryElement is immutable")
 
+    def __reduce__(self):
+        return UnitaryElement, (self.entries, False)
+
     def _check_unitary(self):
         (a, b), (c, d) = self.entries
         ac, bc, cc, dc = (x.conjugate() for x in (a, b, c, d))

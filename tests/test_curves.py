@@ -34,14 +34,18 @@ def test_orbifold_genus():
     assert orbifold_genus(0, [6]) == Fraction(5, 12)
     assert orbifold_genus(0, []) == 0
     assert orbifold_genus(1, [2, 3]) == Fraction(19, 12)
+    with pytest.raises(DomainError):
+        orbifold_genus(-3, [])
 
 
 def test_kz_min_at_p0():
     assert kz_min_at_p0(6, 24) == Fraction(1, 4)
     assert kz_min_at_p0(2, 120) == Fraction(59, 4)
     assert kz_min_at_p0(1, 1) == 0
-    with pytest.raises(DomainError):
-        kz_min_at_p0(5, 24)
+    # 0 % 6 == 0, but no group has order 0.
+    for point_order, group_order in ((5, 24), (6, 0), (6, -6)):
+        with pytest.raises(DomainError):
+            kz_min_at_p0(point_order, group_order)
 
 
 def test_kz_lower_bound():
@@ -157,6 +161,9 @@ def test_run_audit_member_document():
     result = run_audit(doc)
     assert result["slack"] == "0/1"
     assert result["feasible"]
+    # A decimal string is read exactly.
+    terms = run_audit({"class": {"CC": "0.1", "KC": 0}, "extra_terms": ["0.1"]})["rhs_terms"]
+    assert terms == [["orbifold_genus", "0/1"], ["extra", "1/10"]]
 
 
 def test_run_audit_rejects_malformed_documents():

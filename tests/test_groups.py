@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -292,6 +293,21 @@ def test_powers_inverse_and_order_on_every_key(source):
 def test_unitarity_is_enforced():
     with pytest.raises(ConstraintError):
         UnitaryElement(((1, 1), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: root_of_unity(1, 5), lambda: build_group(GroupSpec("DD", 3, 4)).to_matrix(5)],
+    ids=["cyclotomic", "unitary"],
+)
+@pytest.mark.parametrize(
+    "round_trip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_immutable_values_copy_and_pickle(make, round_trip):
+    value = make()
+    other = round_trip(value)
+    assert other == value and hash(other) == hash(value)
 
 
 def test_model_matches_matrix_closure():

@@ -1,442 +1,436 @@
-"""Internal checks are explicit raises, so they still fire under `python -O`."""
+"""Internal checks are explicit raises, so they still fire under `python -O`.
 
+Each case in `CASES` forces one check, by its inputs or by the patches it
+enters through `patch`, and returns the call, then the error type, witness
+and exact message that the call must raise (`section-fail` returns the
+report values instead).  pytest runs every case in process, and once more
+in a `python -O` child that runs this file.  `failure` holds no `assert`,
+since `-O` strips those from this module too.
+"""
+
+import ast
 import os
 import subprocess
 import sys
+from contextlib import ExitStack
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
+from character_checks import trivial_rho
+from ellsw import _model, bundle, cyclo, groups, seifert
+from ellsw.errors import CharacterConflictError, ConstraintError, InternalInvariantError
+from ellsw.groups import AbelianInvariants, FiniteGroup, GroupSpec, UnitaryElement, build_group
+from ellsw.rootsum import RootSum
+from ellsw.seifert import SeifertInvariant
+from ellsw.swindex import _coset_sum, _dimension
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-SCRIPT = """\
-import sys
-from ellsw.errors import InternalInvariantError
-from ellsw.groups import GroupSpec
-if not sys.flags.optimize:
-    sys.exit(2)
-try:
-    {call}
-except InternalInvariantError as exc:
-    sys.exit(0 if exc.witness == {witness} else 1)
-sys.exit(1)
-"""
-
-
-@pytest.mark.parametrize(
-    "call, witness",
-    [
-        # The closure discovers the order: a model that lost a generator
-        # (here y, then the scalar h) closes to a smaller group.
-        (
-            "from ellsw import _model; from ellsw.groups import GroupSpec, build_group; "
-            "gens = _model.DihedralModel.generators; "
-            "_model.DihedralModel.generators = lambda self: gens(self)[:2]; "
-            "build_group(GroupSpec('DD', 3, 4))",
-            "{'spec': GroupSpec('DD', 3, 4), 'found': 12, 'expected': 48}",
-        ),
-        (
-            "from ellsw import _model; from ellsw.groups import GroupSpec, build_group; "
-            "gens = _model.PolyhedralModel.generators; "
-            "_model.PolyhedralModel.generators = lambda self: gens(self)[1:]; "
-            "build_group(GroupSpec('TT', 5))",
-            "{'spec': GroupSpec('TT', 5), 'found': 24, 'expected': 120}",
-        ),
-    ],
-)
-def test_internal_checks_fire_under_optimize(call, witness):
-    _run_optimized(SCRIPT.format(call=call, witness=witness))
-
-
-WITNESS_SCRIPT = """\
-import sys
-from ellsw import _model
-from ellsw.errors import InternalInvariantError
-from ellsw.groups import FiniteGroup, GroupSpec, build_group
-if not sys.flags.optimize:
-    sys.exit(2)
-spec = GroupSpec("DD", 3, 4)
-model = _model.family_model(spec)
-h, x, y = model.generators()
-try:
-    {call}
-except InternalInvariantError as exc:
-    sys.exit(0 if exc.witness == {witness} and str(spec) in str(exc) else 1)
-sys.exit(1)
-"""
-
-
-@pytest.mark.parametrize(
-    "call, witness",
-    [
-        # 49 keys do not split into blocks of K = 6.
-        (
-            "FiniteGroup.from_generators(model.generators(), model.mult, model.to_matrix, "
-            "spec.order + 1, model.K, spec)",
-            "{'spec': spec, 'order': spec.order + 1, 'block_size': model.K}",
-        ),
-        # A product of block 3 (y^3) and x that leaves range(|G|).
-        (
-            "mult = _model.DihedralModel.mult; "
-            "_model.DihedralModel.mult = "
-            "lambda self, a, b: self.size if a == 3 * self.K else mult(self, a, b); "
-            "build_group(spec)",
-            "{'spec': spec, 'block': 3, 'generator': x, 'product': model.size}",
-        ),
-        # Without y, h and x close to the 12 keys of blocks 0 and 4.
-        (
-            "FiniteGroup.from_generators([h, x], model.mult, model.to_matrix, "
-            "spec.order, model.K, spec)",
-            "{'spec': spec, 'found': 12, 'expected': 48}",
-        ),
-    ],
-    ids=["block-split", "key-range", "wrong-order"],
-)
-def test_closure_raises_carry_a_witness_under_optimize(call, witness):
-    _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
-
-
-def test_coset_count_raise_carries_a_witness_under_optimize():
-    # The section check with one of the 8 coset representatives dropped.
-    call = (
-        "from ellsw import bundle; reps = bundle._coset_representatives; "
-        "bundle._coset_representatives = lambda g: reps(g)[1:]; "
-        "bundle.section_equivariance_report(spec)"
-    )
-    witness = "{'spec': spec, 'found': 7, 'expected': 8}"
-    _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
-
-
-@pytest.mark.parametrize(
-    "call, witness",
-    [
-        # A rotation coset made non-free by hand: the coset of y then holds
-        # an element with eigenvalue 1.
-        (
-            "model._rot_step = model.N // model.K; model.validate_free_action()",
-            "{'spec': spec, 'l': 1}",
-        ),
-        # The reflection x with eigenvalue exponents N/K and -N/K over N: then
-        # mu_2m^-1 x has eigenvalue 1.
-        (
-            "model._quarter = model.N // model.K; model.validate_free_action()",
-            "{'spec': spec, 'exponent': model.N // model.K, 'N': model.N}",
-        ),
-        # TT(5) with the first non-identity atom given eigenvalues 1, 1.
-        (
-            "spec = GroupSpec('TT', 5); model = _model.family_model(spec); "
-            "a = model.table.pos_atoms[1]; model.table.eigen[a] = (0, 0); "
-            "model.validate_free_action()",
-            "{'spec': spec, 'label': model.table.label[a], 'exponents': (0, 0), 'N': model.N}",
-        ),
-    ],
-    ids=["rotation", "reflection", "polyhedral"],
-)
-def test_free_action_raises_carry_a_witness_under_optimize(call, witness):
-    _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
-
-
-@pytest.mark.parametrize(
-    "call, witness",
-    [
-        # d_E = 1/3: the three terms do not sum to an integer.
-        (
-            "from fractions import Fraction; from ellsw.swindex import _dimension; "
-            "_dimension(spec, Fraction(1, 3), Fraction(0), Fraction(0))",
-            "{'spec': spec, 'value': Fraction(1, 3)}",
-        ),
-        # d_E = 3: an integer, but odd.
-        (
-            "from fractions import Fraction; from ellsw.swindex import _dimension; "
-            "_dimension(spec, Fraction(3), Fraction(0), Fraction(0))",
-            "{'spec': spec, 'value': 3}",
-        ),
-        # TT(2), which validation rejects, has no leg solution: 3 + 2(b2 + b3)
-        # is odd and so never 2 mod 6.
-        (
-            "GroupSpec.validate = lambda self: self; spec = GroupSpec('TT', 2); "
-            "from ellsw.seifert import normalized_invariant; normalized_invariant(spec)",
-            "{'spec': spec, 'solutions': []}",
-        ),
-        # The legs of DD(3,4) checked against an Euler ratio of 0.
-        (
-            "from ellsw import seifert; seifert._euler_ratio = lambda b, legs: (0, 1); "
-            "seifert.normalized_invariant(spec)",
-            "{'spec': spec, 'b': -1, 'legs': ((2, 1), (2, 1), (4, 3))}",
-        ),
-    ],
-    ids=["dimension-fraction", "dimension-odd", "seifert-legs", "seifert-euler"],
-)
-def test_swdim_raises_carry_a_witness_under_optimize(call, witness):
-    _run_optimized(WITNESS_SCRIPT.format(call=call, witness=witness))
-
-
-MESSAGE_SCRIPT = """\
-import sys
-from ellsw.errors import InternalInvariantError
-if not sys.flags.optimize:
-    sys.exit(2)
-try:
-    {call}
-except InternalInvariantError as exc:
-    sys.exit(0 if exc.witness == {witness} and str(exc) == {message!r} else 1)
-sys.exit(1)
-"""
-
-
-@pytest.mark.parametrize(
-    "call, witness, message",
-    [
-        # zeta_12^(3 * 4) = 1: an eigenvalue whose K-th power is 1.
-        (
-            "from ellsw.swindex import _coset_sum; _coset_sum(12, 4, 0, 0, 3, 1)",
-            {"N": 12, "K": 4, "a_exp": 3, "b_exp": 1},
-            "coset has a K-th-power eigenvalue of 1",
-        ),
-        # Exponents 1 and 13 name the same eigenvalue over N = 12.
-        (
-            "from ellsw.swindex import _coset_sum; _coset_sum(12, 4, 0, 0, 1, 13)",
-            {"N": 12, "K": 4, "a_exp": 1, "b_exp": 13},
-            "scalar coset fed to the non-scalar formula",
-        ),
-        # zeta_5 alone is not Galois stable.
-        (
-            "from ellsw.rootsum import RootSum; RootSum(5, {1: 1}).rational_value()",
-            {"n": 5, "den": 1, "terms": 1},
-            "root sum is not Galois stable; cannot certify rationality",
-        ),
-        # y^8 = 1, not -1: the octahedral y has order 8.
-        (
-            "from ellsw import groups; groups.BINARY['O'] = (48, 8); "
-            "groups.build_binary_polyhedral('O')",
-            {"kind": "O", "found": 8, "expected": 16},
-            "O generator relations failed",
-        ),
-        # The tetrahedral generators close to 24 elements, not 48.
-        (
-            "from ellsw import groups; groups.BINARY['T'] = (48, 3); "
-            "groups.build_binary_polyhedral('T')",
-            {"kind": "T", "found": 24, "expected": 48},
-            "T closure gave order 24, expected 48",
-        ),
-        # Phi_3 = (x^3 - 1) / (x - 1), with a remainder forced into the division.
-        (
-            "from ellsw import cyclo; div = cyclo._poly_pseudo_divmod; "
-            "cyclo._poly_pseudo_divmod = lambda a, b: div(a, b)[:2] + ([1],); "
-            "cyclo.cyclotomic_polynomial.cache_clear(); cyclo.cyclotomic_polynomial(3)",
-            {"n": 3, "p": 3, "scale": 1, "remainder": [1]},
-            "Phi_1(x^3) / Phi_1(x) is not an integer polynomial",
-        ),
-    ],
-    ids=[
-        "coset-root",
-        "coset-scalar",
-        "rational-value",
-        "binary-relations",
-        "binary-order",
-        "cyclotomic-division",
-    ],
-)
-def test_arithmetic_raises_carry_a_witness_under_optimize(call, witness, message):
-    _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
-
-
-@pytest.mark.parametrize(
-    "call, witness, message",
-    [
-        # j has order 4; told its eigenvalues have order 3, j^3 = -j is not I.
-        (
-            "from ellsw import groups; groups.eigen_exponents = lambda g: (3, 0, 1); "
-            "j = groups.quaternion_matrix(0, 0, 1, 0); j.matrix_order()",
-            "{'matrix': j, 'eigen_order': 3}",
-            "matrix is not of finite order",
-        ),
-        # diag(2, 1): trace 3 and det 2 are not sums and products of roots of unity.
-        (
-            "from ellsw.groups import UnitaryElement, eigen_exponents; "
-            "eigen_exponents(UnitaryElement(((2, 0), (0, 1)), check=False))",
-            {"trace": 3, "det": 2},
-            "no root-of-unity eigenvalues found",
-        ),
-        # The octahedral y has order 8, over a bound of 4.
-        (
-            "from ellsw.groups import _binary_generators, _matrix_group; "
-            "x, y = _binary_generators('O'); _matrix_group([y], 4)",
-            "{'bound': 4, 'generators': [y]}",
-            "closure exceeded the order bound 4",
-        ),
-    ],
-    ids=["matrix-order", "eigen-exponents", "order-bound"],
-)
-def test_matrix_raises_carry_a_witness_under_optimize(call, witness, message):
-    _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
-
-
-@pytest.mark.parametrize(
-    "call, witness, message",
-    [
-        (
-            "from ellsw.seifert import SeifertInvariant; SeifertInvariant(-1, ((2, 1), (2, 1)))",
-            {"legs": ((2, 1), (2, 1))},
-            "expected exactly three exceptional fibers",
-        ),
-        # b_3 = 2 and a_3 = 4 share the factor 2.
-        (
-            "from ellsw.seifert import SeifertInvariant; "
-            "SeifertInvariant(-1, ((2, 1), (2, 1), (4, 2)))",
-            {"legs": ((2, 1), (2, 1), (4, 2)), "leg": (4, 2)},
-            "leg (4,2) is not normalized",
-        ),
-    ],
-    ids=["fiber-count", "leg-normalized"],
-)
-def test_seifert_raises_carry_a_witness_under_optimize(call, witness, message):
-    _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
-
-
 # DD(3,4) has generators h, x, y = 1, 24, 6.
-DD34 = "from ellsw.groups import GroupSpec, build_group; group = build_group(GroupSpec('DD', 3, 4)); "
+DD34 = GroupSpec("DD", 3, 4)
+TT5 = GroupSpec("TT", 5)
+
+CASES = {}
 
 
-@pytest.mark.parametrize(
-    "call, witness, message",
-    [
-        # {0, 2} is not a subgroup: the scalar keys 0 and 4 (mu_6^4, the
-        # inverse of mu_6^2), the first and third coset representatives,
-        # both translate it onto key 0.
-        (
-            DD34 + "group.commutator_subgroup = lambda: {0, 2}; group.abelianization()",
-            {"key": 0, "cosets": (0, 2)},
-            "key 0 lands in two cosets of [G,G]",
-        ),
-        # {0, x}: its translates partition G, but x {0, x} is not {0, x} x.
-        (
-            DD34 + "group.commutator_subgroup = lambda: {0, 24}; group.abelianization()",
-            {"generator": 24},
-            "[G,G] is not normal: [G,G] g lands in two cosets",
-        ),
-        # G/{0} is G itself: x y and y x are different keys.
-        (
-            DD34 + "group.commutator_subgroup = lambda: {0}; group.abelianization()",
-            {"generators": (24, 6), "cosets": (30, 45)},
-            "G/[G,G] is not abelian",
-        ),
-        (
-            "from ellsw.groups import AbelianInvariants; AbelianInvariants((4, 6))",
-            {"factors": (4, 6)},
-            "invariant factors must form a divisor chain",
-        ),
-        (
-            "from ellsw.groups import AbelianInvariants; AbelianInvariants((1, 2))",
-            {"factors": (1, 2)},
-            "invariant factors must exceed 1",
-        ),
-    ],
-    ids=["coset-overlap", "not-normal", "not-abelian", "divisor-chain", "trivial-factor"],
-)
-def test_abelianization_raises_carry_a_witness_under_optimize(call, witness, message):
-    _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
+def case(fn):
+    CASES[fn.__name__.replace("_", "-")] = fn
+    return fn
 
 
-PATCH_BUILD = (
-    "from ellsw import _model; build = _model.build_binary_polyhedral; "
-    "_model.build_binary_polyhedral = lambda kind: (lambda g: setattr(g, {!r}, {}) or g)(build(kind)); "
-)
+def failure(case):
+    """None when `case` behaves, else what it did instead."""
+    with ExitStack() as stack:
+        call, *expected = case(lambda *args: stack.enter_context(mock.patch.object(*args)))
+        try:
+            outcome = [call()]
+        except Exception as exc:
+            outcome = [type(exc), getattr(exc, "witness", None), str(exc)]
+    return None if outcome == expected else f"got {outcome!r}, expected {expected!r}"
 
 
-@pytest.mark.parametrize(
-    "call, witness, message",
-    [
-        # An O table whose identity is said to be atom 1: rank 0 is atom 0.
-        (
-            PATCH_BUILD.format("identity", "1") + "_model._SU2Table('O')",
-            {"kind": "O", "identity": 1, "rank0": 0},
-            "the identity atom must have rank 0",
-        ),
-        # Every atom given eigenvalues of order 7; the identity atom has order 1.
-        (
-            "from ellsw import _model; _model.eigen_exponents = lambda a: (7, 0, 0); "
-            "_model._SU2Table('O')",
+@case
+def dihedral_lost_generator(patch):
+    # The closure discovers the order: a model without y closes to 12 keys.
+    gens = _model.DihedralModel.generators
+    patch(_model.DihedralModel, "generators", lambda self: gens(self)[:2])
+    return (lambda: build_group(DD34), InternalInvariantError,
+            {"spec": DD34, "found": 12, "expected": 48},
+            f"closure gave order 12, expected 48 for {DD34}")
+
+
+@case
+def polyhedral_lost_generator(patch):
+    # A model without the scalar h closes to the 24 atoms alone.
+    gens = _model.PolyhedralModel.generators
+    patch(_model.PolyhedralModel, "generators", lambda self: gens(self)[1:])
+    return (lambda: build_group(TT5), InternalInvariantError,
+            {"spec": TT5, "found": 24, "expected": 120},
+            f"closure gave order 24, expected 120 for {TT5}")
+
+
+@case
+def block_split(patch):
+    # 49 keys do not split into blocks of K = 6.
+    model = _model.family_model(DD34)
+    gens = model.generators()
+    return (lambda: FiniteGroup.from_generators(gens, model.mult, model.to_matrix, 49, 6, DD34),
+            InternalInvariantError, {"spec": DD34, "order": 49, "block_size": 6},
+            f"49 keys of {DD34} do not split into blocks of 6")
+
+
+@case
+def key_range(patch):
+    # A product of block 3 (y^3) and x that leaves range(|G|).
+    mult = _model.DihedralModel.mult
+    patch(_model.DihedralModel, "mult",
+          lambda self, a, b: self.size if a == 3 * self.K else mult(self, a, b))
+    return (lambda: build_group(DD34), InternalInvariantError,
+            {"spec": DD34, "block": 3, "generator": 24, "product": 48},
+            f"product 48 of block 3 and generator 24 left the keys of {DD34}")
+
+
+@case
+def wrong_order(patch):
+    # Without y, h and x close to the 12 keys of blocks 0 and 4.
+    model = _model.family_model(DD34)
+    gens = model.generators()[:2]
+    return (lambda: FiniteGroup.from_generators(gens, model.mult, model.to_matrix, 48, 6, DD34),
+            InternalInvariantError, {"spec": DD34, "found": 12, "expected": 48},
+            f"closure gave order 12, expected 48 for {DD34}")
+
+
+@case
+def coset_count(patch):
+    # The section check with one of the 8 coset representatives dropped.
+    reps = bundle._coset_representatives
+    patch(bundle, "_coset_representatives", lambda g: reps(g)[1:])
+    return (lambda: bundle.section_equivariance_report(DD34), InternalInvariantError,
+            {"spec": DD34, "found": 7, "expected": 8},
+            f"7 coset representatives of {DD34}, expected 8")
+
+
+@case
+def rotation(patch):
+    # A rotation coset made non-free by hand: the coset of y then holds an
+    # element with eigenvalue 1.
+    model = _model.family_model(DD34)
+    patch(model, "_rot_step", model.N // model.K)
+    return (model.validate_free_action, InternalInvariantError, {"spec": DD34, "l": 1},
+            f"rotation coset of y^1 in {DD34} contains a non-free element")
+
+
+@case
+def reflection(patch):
+    # The reflection x with eigenvalue exponents N/K and -N/K over N = 24:
+    # then mu_2m^-1 x has eigenvalue 1.
+    model = _model.family_model(DD34)
+    patch(model, "_quarter", model.N // model.K)
+    return (model.validate_free_action, InternalInvariantError,
+            {"spec": DD34, "exponent": 4, "N": 24},
+            f"reflection coset of {DD34} contains a non-free element")
+
+
+@case
+def polyhedral(patch):
+    # TT(5) with the first non-identity atom, labelled S2, given eigenvalues 1, 1.
+    model = _model.family_model(TT5)
+    eigen = list(model.table.eigen)
+    eigen[model.table.pos_atoms[1]] = (0, 0)
+    patch(model.table, "eigen", eigen)
+    return (model.validate_free_action, InternalInvariantError,
+            {"spec": TT5, "label": "S2", "exponents": (0, 0), "N": 60},
+            f"S2 coset of {TT5} contains a non-free element")
+
+
+@case
+def dimension_fraction(patch):
+    # d_E = 1/3: the three terms do not sum to an integer.
+    return (lambda: _dimension(DD34, Fraction(1, 3), Fraction(0), Fraction(0)),
+            InternalInvariantError, {"spec": DD34, "value": Fraction(1, 3)},
+            f"dimension for {DD34} is not an integer: 1/3")
+
+
+@case
+def dimension_odd(patch):
+    # d_E = 3: an integer, but odd.
+    return (lambda: _dimension(DD34, Fraction(3), Fraction(0), Fraction(0)),
+            InternalInvariantError, {"spec": DD34, "value": 3},
+            f"dimension for {DD34} is not an even integer >= 2: 3")
+
+
+@case
+def seifert_legs(patch):
+    # TT(2), which validation rejects, has no leg solution: 3 + 2(b2 + b3)
+    # is odd and so never 2 mod 6.
+    patch(GroupSpec, "validate", lambda self: self)
+    spec = GroupSpec("TT", 2)
+    return (lambda: seifert.normalized_invariant(spec), InternalInvariantError,
+            {"spec": spec, "solutions": []}, f"leg congruence for {spec} has 0 solutions")
+
+
+@case
+def seifert_euler(patch):
+    # The legs of DD(3,4) checked against an Euler ratio of 0.
+    patch(seifert, "_euler_ratio", lambda b, legs: (0, 1))
+    return (lambda: seifert.normalized_invariant(DD34), InternalInvariantError,
+            {"spec": DD34, "b": -1, "legs": ((2, 1), (2, 1), (4, 3))},
+            f"Seifert data for {DD34} misses the Euler number")
+
+
+@case
+def fiber_count(patch):
+    return (lambda: SeifertInvariant(-1, ((2, 1), (2, 1))), InternalInvariantError,
+            {"legs": ((2, 1), (2, 1))}, "expected exactly three exceptional fibers")
+
+
+@case
+def leg_normalized(patch):
+    # b_3 = 2 and a_3 = 4 share the factor 2.
+    legs = ((2, 1), (2, 1), (4, 2))
+    return (lambda: SeifertInvariant(-1, legs), InternalInvariantError,
+            {"legs": legs, "leg": (4, 2)}, "leg (4,2) is not normalized")
+
+
+@case
+def coset_root(patch):
+    # zeta_12^(3 * 4) = 1: an eigenvalue whose K-th power is 1.
+    return (lambda: _coset_sum(12, 4, 0, 0, 3, 1), InternalInvariantError,
+            {"N": 12, "K": 4, "a_exp": 3, "b_exp": 1}, "coset has a K-th-power eigenvalue of 1")
+
+
+@case
+def coset_scalar(patch):
+    # Exponents 1 and 13 name the same eigenvalue over N = 12.
+    return (lambda: _coset_sum(12, 4, 0, 0, 1, 13), InternalInvariantError,
+            {"N": 12, "K": 4, "a_exp": 1, "b_exp": 13},
+            "scalar coset fed to the non-scalar formula")
+
+
+@case
+def rational_value(patch):
+    # zeta_5 alone is not Galois stable.
+    return (RootSum.monomial(5, 1).rational_value, InternalInvariantError,
+            {"n": 5, "den": 1, "terms": 1},
+            "root sum is not Galois stable; cannot certify rationality")
+
+
+@case
+def binary_relations(patch):
+    # y^8 = 1, not -1: the octahedral y has order 8.
+    patch(groups, "BINARY", {**groups.BINARY, "O": (48, 8)})
+    return (lambda: groups.build_binary_polyhedral("O"), InternalInvariantError,
+            {"kind": "O", "found": 8, "expected": 16}, "O generator relations failed")
+
+
+@case
+def binary_order(patch):
+    # The tetrahedral generators close to 24 elements, not 48.
+    patch(groups, "BINARY", {**groups.BINARY, "T": (48, 3)})
+    return (lambda: groups.build_binary_polyhedral("T"), InternalInvariantError,
+            {"kind": "T", "found": 24, "expected": 48}, "T closure gave order 24, expected 48")
+
+
+@case
+def cyclotomic_division(patch):
+    # Phi_3 = (x^3 - 1) / (x - 1), with a remainder forced into the division.
+    div = cyclo._poly_pseudo_divmod
+    patch(cyclo, "_poly_pseudo_divmod", lambda a, b: div(a, b)[:2] + ([1],))
+    cyclo.cyclotomic_polynomial.cache_clear()
+    return (lambda: cyclo.cyclotomic_polynomial(3), InternalInvariantError,
+            {"n": 3, "p": 3, "scale": 1, "remainder": [1]},
+            "Phi_1(x^3) / Phi_1(x) is not an integer polynomial")
+
+
+@case
+def matrix_order(patch):
+    # j has order 4; told its eigenvalues have order 3, j^3 = -j is not I.
+    patch(groups, "eigen_exponents", lambda g: (3, 0, 1))
+    j = groups.quaternion_matrix(0, 0, 1, 0)
+    return (j.matrix_order, InternalInvariantError, {"matrix": j, "eigen_order": 3},
+            "matrix is not of finite order")
+
+
+@case
+def eigen_exponents(patch):
+    # diag(2, 1): trace 3 and det 2 are not sums and products of roots of unity.
+    g = UnitaryElement(((2, 0), (0, 1)), check=False)
+    return (lambda: groups.eigen_exponents(g), InternalInvariantError,
+            {"trace": 3, "det": 2}, "no root-of-unity eigenvalues found")
+
+
+@case
+def order_bound(patch):
+    # The octahedral y has order 8, over a bound of 4.
+    _, y = groups._binary_generators("O")
+    return (lambda: groups._matrix_group([y], 4), InternalInvariantError,
+            {"bound": 4, "generators": [y]}, "closure exceeded the order bound 4")
+
+
+def _abelianization(patch, commutators):
+    """DD(3,4)'s abelianization, with [G,G] replaced by `commutators`."""
+    group = build_group(DD34)
+    patch(group, "commutator_subgroup", lambda: commutators)
+    return group.abelianization
+
+
+@case
+def coset_overlap(patch):
+    # {0, 2} is not a subgroup: the scalar keys 0 and 4 (mu_6^4, the inverse
+    # of mu_6^2), the first and third coset representatives, both translate
+    # it onto key 0.
+    return (_abelianization(patch, {0, 2}), InternalInvariantError,
+            {"key": 0, "cosets": (0, 2)}, "key 0 lands in two cosets of [G,G]")
+
+
+@case
+def not_normal(patch):
+    # {0, x}: its translates partition G, but x {0, x} is not {0, x} x.
+    return (_abelianization(patch, {0, 24}), InternalInvariantError, {"generator": 24},
+            "[G,G] is not normal: [G,G] g lands in two cosets")
+
+
+@case
+def not_abelian(patch):
+    # G/{0} is G itself: x y and y x are different keys.
+    return (_abelianization(patch, {0}), InternalInvariantError,
+            {"generators": (24, 6), "cosets": (30, 45)}, "G/[G,G] is not abelian")
+
+
+@case
+def divisor_chain(patch):
+    return (lambda: AbelianInvariants((4, 6)), InternalInvariantError, {"factors": (4, 6)},
+            "invariant factors must form a divisor chain")
+
+
+@case
+def trivial_factor(patch):
+    return (lambda: AbelianInvariants((1, 2)), InternalInvariantError, {"factors": (1, 2)},
+            "invariant factors must exceed 1")
+
+
+@case
+def identity_rank(patch):
+    # An O table whose identity is said to be atom 1: rank 0 is atom 0.
+    group = groups.build_binary_polyhedral("O")
+    patch(group, "identity", 1)
+    patch(_model, "build_binary_polyhedral", lambda kind: group)
+    return (lambda: _model._SU2Table("O"), InternalInvariantError,
+            {"kind": "O", "identity": 1, "rank0": 0}, "the identity atom must have rank 0")
+
+
+@case
+def atom_eigen_order(patch):
+    # Every atom given eigenvalues of order 7; the identity atom has order 1.
+    patch(_model, "eigen_exponents", lambda a: (7, 0, 0))
+    return (lambda: _model._SU2Table("O"), InternalInvariantError,
             {"kind": "O", "atom": 0, "order": 1, "eigen_order": 7},
-            "atom eigenvalues disagree with the table order",
-        ),
-        # A T table whose order-6 generator y was replaced by x: x -> 0 and
-        # x -> 1 conflict.
-        (
-            "from ellsw.groups import build_binary_polyhedral; x = build_binary_polyhedral('T').gens[0]; "
-            + PATCH_BUILD.format("gens", "g.gens[:1] * 2") + "_model._SU2Table('T')",
-            "{'kind': 'T', 'x': x, 'y': x}",
-            "T table is not graded mod 3",
-        ),
-        # A grading that puts all 24 atoms of T in the quaternion subgroup.
-        (
-            "from types import SimpleNamespace; from ellsw import _model; "
-            "_model.extend_character = lambda *args: SimpleNamespace(exponents=[0] * 24); "
-            "_model._SU2Table('T')",
+            "atom eigenvalues disagree with the table order")
+
+
+@case
+def t_grading(patch):
+    # A T table whose order-6 generator y was replaced by x: x -> 0 and
+    # x -> 1 conflict.
+    group = groups.build_binary_polyhedral("T")
+    x = group.gens[0]
+    patch(group, "gens", [x, x])
+    patch(_model, "build_binary_polyhedral", lambda kind: group)
+    return (lambda: _model._SU2Table("T"), InternalInvariantError,
+            {"kind": "T", "x": x, "y": x}, "T table is not graded mod 3")
+
+
+@case
+def quaternion_count(patch):
+    # A grading that puts all 24 atoms of T in the quaternion subgroup.
+    patch(_model, "extend_character", lambda *args: SimpleNamespace(exponents=[0] * 24))
+    return (lambda: _model._SU2Table("T"), InternalInvariantError,
             {"kind": "T", "found": 24, "expected": 8},
-            "quaternion subgroup of the T table is wrong",
-        ),
-        # In TD(3) the identity atom has class 0, so mu_18^1 times it is not
-        # in the group.
-        (
-            "from ellsw import _model; from ellsw.groups import GroupSpec; "
-            "spec = GroupSpec('TD', 3); _model.family_model(spec)._key(0, 1)",
-            "{'spec': spec, 'atom': 0, 'k': 1}",
-            "element of GroupSpec(family='TD', m=3, n=0) off the index-3 grading",
-        ),
-    ],
-    ids=["identity-rank", "atom-eigen-order", "t-grading", "quaternion-count", "td-grading"],
-)
-def test_model_raises_carry_a_witness_under_optimize(call, witness, message):
-    _run_optimized(MESSAGE_SCRIPT.format(call=call, witness=witness, message=message))
+            "quaternion subgroup of the T table is wrong")
 
 
-BUNDLE_SCRIPT = """\
-import sys
-from ellsw import bundle
-from ellsw.errors import CharacterConflictError, ConstraintError
-from ellsw.groups import GroupSpec, build_group
-if not sys.flags.optimize:
-    sys.exit(2)
-d2 = build_group(GroupSpec("DD", 1, 2))
-_, x, y = d2.gens
-{body}
-sys.exit(1)
-"""
+@case
+def td_grading(patch):
+    # In TD(3) the identity atom has class 0, so mu_18^1 times it is not in
+    # the group.
+    spec = GroupSpec("TD", 3)
+    return (lambda: _model.family_model(spec)._key(0, 1), InternalInvariantError,
+            {"spec": spec, "atom": 0, "k": 1}, f"element of {spec} off the index-3 grading")
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        # x^2 = y^2 = -1 forces rho(x)^2 = rho(y)^2; i and 1 disagree.
-        "try:\n"
-        "    bundle.extend_character(d2, 4, [(x, 1), (y, 0)])\n"
-        "except CharacterConflictError as exc:\n"
-        "    sys.exit(0 if exc.witness is not None else 1)",
-        # x alone generates a cyclic subgroup of order 4.
-        "try:\n"
-        "    bundle.extend_character(d2, 2, [(x, 1)])\n"
-        "except ConstraintError as exc:\n"
-        "    sys.exit(0 if 'generate' in str(exc) else 1)",
-        # The trivial character on DD(1,3) is consistent, but f(xz) = -f(z).
-        "from character_checks import trivial_rho\n"
-        "bundle.generator_table = trivial_rho(bundle.generator_table)\n"
-        "report = bundle.section_equivariance_report(GroupSpec('DD', 1, 3))\n"
-        "none = [k for k, v in report['scalars'].items() if v is None]\n"
-        "sys.exit(0 if not report['ok'] and len(none) == 1 else 1)",
-    ],
-    ids=["conflict", "not-generating", "section-fail"],
-)
-def test_bundle_checks_fire_under_optimize(body):
-    _run_optimized(BUNDLE_SCRIPT.format(body=body))
+@case
+def conflict(patch):
+    # x^2 = y^2 = -1 forces rho(x)^2 = rho(y)^2; i and 1 disagree on key 1.
+    d2 = build_group(GroupSpec("DD", 1, 2))
+    _, x, y = d2.gens
+    return (lambda: bundle.extend_character(d2, 4, [(x, 1), (y, 0)]), CharacterConflictError,
+            1, "assignments force zeta_4^2 and zeta_4^0 on the same element")
 
 
-def _run_optimized(script):
+@case
+def not_generating(patch):
+    # x alone generates a cyclic subgroup of order 4.
+    d2 = build_group(GroupSpec("DD", 1, 2))
+    return (lambda: bundle.extend_character(d2, 2, [(d2.gens[1], 1)]), ConstraintError,
+            None, "assigned elements do not generate the group")
+
+
+@case
+def section_fail(patch):
+    # The trivial character on DD(1,3) is consistent, but f(xz) = -f(z):
+    # the report fails on x (key 6) alone.
+    patch(bundle, "generator_table", trivial_rho(bundle.generator_table))
+
+    def call():
+        report = bundle.section_equivariance_report(GroupSpec("DD", 1, 3))
+        return report["ok"], [g for g, v in report["scalars"].items() if v is None]
+
+    return call, (False, [6])
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_internal_check_fires(name):
+    assert failure(CASES[name]) is None
+
+
+def test_every_internal_check_fires_under_optimize():
     env = dict(os.environ)
-    paths = [str(SRC), str(Path(__file__).parent), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-O", __file__], env=env, capture_output=True, text=True, timeout=120
     )
-    assert done.returncode == 0, (done.returncode, done.stdout, done.stderr)
+    assert done.returncode == 0, done.stderr
+
+
+def _optimize_dependent(tree):
+    """(line, what) for each construct that behaves otherwise under `-O`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert"
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            yield node.lineno, "__debug__"
+        elif isinstance(node, ast.Attribute) and node.attr == "flags":
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                yield node.lineno, "sys.flags"
+
+
+def test_no_library_code_depends_on_optimize():
+    paths = sorted((SRC / "ellsw").glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in paths
+        for line, what in _optimize_dependent(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+if __name__ == "__main__":
+    failed = [f"{name}: {what}" for name, c in CASES.items() if (what := failure(c))]
+    if not sys.flags.optimize:
+        failed.insert(0, "not run under python -O")
+    sys.exit("\n".join(failed) or None)
