@@ -10,6 +10,7 @@ from ellsw.bundle import (
     verify_section_equivariance,
 )
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
+from ellsw.errors import CharacterConflictError
 from ellsw.groups import GroupSpec, build_group, scalar_subgroup
 from ellsw.swindex import sweep_specs
 
@@ -88,6 +89,14 @@ def test_extend_character_consistent_order_two():
     ch = extend_character(d2, 2, [(x, 1), (y, 1)])  # rho(x) = rho(y) = -1
     assert is_multiplicative(ch)
     assert ch.value(d2.mult(x, y)) == 1
+
+
+def test_extend_character_conflict_detected():
+    d2 = build_group(GroupSpec("DD", 1, 2))
+    _, x, y = d2.gens
+    # x^2 = y^2 = -1 forces rho(x)^2 = rho(y)^2; i and 1 disagree.
+    with pytest.raises(CharacterConflictError):
+        extend_character(d2, 4, [(x, 1), (y, 0)])
 
 
 @pytest.mark.parametrize(

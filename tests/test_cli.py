@@ -221,6 +221,20 @@ MEMBER_POINT = {"order": 6, "l": 1, "lp": None, "ambient": 6, "cone_point": True
         {"class": {"CC": "2/3", "KC": "-4/3"}, "points": [{**MEMBER_POINT, "order": 6.9}]},
         {"class": {"CC": "2/3", "KC": "-4/3"}, "underlying_genus": 0.5, "points": [MEMBER_POINT]},
         {"class": {"CC": "2/3", "KC": "-4/3"}, "points": [{**MEMBER_POINT, "l": True}]},
+    ],
+    ids=["negative-pair-index", "float-order", "float-genus", "bool-winding"],
+)
+def test_audit_integer_fields_take_only_integers(tmp_path, capsys, doc):
+    path = tmp_path / "bad.audit"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["audit", "--input", str(path)], capsys)
+    assert code == 2
+    assert "input error: malformed audit document: " in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
         # Fraction() would read 0.1 as 3602879701896397/36028797018963968,
         # and true as 1.
         {"class": {"CC": 0.1, "KC": "-4/3"}, "points": [MEMBER_POINT]},
@@ -230,12 +244,9 @@ MEMBER_POINT = {"order": 6, "l": 1, "lp": None, "ambient": 6, "cone_point": True
         {"class": {"CC": "2/3", "KC": "-4/3"}, "points": [{**MEMBER_POINT, "group_order": 0}]},
         {"class": {"CC": "2/3", "KC": "-4/3"}, "underlying_genus": -3, "points": [MEMBER_POINT]},
     ],
-    ids=[
-        "negative-pair-index", "float-order", "float-genus", "bool-winding",
-        "float-pairing", "bool-pairing", "float-extra-term", "zero-group-order", "negative-genus",
-    ],
+    ids=["float-pairing", "bool-pairing", "float-extra-term", "zero-group-order", "negative-genus"],
 )
-def test_audit_fields_take_only_exact_valid_values(tmp_path, capsys, doc):
+def test_audit_rejects_inexact_rationals_and_impossible_values(tmp_path, capsys, doc):
     path = tmp_path / "bad.audit"
     path.write_text(json.dumps(doc))
     code, _, err = run(["audit", "--input", str(path)], capsys)

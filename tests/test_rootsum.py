@@ -85,6 +85,12 @@ def test_rational_value_of_symmetric_sum():
     assert total.rational_value() == Fraction(4, 2)
 
 
+def test_rational_value_rejects_unstable_sums():
+    rs = RootSum.monomial(5, 1)
+    with pytest.raises(InternalInvariantError):
+        rs.rational_value()
+
+
 def test_stable_primitive_orbit_sums_to_moebius_value():
     # Twice the sum of all primitive 12th roots: 2 mu(12) = 0.
     rs = RootSum(12, {1: Fraction(2), 5: Fraction(2), 7: Fraction(2), 11: Fraction(2)})
