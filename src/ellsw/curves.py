@@ -167,15 +167,15 @@ def run_audit(document: dict) -> dict:
             detail.append((f"k_pair_{i}_{j}", kpair_lower_bound(points[i], points[j], amb)))
         for extra in document.get("extra_terms", []):
             detail.append(("extra", _rational(extra)))
+        rhs = [t for _, t in detail]
+        slack = adjunction_slack(lhs, rhs)
+        return {  # frac_str raises ValueError past sys.get_int_max_str_digits(): "1e5000"
+            "lhs": frac_str(lhs),
+            "rhs_terms": [[name, frac_str(v)] for name, v in detail],
+            "rhs_total": frac_str(sum(rhs, Fraction(0))),
+            "slack": frac_str(slack),
+            "feasible": slack >= 0,
+        }
     except (KeyError, ValueError, TypeError, IndexError, AttributeError, ArithmeticError) as exc:
         # ArithmeticError: "1/0" (ZeroDivisionError).
         raise InputDocumentError(f"malformed audit document: {exc}") from exc
-    rhs = [t for _, t in detail]
-    slack = adjunction_slack(lhs, rhs)
-    return {
-        "lhs": frac_str(lhs),
-        "rhs_terms": [[name, frac_str(v)] for name, v in detail],
-        "rhs_total": frac_str(sum(rhs, Fraction(0))),
-        "slack": frac_str(slack),
-        "feasible": slack >= 0,
-    }

@@ -239,6 +239,27 @@ def _binary_generators(kind: str):
 # generic finite group container
 
 
+def _walk_blocks(masks, queue, moves, step, K, spec):
+    """Grow `masks[b]`, bit `s` set once key `b * K + s` is reached, from the
+    blocks in `queue`.  Scalars being central, one `p = step(b * K, g)` per
+    visit moves all of block `b`: its mask, rotated by `p % K`, into `p // K`."""
+    order, full = len(masks) * K, (1 << K) - 1
+    for b in queue:  # first in, first out: the queue grows as masks grow
+        mask = masks[b]
+        for g in moves:
+            p = step(b * K, g)
+            if not 0 <= p < order:
+                raise InternalInvariantError(
+                    f"product {p} of block {b} and generator {g} left the keys of {spec}",
+                    witness={"spec": spec, "block": b, "generator": g, "product": p},
+                )
+            t, s = divmod(p, K)
+            grown = masks[t] | (mask << s | mask >> (K - s)) & full
+            if grown != masks[t]:
+                masks[t] = grown
+                queue.append(t)
+
+
 class FiniteGroup:
     """A finite subgroup of U(2) on dense integer keys.
 
@@ -248,6 +269,8 @@ class FiniteGroup:
     its blocks `b * K + range(K)` are the scalar cosets, block 0 the scalars.
     A group closed from matrices (`_matrix_group`) numbers them in
     breadth-first order and carries its Cayley table (`table[a][b] = a b`).
+    One walker, `_walk_blocks`, closes a family group under `mult` and, under
+    conjugation, counts `K // c` classes per orbit of blocks marking `c` keys.
     """
 
     identity = 0
@@ -264,16 +287,8 @@ class FiniteGroup:
     @staticmethod
     def from_generators(gens, mult, to_matrix, order, block, spec=None):
         """Close a family model's generators over its dense keys `b * K + s`
-        (`K = block`); the closure must be all of `range(order)`.
-
-        Key `b * K + s` is key `b * K` times the central scalar `s`, so `g`
-        moves a block as one unit: `(b * K + s) g = t * K + (s + shift) % K`
-        with `(t, shift) = divmod((b * K) g, K)`.  The breadth-first search
-        keeps one `K`-bit int per block, bit `s` set once `b * K + s` is
-        reached.  Block 0 is closed under the scalar generators `g < K` by
-        doubling rotations; then each non-scalar generator costs one `mult`
-        per visit of a block, which is visited again only if its mask grows.
-        """
+        (`K = block`) to all of `range(order)`: doubling rotations close block 0
+        under the scalars `g < K`, then `_walk_blocks` moves blocks by the rest."""
         K = block
         if order % K:
             raise InternalInvariantError(
@@ -287,22 +302,7 @@ class FiniteGroup:
                     mask |= (mask << g | mask >> (K - g)) & full
                     g = 2 * g % K
         masks = [mask] + [0] * (order // K - 1)
-        moves = [g for g in gens if g >= K]
-        queue = [0]
-        for b in queue:  # first in, first out: the queue grows as masks grow
-            mask = masks[b]
-            for g in moves:
-                p = mult(b * K, g)
-                if not 0 <= p < order:
-                    raise InternalInvariantError(
-                        f"product {p} of block {b} and generator {g} left the keys of {spec}",
-                        witness={"spec": spec, "block": b, "generator": g, "product": p},
-                    )
-                t, s = divmod(p, K)
-                grown = masks[t] | (mask << s | mask >> (K - s)) & full
-                if grown != masks[t]:
-                    masks[t] = grown
-                    queue.append(t)
+        _walk_blocks(masks, [0], [g for g in gens if g >= K], mult, K, spec)
         found = sum(m.bit_count() for m in masks)
         if found != order:
             raise InternalInvariantError(
@@ -379,6 +379,26 @@ class FiniteGroup:
         return [
             sorted(self._conjugation_closure((k,), seen, ginv)) for k in self.keys if not seen[k]
         ]
+
+    def class_count(self) -> int:
+        """The number of conjugacy classes.  From mask 1 on an unvisited block
+        `b0`, conjugation marks in each block of the orbit the keys conjugate
+        to `b0 * K`: in `b0` that is `b0 * K` times a subgroup of the scalars,
+        of order `c`, so each block marks `c` and the orbit holds `K // c`."""
+        K, mult, spec = self.block or 1, self.mult, self.spec  # K = 1: a table group
+        masks, moves, count = [0] * (self.order // K), self._noncentral_generators(), 0
+        conjugate = lambda a, g_gi: mult(g_gi[1], mult(a, g_gi[0]))  # g^-1 a g
+        for b0 in range(len(masks)):
+            if not masks[b0]:
+                masks[b0], orbit = 1, [b0]
+                _walk_blocks(masks, orbit, moves, conjugate, K, spec)
+                if len(counts := {masks[b].bit_count() for b in orbit}) > 1:
+                    raise InternalInvariantError(
+                        f"conjugacy orbit of block {b0} in {spec} splits unevenly",
+                        witness={"spec": spec, "block": b0, "counts": sorted(counts)},
+                    )
+                count += K // counts.pop()
+        return count
 
     def commutator_subgroup(self):
         """Keys of [G, G]: the normal closure of the generator commutators.
@@ -595,7 +615,7 @@ def group_report(group: FiniteGroup) -> dict:
     report = {
         "order": group.order,
         "scalar_order": len(group.scalar_keys()),
-        "class_count": len(group.conjugacy_classes()),
+        "class_count": group.class_count(),
         "abelianization": list(ab.factors),
     }
     if spec is not None:

@@ -254,6 +254,25 @@ def test_audit_rejects_inexact_rationals_and_impossible_values(tmp_path, capsys,
     assert "input error: malformed audit document: " in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"class": {"CC": "1e5000", "KC": "0"}},
+        {"class": {"CC": "2/3", "KC": "-4/3"}, "extra_terms": ["1e-5000"]},
+    ],
+    ids=["numerator", "denominator"],
+)
+def test_audit_rational_past_the_digit_limit_exit_code(tmp_path, capsys, doc):
+    # Read exactly, the value is fine; its "p/q" string would pass the
+    # interpreter's limit on integer string conversion.
+    path = tmp_path / "big.audit"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["audit", "--input", str(path)], capsys)
+    assert code == 2
+    assert "input error: malformed audit document: " in err
+    assert "digits" in err
+
+
 def test_audit_missing_file_exit_code(capsys):
     code, _, _ = run(["audit", "--input", "/nonexistent/file.audit"], capsys)
     assert code == 2

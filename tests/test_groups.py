@@ -259,8 +259,34 @@ def test_classes_and_commutators_skip_only_central_generators():
     for group in groups:
         ref = copy.copy(group)
         ref._noncentral_generators = lambda g=group: [(k, g.inverse(k)) for k in g.gens]
-        assert group.conjugacy_classes() == ref.conjugacy_classes(), group.spec
+        classes = ref.conjugacy_classes()
+        assert group.conjugacy_classes() == classes, group.spec
+        assert group.class_count() == ref.class_count() == len(classes), group.spec
         assert group.commutator_subgroup() == ref.commutator_subgroup(), group.spec
+
+
+def test_class_count_matches_the_listed_classes():
+    # The block walk against the per-key walk.
+    from ellsw.swindex import sweep_specs
+
+    groups = [build_binary_polyhedral(kind) for kind in "TOI"]
+    groups.append(scalar_subgroup(build_group(GroupSpec("DD", 5, 3))))
+    specs = sweep_specs(1200)
+    assert len(specs) == 1015
+    for group in itertools.chain(groups, map(build_group, specs)):
+        assert group.class_count() == len(group.conjugacy_classes()), group.spec
+
+
+def test_class_count_counts_commuting_pairs():
+    # Burnside: G has k |G| commuting pairs (a, b), k its number of classes.
+    # Counting the pairs shares no code with either conjugation walk.
+    from ellsw.swindex import sweep_specs
+
+    groups = [build_binary_polyhedral(kind) for kind in "TOI"]
+    for group in itertools.chain(groups, map(build_group, sweep_specs(120))):
+        mult = group.mult
+        pairs = sum(mult(a, b) == mult(b, a) for a in group.keys for b in group.keys)
+        assert pairs == group.class_count() * group.order, group.spec
 
 
 def test_scalar_subgroup_has_singleton_classes():

@@ -105,6 +105,18 @@ def wrong_order(patch):
 
 
 @case
+def class_orbit(patch):
+    # 1 x read as 1: conjugating the identity by x then lands on x^-1, so
+    # block 0 keeps one key while the other blocks of its orbit gain two.
+    group = build_group(DD34)
+    mult = group.mult
+    patch(group, "mult", lambda a, b: 0 if (a, b) == (0, 24) else mult(a, b))
+    return (group.class_count, InternalInvariantError,
+            {"spec": DD34, "block": 0, "counts": [1, 2]},
+            f"conjugacy orbit of block 0 in {DD34} splits unevenly")
+
+
+@case
 def coset_count(patch):
     # The section check with one of the 8 coset representatives dropped.
     reps = bundle._coset_representatives
