@@ -26,7 +26,7 @@ from .groups import (
     scalar_subgroup,
     verify_free_action,
 )
-from .seifert import SeifertInvariant, euler_number, normalized_invariant, singular_point_types
+from .seifert import SeifertInvariant, euler_number, normalized_invariant
 from .bundle import (
     BivariatePolynomial,
     Character,

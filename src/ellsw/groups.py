@@ -9,15 +9,20 @@ _model) whose multiplication agrees with matrix multiplication by
 construction; the binary tetrahedral, octahedral and icosahedral groups
 number their matrices in breadth-first order and multiply through a
 Cayley table.  The binary dihedral group D*_4n is family DD with m = 1.
+One block walker, `_walk_blocks`, closes G, closes [G,G], checks that
+[G,G] is normal and counts the conjugacy classes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CyclotomicNumber, factorize, power, root_of_unity, root_pair
+from .cyclo import CyclotomicNumber, power, root_of_unity, root_pair
 from .errors import ConstraintError, DomainError, InternalInvariantError
 
 FAMILIES = ("DD", "DC", "TT", "TD", "OO", "II")
@@ -260,6 +265,43 @@ def _walk_blocks(masks, queue, moves, step, K, spec):
                 queue.append(t)
 
 
+def _close(gens, mult, order, K, spec):
+    """Block masks of the subgroup that `gens` generate among `order` keys
+    `b * K + s`: doubling rotations close block 0 under the scalars `g < K`,
+    then `_walk_blocks` moves blocks by the rest under `mult`."""
+    full, mask = (1 << K) - 1, 1
+    for g in gens:
+        if g < K:  # mask |= mask rotated by g, 2g, 4g, ...
+            for _ in range(K.bit_length()):
+                mask |= (mask << g | mask >> (K - g)) & full
+                g = 2 * g % K
+    masks = [mask] + [0] * (order // K - 1)
+    _walk_blocks(masks, [0], [g for g in gens if g >= K], mult, K, spec)
+    return masks
+
+
+def _conjugation(mult):
+    """The `_walk_blocks` step `a, (g, g^-1) -> g^-1 a g`."""
+    return lambda a, g_gi: mult(g_gi[1], mult(a, g_gi[0]))
+
+
+def _smith_invariants(rows):
+    """Invariant factors above 1 of `Z^n / rows`, for `n x n` rows of full
+    rank: `d_k / d_(k-1)`, with `d_k` the gcd of the `k x k` minors (Cohen,
+    A Course in Computational Algebraic Number Theory, 2.4.4)."""
+
+    def det(m):  # expanded along the first column
+        return sum((-1) ** i * r[0] * det([q[1:] for q in m[:i] + m[i + 1 :]])
+                   for i, r in enumerate(m)) if m else 1
+
+    d = [1]
+    for k in range(1, len(rows) + 1):
+        picks = list(itertools.combinations(range(len(rows)), k))
+        minors = (det([[rows[i][j] for j in js] for i in ks]) for ks in picks for js in picks)
+        d.append(math.gcd(*minors))
+    return tuple(b // a for a, b in zip(d, d[1:]) if b > a)
+
+
 class FiniteGroup:
     """A finite subgroup of U(2) on dense integer keys.
 
@@ -269,8 +311,10 @@ class FiniteGroup:
     its blocks `b * K + range(K)` are the scalar cosets, block 0 the scalars.
     A group closed from matrices (`_matrix_group`) numbers them in
     breadth-first order and carries its Cayley table (`table[a][b] = a b`).
-    One walker, `_walk_blocks`, closes a family group under `mult` and, under
-    conjugation, counts `K // c` classes per orbit of blocks marking `c` keys.
+    One walker, `_walk_blocks`, closes a family group and [G, G] under
+    `mult` (through `_close`), and under conjugation checks that [G, G] is
+    normal and counts `K // c` classes per orbit of blocks marking `c` keys;
+    a table group walks with `K = 1`.
     """
 
     identity = 0
@@ -287,23 +331,13 @@ class FiniteGroup:
     @staticmethod
     def from_generators(gens, mult, to_matrix, order, block, spec=None):
         """Close a family model's generators over its dense keys `b * K + s`
-        (`K = block`) to all of `range(order)`: doubling rotations close block 0
-        under the scalars `g < K`, then `_walk_blocks` moves blocks by the rest."""
-        K = block
-        if order % K:
+        (`K = block`) with `_close`, which must reach all of `range(order)`."""
+        if order % block:
             raise InternalInvariantError(
-                f"{order} keys of {spec} do not split into blocks of {K}",
-                witness={"spec": spec, "order": order, "block_size": K},
+                f"{order} keys of {spec} do not split into blocks of {block}",
+                witness={"spec": spec, "order": order, "block_size": block},
             )
-        full, mask = (1 << K) - 1, 1
-        for g in gens:
-            if g < K:  # mask |= mask rotated by g, 2g, 4g, ...
-                for _ in range(K.bit_length()):
-                    mask |= (mask << g | mask >> (K - g)) & full
-                    g = 2 * g % K
-        masks = [mask] + [0] * (order // K - 1)
-        _walk_blocks(masks, [0], [g for g in gens if g >= K], mult, K, spec)
-        found = sum(m.bit_count() for m in masks)
+        found = sum(m.bit_count() for m in _close(gens, mult, order, block, spec))
         if found != order:
             raise InternalInvariantError(
                 f"closure gave order {found}, expected {order} for {spec}",
@@ -385,9 +419,9 @@ class FiniteGroup:
         `b0`, conjugation marks in each block of the orbit the keys conjugate
         to `b0 * K`: in `b0` that is `b0 * K` times a subgroup of the scalars,
         of order `c`, so each block marks `c` and the orbit holds `K // c`."""
-        K, mult, spec = self.block or 1, self.mult, self.spec  # K = 1: a table group
+        K, spec = self.block or 1, self.spec  # K = 1: a table group
         masks, moves, count = [0] * (self.order // K), self._noncentral_generators(), 0
-        conjugate = lambda a, g_gi: mult(g_gi[1], mult(a, g_gi[0]))  # g^-1 a g
+        conjugate = _conjugation(self.mult)
         for b0 in range(len(masks)):
             if not masks[b0]:
                 masks[b0], orbit = 1, [b0]
@@ -400,93 +434,61 @@ class FiniteGroup:
                 count += K // counts.pop()
         return count
 
-    def commutator_subgroup(self):
-        """Keys of [G, G]: the normal closure of the generator commutators.
-
-        The commutators are first closed under conjugation by the
-        generators, so the subgroup they generate, closed by right
-        multiplication, is already normal.
-        """
+    def _commutator_masks(self, ginv):
+        """Block masks of [G, G]: `_close` of the generator commutators, which
+        are first closed under conjugation by `ginv`, so the subgroup is normal.
+        A Counter marks the keys reached, where a bytearray would take |G|."""
         mult = self.mult
-        ginv = self._noncentral_generators()
-        seen = bytearray(self.order)
-        seen[self.identity] = 1  # the identity adds nothing to the products
         comms = [mult(mult(ai, bi), mult(a, b)) for a, ai in ginv for b, bi in ginv]
-        conj = self._conjugation_closure(comms, seen, ginv)
-        sub = {self.identity}
-        queue = [self.identity]
-        for a in queue:  # queue grows as new keys are reached
-            for c in conj:
-                p = mult(a, c)
-                if p not in sub:
-                    sub.add(p)
-                    queue.append(p)
-        return sub
+        gens = self._conjugation_closure(comms, Counter({self.identity: 1}), ginv)
+        return _close(gens, mult, self.order, self.block or 1, self.spec)
+
+    def commutator_subgroup(self):
+        """Keys of [G, G], read off its block masks."""
+        K, masks = self.block or 1, self._commutator_masks(self._noncentral_generators())
+        return {b * K + s for b, m in enumerate(masks) if m
+                for s, bit in enumerate(bin(m)[:1:-1]) if bit == "1"}
 
     def abelianization(self) -> AbelianInvariants:
-        """Invariant factors of A = G/[G,G], read off the orders in A.
-
-        The cosets of [G,G] get dense labels, [G,G] itself being coset 0;
-        they must be disjoint, [G,G] must be normal and the generators must
-        commute modulo it.  One powers walk from g, stopped at [G,G], gives
-        the order d of g in A and with it that of every power, d / gcd(j, d)
-        for g^j.  The number of elements of A of order dividing p^k grows
-        with k by the factor p^r, r the number of cyclic factors whose
-        p-part is at least p^k; so these counts give the p-part of every
-        invariant factor.
-        """
-        mult = self.mult
-        sub = sorted(self.commutator_subgroup())
-        coset = [-1] * self.order
-        reps = []
-        for k in self.keys:
-            if coset[k] < 0:
-                for x in sub:
-                    p = mult(k, x)
-                    if coset[p] >= 0:
-                        raise InternalInvariantError(
-                            f"key {p} lands in two cosets of [G,G]",
-                            witness={"key": p, "cosets": (coset[p], len(reps))},
-                        )
-                    coset[p] = len(reps)
-                reps.append(k)
-        for g in self.gens:
-            if any(coset[mult(x, g)] != coset[g] for x in sub):
-                raise InternalInvariantError(
-                    "[G,G] is not normal: [G,G] g lands in two cosets", witness={"generator": g}
-                )
-            for h in self.gens:
-                gh, hg = coset[mult(g, h)], coset[mult(h, g)]
-                if gh != hg:
-                    raise InternalInvariantError(
-                        "G/[G,G] is not abelian", witness={"generators": (g, h), "cosets": (gh, hg)}
-                    )
-        order = [0] * len(reps)
-        for c, rep in enumerate(reps):
-            if order[c]:
-                continue
-            walk = []  # the cosets of rep, rep^2, ..., up to [G,G]
-            for g in self.powers(rep):
-                walk.append(coset[g])
-                if walk[-1] == 0:
+        """Invariant factors of A = G/[G,G], from the masks of [G,G], which must
+        be normal and hold the generator commutators.  In A, mu (key 1) has
+        order c = K / |[G,G] in block 0|; each generator g outside block 0
+        gets the least e with g^e t = mu^j h, h in [G,G], for one key
+        t = prod g_i^t_i (0 <= t_i < e_i) per coset of the span so far, j read
+        off the block of g^e t.  These relations are triangular, so
+        |A| = c prod e, and their Smith invariants are the factors."""
+        mult, K, spec = self.mult, self.block or 1, self.spec
+        ginv = self._noncentral_generators()
+        masks = self._commutator_masks(ginv)
+        conj = masks.copy()
+        _walk_blocks(conj, [b for b, m in enumerate(masks) if m], ginv, _conjugation(mult), K, spec)
+        if conj != masks:
+            b = next(b for b, m in enumerate(masks) if m != conj[b])
+            raise InternalInvariantError(
+                f"conjugation moves [G,G] of {spec} into block {b}", {"spec": spec, "block": b})
+        for (g, gi), (h, hi) in itertools.product(ginv, ginv):
+            k = mult(mult(gi, hi), mult(g, h))
+            if not masks[k // K] >> k % K & 1:
+                raise InternalInvariantError(f"G/[G,G] of {spec} is not abelian",
+                                             {"spec": spec, "generators": (g, h), "commutator": k})
+        c = K // masks[0].bit_count()
+        rows, cosets = [[c]], [(self.identity, [])]  # each t with its exponents t_i
+        for g in (g for g in self.gens if g >= K):  # the scalars are powers of mu
+            pows = [self.identity]  # g^0 .. g^(e-1)
+            for ge in self.powers(g):  # it stops by g^order = 1, where t = 1 hits block 0
+                hit = next(((p, ts) for t, ts in cosets if masks[(p := mult(ge, t)) // K]), None)
+                if hit:
                     break
-            d = len(walk)
-            for j, cj in enumerate(walk, start=1):
-                if not order[cj]:
-                    order[cj] = d // math.gcd(j, d)
-        chain = []  # the invariant factors, largest first
-        for p in factorize(len(reps)):
-            below, q = 1, p
-            while (count := sum(1 for d in order if q % d == 0)) > below:
-                r = 0
-                while below < count:
-                    below *= p
-                    r += 1
-                chain += [1] * (r - len(chain))
-                for j in range(r):
-                    chain[j] *= p
-                q *= p
-        return AbelianInvariants(tuple(reversed(chain)))
+                pows.append(ge)
+            (b, s), ts = divmod(hit[0], K), hit[1]
+            rows.append([((masks[b] & -masks[b]).bit_length() - 1 - s) % c, *ts, len(pows)])
+            cosets = [(mult(t, a), ts + [i]) for t, ts in cosets for i, a in enumerate(pows)]
+        quotient, sub = math.prod(row[-1] for row in rows), sum(map(int.bit_count, masks))
+        if quotient * sub != self.order:
+            witness = {"spec": spec, "quotient": quotient, "subgroup": sub, "order": self.order}
+            raise InternalInvariantError(
+                f"|G/[G,G]| = {quotient} and |[G,G]| = {sub} miss |G| = {self.order}", witness)
+        return AbelianInvariants(_smith_invariants([r + [0] * (len(rows) - len(r)) for r in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +559,8 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
     """The full matrix group of a family spec, closed block by block."""
     from . import _model
 
+    if spec.order > sys.maxsize:  # the keys are range(|G|), whose len() must fit
+        raise ConstraintError(f"|G| = {spec.order} of {spec} exceeds {sys.maxsize}")
     model = _model.family_model(spec)
     return FiniteGroup.from_generators(
         model.generators(), model.mult, model.to_matrix, spec.order, model.K, spec
@@ -610,14 +614,10 @@ def scalar_subgroup(group: FiniteGroup) -> FiniteGroup:
 
 
 def group_report(group: FiniteGroup) -> dict:
-    spec = group.spec
-    ab = group.abelianization()
     report = {
         "order": group.order,
         "scalar_order": len(group.scalar_keys()),
         "class_count": group.class_count(),
-        "abelianization": list(ab.factors),
+        "abelianization": list(group.abelianization().factors),
     }
-    if spec is not None:
-        report = {**spec.to_dict(), **report}
-    return report
+    return report if group.spec is None else {**group.spec.to_dict(), **report}

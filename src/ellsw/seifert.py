@@ -100,8 +100,3 @@ def normalized_invariant(spec: GroupSpec) -> SeifertInvariant:
             witness={"spec": spec, "b": inv.b, "legs": inv.legs},
         )
     return inv
-
-
-def singular_point_types(spec: GroupSpec):
-    """The three orbifold point types (a_i, b_i) on the central curve."""
-    return normalized_invariant(spec).legs

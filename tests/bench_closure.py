@@ -1,8 +1,9 @@
 """Microbenchmarks of the family closure: `build_group` plus
 `scalar_subgroup` on one mid-size spec per family, `group_report`
 (conjugacy classes, commutator subgroup, abelianization) on specs of every
-family near |G| = 800, and the SU(2) atom-table build per binary
-polyhedral kind.
+family near |G| = 800 and on two large DD specs, one with few blocks of
+many keys and one with many blocks of few, and the SU(2) atom-table build
+per binary polyhedral kind.
 One more case closes every spec of the `|G| <= 4000` pool once and prints
 the wall time.
 
@@ -57,6 +58,20 @@ def test_group_report(benchmark, spec):
     # The group is built in setup, outside the timed call; collection is off
     # so that garbage from that build is not collected inside the timing.
     report = benchmark.pedantic(group_report, setup=lambda: ((build_group(spec),), {}), rounds=20)
+    assert report["order"] == spec.order
+
+
+@pytest.mark.benchmark(disable_gc=True)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec("DD", 1000001, 2),  # |G| = 8000008: 4 blocks of K = 2000002 keys
+        GroupSpec("DD", 1, 100000),  # |G| = 400000: 200000 blocks of K = 2 keys
+    ],
+    ids=str,
+)
+def test_group_report_large(benchmark, spec):
+    report = benchmark.pedantic(group_report, setup=lambda: ((build_group(spec),), {}), rounds=3)
     assert report["order"] == spec.order
 
 

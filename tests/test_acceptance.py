@@ -25,7 +25,7 @@ from ellsw.curves import (
     virtual_genus,
 )
 from ellsw.groups import GroupSpec, build_group
-from ellsw.seifert import euler_number, normalized_invariant, singular_point_types
+from ellsw.seifert import euler_number, normalized_invariant
 from ellsw.swindex import (
     _singular_sums,
     closed_form_d_E,
@@ -156,9 +156,9 @@ def test_criterion_5_seifert_identity(all_specs):
     for spec in all_specs:
         inv = normalized_invariant(spec)
         assert inv.euler_number == euler_number(spec), spec
-    assert singular_point_types(GroupSpec("OO", 5))[2] == (4, 1)
-    assert singular_point_types(GroupSpec("II", 11))[2] == (5, 1)
-    assert singular_point_types(GroupSpec("II", 13))[2] == (5, 3)
+    assert normalized_invariant(GroupSpec("OO", 5)).legs[2] == (4, 1)
+    assert normalized_invariant(GroupSpec("II", 11)).legs[2] == (5, 1)
+    assert normalized_invariant(GroupSpec("II", 13)).legs[2] == (5, 3)
     print(f"\n[criterion 5] PASS Seifert identity on {len(all_specs)} specs")
 
 

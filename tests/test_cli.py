@@ -172,6 +172,25 @@ def test_library_errors_are_internal_errors(capsys, monkeypatch, command, target
     assert err == f"internal error: {error}\n"
 
 
+HUGE_DD = ["--family", "DD", "--m", "99999999999999999999999", "--n", "2"]
+
+
+@pytest.mark.parametrize("command", ["group", "verify-rho"])
+def test_order_past_maxsize_is_a_parameter_error(capsys, command):
+    # |G| = 8 * 10^23 - 8: no range(|G|) of keys has a len().
+    code, out, err = run([command, *HUGE_DD], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["swdim", "seifert"])
+def test_order_past_maxsize_has_closed_forms(capsys, command):
+    code, out, _ = run([command, *HUGE_DD], capsys)
+    assert code == 0
+    assert "m=99999999999999999999999" in out
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-rho", "--help"])

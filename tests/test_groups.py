@@ -297,6 +297,29 @@ def test_scalar_subgroup_has_singleton_classes():
     assert sub.commutator_subgroup() == {sub.identity}
 
 
+def test_abelianization_of_the_scalars_alone():
+    # No generator outside block 0: A is the image of the 10 scalars.
+    assert scalar_subgroup(build_group(GroupSpec("DD", 5, 3))).abelianization().factors == (10,)
+
+
+@pytest.mark.parametrize("kind,factors", [("T", (3,)), ("O", (2,)), ("I", ())])
+def test_table_group_abelianization(kind, factors):
+    # A table group walks with K = 1, every key a block of its own.
+    assert build_binary_polyhedral(kind).abelianization().factors == factors
+
+
+@pytest.mark.parametrize(
+    "spec,factors",
+    [
+        (GroupSpec("DD", 1000001, 2), (2, 2000002)),  # 4 blocks of K = 2000002 keys
+        (GroupSpec("DC", 200000, 3), (800000,)),  # 6 blocks of K = 400000 keys
+    ],
+    ids=str,
+)
+def test_abelianization_with_blocks_far_larger_than_their_count(spec, factors):
+    assert build_group(spec).abelianization().factors == factors
+
+
 @pytest.mark.parametrize(
     "source",
     [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0),

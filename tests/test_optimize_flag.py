@@ -283,34 +283,45 @@ def order_bound(patch):
             {"bound": 4, "generators": [y]}, "closure exceeded the order bound 4")
 
 
-def _abelianization(patch, commutators):
-    """DD(3,4)'s abelianization, with [G,G] replaced by `commutators`."""
+def _abelianization(patch, masks):
+    """DD(3,4)'s abelianization, with the block masks of [G,G] replaced by
+    `masks`.  DD(3,4) has K = 6 and 8 blocks; [G,G] = <y^2> marks keys 0
+    and 3 (the scalars +-1) in block 0 and in block 2 (y^2 times them)."""
     group = build_group(DD34)
-    patch(group, "commutator_subgroup", lambda: commutators)
+    patch(group, "_commutator_masks", lambda ginv: masks)
     return group.abelianization
 
 
 @case
-def coset_overlap(patch):
-    # {0, 2} is not a subgroup: the scalar keys 0 and 4 (mu_6^4, the inverse
-    # of mu_6^2), the first and third coset representatives, both translate
-    # it onto key 0.
-    return (_abelianization(patch, {0, 2}), InternalInvariantError,
-            {"key": 0, "cosets": (0, 2)}, "key 0 lands in two cosets of [G,G]")
-
-
-@case
 def not_normal(patch):
-    # {0, x}: its translates partition G, but x {0, x} is not {0, x} x.
-    return (_abelianization(patch, {0, 24}), InternalInvariantError, {"generator": 24},
-            "[G,G] is not normal: [G,G] g lands in two cosets")
+    # <x> = {+-1, +-x} in blocks 0 and 4: y^-1 x y lands in block 6.
+    return (_abelianization(patch, [0b1001, 0, 0, 0, 0b1001, 0, 0, 0]), InternalInvariantError,
+            {"spec": DD34, "block": 6}, f"conjugation moves [G,G] of {DD34} into block 6")
 
 
 @case
 def not_abelian(patch):
-    # G/{0} is G itself: x y and y x are different keys.
-    return (_abelianization(patch, {0}), InternalInvariantError,
-            {"generators": (24, 6), "cosets": (30, 45)}, "G/[G,G] is not abelian")
+    # G/{identity} is G itself: the commutator of x and y is y^2, key 12.
+    return (_abelianization(patch, [1] + [0] * 7), InternalInvariantError,
+            {"spec": DD34, "generators": (24, 6), "commutator": 12},
+            f"G/[G,G] of {DD34} is not abelian")
+
+
+@case
+def lagrange(patch):
+    # [G,G] plus mu^2 marks 3 scalars, so c = 2; with e = 2 for x and for y
+    # the quotient has 8 elements, and the 5 marked keys are no subgroup.
+    return (_abelianization(patch, [0b1101, 0, 0b1001, 0, 0, 0, 0, 0]), InternalInvariantError,
+            {"spec": DD34, "quotient": 8, "subgroup": 5, "order": 48},
+            "|G/[G,G]| = 8 and |[G,G]| = 5 miss |G| = 48")
+
+
+@case
+def order_maxsize(patch):
+    # |G| = 8 (2^61 + 1) has no range(|G|) of its keys that len() can take.
+    spec = GroupSpec("DD", 2**61 + 1, 2)
+    return (lambda: build_group(spec), ConstraintError, None,
+            f"|G| = {spec.order} of {spec} exceeds {sys.maxsize}")
 
 
 @case

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from ellsw.groups import GroupSpec
-from ellsw.seifert import euler_number, normalized_invariant, singular_point_types
+from ellsw.seifert import euler_number, normalized_invariant
 
 
 @pytest.mark.parametrize(
@@ -33,8 +33,8 @@ def test_normalized_invariant_examples():
 
 
 def test_order_five_legs():
-    assert singular_point_types(GroupSpec("II", 11))[2] == (5, 1)
-    assert singular_point_types(GroupSpec("II", 13))[2] == (5, 3)
+    assert normalized_invariant(GroupSpec("II", 11)).legs[2] == (5, 1)
+    assert normalized_invariant(GroupSpec("II", 13)).legs[2] == (5, 3)
 
 
 def test_euler_identity_holds_across_small_sweep():
