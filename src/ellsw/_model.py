@@ -12,7 +12,9 @@ exactly block 0, so `range(|G|)` is the whole group.  `mult` mirrors
 matrix multiplication exactly and `to_matrix` recovers the honest unitary
 matrix.  The polyhedral atom tables are built once per kind on the keys
 of `build_binary_polyhedral`, reusing its Cayley table and exact
-matrices, and are validated against the defining relations.
+matrices, and are validated against the defining relations; atom
+`2r + t` is `(-1)^t` times atom `2r`, so block `r` of a family key holds
+the atom pair of rank `r`.
 
 The models also own the partition behind the labelled chi-subtotals:
 `labels` lists the labels in report order and `label(key)` names the
@@ -42,28 +44,10 @@ class _SU2Table:
         n = group.order
         # Generator atoms (match the matrix constructors); x^2 = -1.
         self.gen_x, self.gen_y = group.gens
-        minus_idx = self.mult[self.gen_x][self.gen_x]
-        self.neg = list(self.mult[minus_idx])
-        self.ident = group.identity
-        self.pos = [min(i, self.neg[i]) for i in range(n)]
-        # Block numbering of the family models: rank r <-> the atom pair
-        # {pos_atoms[r], -pos_atoms[r]}, with the identity at rank 0.
-        self.pos_atoms = [i for i in range(n) if self.pos[i] == i]
-        if self.pos_atoms[0] != self.ident:
-            raise InternalInvariantError(
-                "the identity atom must have rank 0",
-                witness={"kind": kind, "identity": self.ident, "rank0": self.pos_atoms[0]},
-            )
-        self.rank = [0] * n
-        for r, a in enumerate(self.pos_atoms):
-            self.rank[a] = self.rank[self.neg[a]] = r
         walks = [list(group.powers(i)) for i in range(n)]
         self.order = [len(w) for w in walks]
-        # Image order: the first power of the atom that is +-1.
-        image_order = [
-            next(t for t, g in enumerate(w, start=1) if g in (self.ident, minus_idx))
-            for w in walks
-        ]
+        # Image order: the first power of the atom that is +-1 (atom 0 or 1).
+        image_order = [next(t for t, g in enumerate(w, start=1) if g < 2) for w in walks]
         # Label order: the largest image order over cyclic subgroups containing
         # the atom.  This separates, say, the quaternion elements inside the
         # order-8 subgroups of the octahedral group from the stand-alone
@@ -75,11 +59,11 @@ class _SU2Table:
                     label_order[g] = io_b
         # Labels: the scalar atoms +-1 carry S0, and S1, S2, ... rank the
         # other atoms by decreasing label order; an atom and its negative
-        # share the label of the `pos` one.
-        orders = sorted({label_order[a] for a in self.pos_atoms[1:]}, reverse=True)
+        # share the label of the even one.
+        orders = sorted({label_order[a] for a in range(2, n, 2)}, reverse=True)
         self.labels = tuple(f"S{r}" for r in range(len(orders) + 1))
         name = {o: f"S{r}" for r, o in enumerate(orders, start=1)}
-        self.label = [name[label_order[p]] if p != self.ident else "S0" for p in self.pos]
+        self.label = ["S0"] * 2 + [name[label_order[a & -2]] for a in range(2, n)]
         # Eigenvalues as powers of zeta_base, base = n / 2 = 12, 24 or 60.
         b = self.base = n // 2
         self.eigen = []
@@ -251,8 +235,9 @@ class DihedralModel:
 class PolyhedralModel:
     """Families TT, TD, OO, II: scalars times a binary polyhedral group.
 
-    Key `r * K + s` is the atom `a = table.pos_atoms[r]` times `mu_amb^k`,
-    `amb = 2m*w`, `k = w*s + cls[a]`: `w = 3` and `cls = table.class3` in TD.
+    Key `r * K + s` is the atom `a = 2r` times `mu_amb^k`, `amb = 2m*w`,
+    `k = w*s + cls[a]`: `w = 3` and `cls = table.class3` in TD.  Atom `2r + 1`
+    is `-a`, which is `a` times `mu_amb^(m*w)`.
     """
 
     is_dihedral = False
@@ -264,7 +249,7 @@ class PolyhedralModel:
         self.table = su2_table(self.kind)
         self.labels = self.table.labels
         self.K = 2 * spec.m
-        self.size = len(self.table.pos_atoms) * self.K
+        self.size = len(self.table.atoms) // 2 * self.K
         self.c0 = spec.gamma_order
         if spec.family == "TD":
             self._w, self._cls = 3, self.table.class3
@@ -275,13 +260,13 @@ class PolyhedralModel:
         self.N = math.lcm(self.amb, self.table.base)
 
     def decode(self, key):
-        """(atom, s) of a key; the atom is a `pos` atom of the table."""
+        """(atom, s) of a key; the atom is even."""
         r, s = divmod(key, self.K)
-        return self.table.pos_atoms[r], s
+        return 2 * r, s
 
     def encode(self, a: int, s: int) -> int:
-        """Key of the `pos` atom `a` times mu_2m^s times mu_amb^cls[a]."""
-        return self.table.rank[a] * self.K + s
+        """Key of the even atom `a` times mu_2m^s times mu_amb^cls[a]."""
+        return a // 2 * self.K + s
 
     def label(self, key) -> str:
         """The label of the key's atom: S0 for the scalars."""
@@ -294,10 +279,8 @@ class PolyhedralModel:
 
     def _key(self, a: int, k: int) -> int:
         """The key of atom `a` (any sign) times mu_amb^k."""
-        t = self.table
-        if a != t.pos[a]:
-            a = t.neg[a]
-            k += self.halfshift
+        if a & 1:  # -a, the odd atom of its pair
+            a, k = a - 1, k + self.halfshift
         k %= self.amb
         if k % self._w != self._cls[a]:
             raise InternalInvariantError(
@@ -308,19 +291,19 @@ class PolyhedralModel:
 
     def generators(self):
         t, cls = self.table, self._cls
-        return [self._key(t.ident, self._w), self._key(t.gen_x, cls[t.gen_x]),
+        return [self._key(0, self._w), self._key(t.gen_x, cls[t.gen_x]),
                 self._key(t.gen_y, cls[t.gen_y])]
 
     def mult(self, A, B):
         K, t = self.K, self.table
         r1, s = divmod(A, K)
         r2, s2 = divmod(B, K)
-        a1, a2 = t.pos_atoms[r1], t.pos_atoms[r2]
+        a1, a2 = 2 * r1, 2 * r2
         p = t.mult[a1][a2]
         s += s2 + (self._cls[a1] + self._cls[a2]) // self._w
-        if p != t.pos[p]:
+        if p & 1:
             s += self.m  # -1 = mu_2m^m
-        return t.rank[p] * K + s % K
+        return p // 2 * K + s % K
 
     def is_scalar(self, key) -> bool:
         return key < self.K
@@ -355,7 +338,7 @@ class PolyhedralModel:
 
     def nonscalar_cosets(self):
         t = self.table
-        for a in t.pos_atoms[1:]:
+        for a in range(2, len(t.atoms), 2):
             base = self.base_key(a)
             e1, e2 = self.eigen_exps(base)
             yield CosetData(t.label[a], 1, self.rho_exp_2m(base), e1, e2)

@@ -2,15 +2,16 @@
 
 Covers the six non-abelian families built from a scalar cyclic group and
 a binary polyhedral group, tagged DD, DC, TT, TD, OO, II.  Every group
-has one key domain, the dense integers `range(|G|)` with identity 0, and
-gives the exact 2x2 cyclotomic matrix of each key.  The family groups
-number their elements through a structured scalar*atom model (see
-_model) whose multiplication agrees with matrix multiplication by
-construction; the binary tetrahedral, octahedral and icosahedral groups
-number their matrices in breadth-first order and multiply through a
-Cayley table.  The binary dihedral group D*_4n is family DD with m = 1.
-One block walker, `_walk_blocks`, closes G, closes [G,G], checks that
-[G,G] is normal and counts the conjugacy classes.
+has one key domain, the dense integers `range(|G|)` with identity 0, in
+blocks `b * K + range(K)` of its scalars, and gives the exact 2x2
+cyclotomic matrix of each key.  The family groups number their elements
+through a structured scalar*atom model (see _model) whose multiplication
+agrees with matrix multiplication by construction; the binary
+tetrahedral, octahedral and icosahedral groups number their matrices in
+sign pairs, key 2r + t being (-1)^t times the r-th pair's first-found
+matrix, and multiply through a Cayley table.  The binary dihedral group
+D*_4n is family DD with m = 1.  One block walker, `_walk_blocks`, closes
+G, closes [G,G], checks that [G,G] is normal and counts the classes.
 """
 
 from __future__ import annotations
@@ -307,19 +308,20 @@ class FiniteGroup:
 
     The keys are `range(order)` and the identity is 0; `mult` multiplies
     two keys and `to_matrix` gives the exact unitary matrix of one, so all
-    queries are exact.  A family group (see _model) carries `block = K`;
-    its blocks `b * K + range(K)` are the scalar cosets, block 0 the scalars.
-    A group closed from matrices (`_matrix_group`) numbers them in
-    breadth-first order and carries its Cayley table (`table[a][b] = a b`).
-    One walker, `_walk_blocks`, closes a family group and [G, G] under
-    `mult` (through `_close`), and under conjugation checks that [G, G] is
-    normal and counts `K // c` classes per orbit of blocks marking `c` keys;
-    a table group walks with `K = 1`.
+    queries are exact.  Every group carries `block = K`: its blocks
+    `b * K + range(K)` are the cosets of the scalars, block 0 the scalars
+    and key `s` the power mu^s of key 1.  A family group (see _model) has
+    `K = 2m`; a group closed from matrices (`_matrix_group`) has the sign
+    pairs as blocks (`K = 2`, or 1 without -I) and carries its Cayley
+    table (`table[a][b] = a b`).  One walker, `_walk_blocks`, closes a
+    family group and [G, G] under `mult` (through `_close`), and under
+    conjugation checks that [G, G] is normal and counts `K // c` classes
+    per orbit of blocks marking `c` keys.
     """
 
     identity = 0
 
-    def __init__(self, order, mult, to_matrix, gens, spec=None, block=None, table=None):
+    def __init__(self, order, mult, to_matrix, gens, block, spec=None, table=None):
         self.keys = range(order)
         self.mult = mult
         self.to_matrix = to_matrix
@@ -343,7 +345,7 @@ class FiniteGroup:
                 f"closure gave order {found}, expected {order} for {spec}",
                 witness={"spec": spec, "found": found, "expected": order},
             )
-        return FiniteGroup(order, mult, to_matrix, gens, spec, block=block)
+        return FiniteGroup(order, mult, to_matrix, gens, block, spec)
 
     @property
     def order(self) -> int:
@@ -364,22 +366,22 @@ class FiniteGroup:
             yield g
 
     def inverse(self, key):
-        """The last power of `key` before the identity."""
-        *walk, _ = self.powers(key)
-        return walk[-1] if walk else self.identity
+        """`g^(e-1) mu^-j` for the first power `g^e = mu^j` of `g = key` in
+        block 0, so the walk stops at the scalars, not at the identity."""
+        last = self.identity
+        for g in self.powers(key):
+            if g < self.block:
+                return self.mult(last, -g % self.block)
+            last = g
 
     def element_order(self, key) -> int:
         return sum(1 for _ in self.powers(key))
 
     def is_scalar_key(self, key) -> bool:
-        if self.block is not None:
-            return key < self.block
-        return self.to_matrix(key).is_scalar()
+        return key < self.block
 
     def scalar_keys(self):
-        if self.block is not None:
-            return range(self.block)
-        return [k for k in self.keys if self.is_scalar_key(k)]
+        return range(self.block)
 
     def _noncentral_generators(self):
         """(g, g^-1) for each non-scalar generator.  A scalar g fixes every
@@ -419,7 +421,7 @@ class FiniteGroup:
         `b0`, conjugation marks in each block of the orbit the keys conjugate
         to `b0 * K`: in `b0` that is `b0 * K` times a subgroup of the scalars,
         of order `c`, so each block marks `c` and the orbit holds `K // c`."""
-        K, spec = self.block or 1, self.spec  # K = 1: a table group
+        K, spec = self.block, self.spec
         masks, moves, count = [0] * (self.order // K), self._noncentral_generators(), 0
         conjugate = _conjugation(self.mult)
         for b0 in range(len(masks)):
@@ -441,11 +443,11 @@ class FiniteGroup:
         mult = self.mult
         comms = [mult(mult(ai, bi), mult(a, b)) for a, ai in ginv for b, bi in ginv]
         gens = self._conjugation_closure(comms, Counter({self.identity: 1}), ginv)
-        return _close(gens, mult, self.order, self.block or 1, self.spec)
+        return _close(gens, mult, self.order, self.block, self.spec)
 
     def commutator_subgroup(self):
         """Keys of [G, G], read off its block masks."""
-        K, masks = self.block or 1, self._commutator_masks(self._noncentral_generators())
+        K, masks = self.block, self._commutator_masks(self._noncentral_generators())
         return {b * K + s for b, m in enumerate(masks) if m
                 for s, bit in enumerate(bin(m)[:1:-1]) if bit == "1"}
 
@@ -457,7 +459,7 @@ class FiniteGroup:
         t = prod g_i^t_i (0 <= t_i < e_i) per coset of the span so far, j read
         off the block of g^e t.  These relations are triangular, so
         |A| = c prod e, and their Smith invariants are the factors."""
-        mult, K, spec = self.mult, self.block or 1, self.spec
+        mult, K, spec = self.mult, self.block, self.spec
         ginv = self._noncentral_generators()
         masks = self._commutator_masks(ginv)
         conj = masks.copy()
@@ -516,13 +518,15 @@ def build_binary_polyhedral(kind: str) -> FiniteGroup:
 
 
 def _matrix_group(gens, bound) -> FiniteGroup:
-    """The group generated by the matrices `gens`, keyed by breadth-first
-    discovery order (identity 0), with its Cayley table.
+    """The group generated by the matrices `gens`, with its Cayley table,
+    keyed in blocks of the scalars {1, -1}: key `2r + t` is `(-1)^t` times
+    the first-found matrix of the r-th sign pair (`K = 2`; without -I,
+    `K = 1` and the keys follow discovery order).
 
-    The search records each generator's right-multiplication step and each
-    new element's parent `a_j = a_p g`; column `j` of the table then follows
-    from column `p`, since `a_i a_j = (a_i a_p) g`, so the whole table costs
-    one matrix product per element and generator.
+    The breadth-first search records each generator's right-multiplication
+    step and each new element's parent `a_j = a_p g`; column `j` of the
+    table then follows from column `p`, since `a_i a_j = (a_i a_p) g`, so
+    the whole table costs one matrix product per element and generator.
     """
     mats = [UnitaryElement(((1, 0), (0, 1)), check=False)]
     seen = {mats[0]: 0}
@@ -545,14 +549,18 @@ def _matrix_group(gens, bound) -> FiniteGroup:
     cols = [range(len(mats))]
     for p, step in parent[1:]:
         cols.append(list(map(step.__getitem__, cols[p])))
-    table = list(zip(*cols))
-    return FiniteGroup(
-        len(mats),
-        lambda a, b: table[a][b],
-        mats.__getitem__,
-        gens=[step[0] for step in steps],
-        table=table,
-    )
+    found = list(zip(*cols))  # found[i][j] = a_i a_j
+    minus = seen.get(UnitaryElement(((-1, 0), (0, -1)), check=False))
+    neg = cols[0] if minus is None else found[minus]  # a_i -> -a_i
+    order = sorted(cols[0], key=lambda i: (min(i, neg[i]), i > neg[i]))  # key -> a_i
+    key = sorted(cols[0], key=order.__getitem__)  # the inverse: a_i -> key
+    K, mats = 1 if minus is None else 2, [mats[i] for i in order]
+    if (k := next((k for k in range(K, len(mats)) if mats[k].is_scalar()), None)) is not None:
+        raise InternalInvariantError(f"scalar key {k} lies outside block 0 of size {K}",
+                                     witness={"key": k, "matrix": mats[k], "block_size": K})
+    table = [[key[found[i][j]] for j in order] for i in order]
+    return FiniteGroup(len(mats), lambda a, b: table[a][b], mats.__getitem__,
+                       [key[step[0]] for step in steps], K, table=table)
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:
@@ -604,13 +612,11 @@ def eigen_angles(g: UnitaryElement):
 
 
 def scalar_subgroup(group: FiniteGroup) -> FiniteGroup:
-    """The subgroup of scalar matrices of a family group: its first block,
-    cyclic of order 2m for every family and generated by key 1, mu_2m."""
-    if group.block is None:
-        raise ConstraintError("scalar_subgroup needs a family group")
-    return FiniteGroup(
-        group.block, group.mult, group.to_matrix, [1], spec=group.spec, block=group.block
-    )
+    """The subgroup of scalar matrices: the first block, cyclic of order
+    `K` and generated by key 1 (mu_2m in a family group, -I in T, O and I);
+    the trivial group, with no generator, when `K = 1`."""
+    K = group.block
+    return FiniteGroup(K, group.mult, group.to_matrix, [1] if K > 1 else [], K, group.spec)
 
 
 def group_report(group: FiniteGroup) -> dict:

@@ -67,6 +67,7 @@ def test_group_report(benchmark, spec):
     [
         GroupSpec("DD", 1000001, 2),  # |G| = 8000008: 4 blocks of K = 2000002 keys
         GroupSpec("DD", 1, 100000),  # |G| = 400000: 200000 blocks of K = 2 keys
+        GroupSpec("DC", 200000, 3),  # |G| = 2400000: 6 blocks of K = 400000 keys
     ],
     ids=str,
 )

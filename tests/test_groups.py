@@ -125,9 +125,27 @@ def test_family_orders(family, m, n, order):
     assert sub.element_order(sub.gens[0]) == 2 * m
 
 
-def test_scalar_subgroup_needs_a_family_group():
-    with pytest.raises(ConstraintError):
-        scalar_subgroup(build_binary_polyhedral("T"))
+def test_scalar_subgroup_of_a_matrix_group():
+    # T, O and I hold the scalars {I, -I}, generated by key 1; C(7) holds
+    # only I, and its scalar subgroup has no generator.
+    one = UnitaryElement(((1, 0), (0, 1)))
+    minus = UnitaryElement(((-1, 0), (0, -1)))
+    for kind in "TOI":
+        sub = scalar_subgroup(build_binary_polyhedral(kind))
+        assert sub.matrices() == [one, minus] and sub.gens == [1], kind
+    sub = scalar_subgroup(_binary("C", 7))
+    assert sub.matrices() == [one] and sub.gens == []
+
+
+@pytest.mark.parametrize("kind", "TOI")
+def test_matrix_group_keys_come_in_sign_pairs(kind):
+    # Key 1 is -I and key 2r + 1 is -(key 2r), so the blocks of K = 2 are
+    # the cosets of the scalars.
+    group = build_binary_polyhedral(kind)
+    minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
+    assert group.block == 2 and group.to_matrix(1) == minus
+    for r in range(group.order // 2):
+        assert group.to_matrix(2 * r + 1) == minus * group.to_matrix(2 * r), r
 
 
 @pytest.mark.parametrize(
@@ -304,7 +322,7 @@ def test_abelianization_of_the_scalars_alone():
 
 @pytest.mark.parametrize("kind,factors", [("T", (3,)), ("O", (2,)), ("I", ())])
 def test_table_group_abelianization(kind, factors):
-    # A table group walks with K = 1, every key a block of its own.
+    # A table group walks with K = 2, every sign pair a block of its own.
     assert build_binary_polyhedral(kind).abelianization().factors == factors
 
 

@@ -149,10 +149,10 @@ def reflection(patch):
 
 @case
 def polyhedral(patch):
-    # TT(5) with the first non-identity atom, labelled S2, given eigenvalues 1, 1.
+    # TT(5) with atom 2, the first outside +-1 and labelled S2, given eigenvalues 1, 1.
     model = _model.family_model(TT5)
     eigen = list(model.table.eigen)
-    eigen[model.table.pos_atoms[1]] = (0, 0)
+    eigen[2] = (0, 0)
     patch(model.table, "eigen", eigen)
     return (model.validate_free_action, InternalInvariantError,
             {"spec": TT5, "label": "S2", "exponents": (0, 0), "N": 60},
@@ -283,6 +283,16 @@ def order_bound(patch):
             {"bound": 4, "generators": [y]}, "closure exceeded the order bound 4")
 
 
+@case
+def scalar_block(patch):
+    # i I generates {I, i I, -I, -i I}; the sign pairs put i I at key 2,
+    # outside the block {I, -I} of the scalars.
+    i = cyclo.root_of_unity(1, 4)
+    g = UnitaryElement(((i, 0), (0, i)), check=False)
+    return (lambda: groups._matrix_group([g], 8), InternalInvariantError,
+            {"key": 2, "matrix": g, "block_size": 2}, "scalar key 2 lies outside block 0 of size 2")
+
+
 def _abelianization(patch, masks):
     """DD(3,4)'s abelianization, with the block masks of [G,G] replaced by
     `masks`.  DD(3,4) has K = 6 and 8 blocks; [G,G] = <y^2> marks keys 0
@@ -334,16 +344,6 @@ def divisor_chain(patch):
 def trivial_factor(patch):
     return (lambda: AbelianInvariants((1, 2)), InternalInvariantError, {"factors": (1, 2)},
             "invariant factors must exceed 1")
-
-
-@case
-def identity_rank(patch):
-    # An O table whose identity is said to be atom 1: rank 0 is atom 0.
-    group = groups.build_binary_polyhedral("O")
-    patch(group, "identity", 1)
-    patch(_model, "build_binary_polyhedral", lambda kind: group)
-    return (lambda: _model._SU2Table("O"), InternalInvariantError,
-            {"kind": "O", "identity": 1, "rank0": 0}, "the identity atom must have rank 0")
 
 
 @case
