@@ -11,7 +11,8 @@ tetrahedral, octahedral and icosahedral groups number their matrices in
 sign pairs, key 2r + t being (-1)^t times the r-th pair's first-found
 matrix, and multiply through a Cayley table.  The binary dihedral group
 D*_4n is family DD with m = 1.  One block walker, `_walk_blocks`, closes
-G, closes [G,G], checks that [G,G] is normal and counts the classes.
+G and [G,G], marks the commutators' conjugates, checks that [G,G] is
+normal, and counts the classes, or lists them on blocks of one key.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +32,11 @@ FAMILIES = ("DD", "DC", "TT", "TD", "OO", "II")
 # (order, k), with (2, 3, k) the triangle x^2 = (xy)^3 = y^k = -1.
 BINARY_KIND = {"TT": "T", "TD": "T", "OO": "O", "II": "I"}
 BINARY = {"T": (24, 3), "O": (48, 4), "I": (120, 5)}
+
+# build_group's bound on K, the bits in one block mask, and on |G| / K, the
+# number of masks, so that a spec far too large to close is refused before
+# anything is allocated.
+BLOCK_BOUND = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -286,6 +291,15 @@ def _conjugation(mult):
     return lambda a, g_gi: mult(g_gi[1], mult(a, g_gi[0]))
 
 
+def _keys(masks, blocks, K):
+    """The keys `b * K + s` marked in `masks[b]`, for `b` in `blocks`."""
+    for b in blocks:
+        m = masks[b]
+        while m:  # one set bit at a time, lowest first
+            yield b * K + (m & -m).bit_length() - 1
+            m &= m - 1
+
+
 def _smith_invariants(rows):
     """Invariant factors above 1 of `Z^n / rows`, for `n x n` rows of full
     rank: `d_k / d_(k-1)`, with `d_k` the gcd of the `k x k` minors (Cohen,
@@ -314,9 +328,9 @@ class FiniteGroup:
     `K = 2m`; a group closed from matrices (`_matrix_group`) has the sign
     pairs as blocks (`K = 2`, or 1 without -I) and carries its Cayley
     table (`table[a][b] = a b`).  One walker, `_walk_blocks`, closes a
-    family group and [G, G] under `mult` (through `_close`), and under
-    conjugation checks that [G, G] is normal and counts `K // c` classes
-    per orbit of blocks marking `c` keys.
+    family group and [G, G] under `mult` (through `_close`); under
+    conjugation it marks the commutators' conjugates, checks that [G, G]
+    is normal, and counts the classes, or lists them on blocks of one key.
     """
 
     identity = 0
@@ -389,67 +403,52 @@ class FiniteGroup:
         it is wasted work."""
         return [(g, self.inverse(g)) for g in self.gens if not self.is_scalar_key(g)]
 
-    def _conjugation_closure(self, seeds, seen, ginv):
-        """The keys of `seeds` not marked in `seen`, then every key reached
-        from them by `a -> g^-1 a g` for `(g, g^-1)` in `ginv`; each key
-        returned is marked in `seen`."""
-        mult = self.mult
-        out = []
-        for k in seeds:
-            if not seen[k]:
-                seen[k] = 1
-                out.append(k)
-        for a in out:  # out grows as new keys are reached
-            for g, gi in ginv:
-                b = mult(gi, mult(a, g))
-                if not seen[b]:
-                    seen[b] = 1
-                    out.append(b)
-        return out
-
-    def conjugacy_classes(self):
-        """Partition of the keys into conjugacy classes, each sorted, in
-        order of their least key."""
-        seen = bytearray(self.order)
-        ginv = self._noncentral_generators()
-        return [
-            sorted(self._conjugation_closure((k,), seen, ginv)) for k in self.keys if not seen[k]
-        ]
-
-    def class_count(self) -> int:
-        """The number of conjugacy classes.  From mask 1 on an unvisited block
-        `b0`, conjugation marks in each block of the orbit the keys conjugate
-        to `b0 * K`: in `b0` that is `b0 * K` times a subgroup of the scalars,
-        of order `c`, so each block marks `c` and the orbit holds `K // c`."""
-        K, spec = self.block, self.spec
-        masks, moves, count = [0] * (self.order // K), self._noncentral_generators(), 0
+    def _orbits(self, K):
+        """Yield `(orbit, masks)` per orbit of the blocks of `K` keys under
+        conjugation, walked by `_walk_blocks` from mask 1 on its least block."""
+        masks, moves = [0] * (self.order // K), self._noncentral_generators()
         conjugate = _conjugation(self.mult)
         for b0 in range(len(masks)):
             if not masks[b0]:
                 masks[b0], orbit = 1, [b0]
-                _walk_blocks(masks, orbit, moves, conjugate, K, spec)
-                if len(counts := {masks[b].bit_count() for b in orbit}) > 1:
-                    raise InternalInvariantError(
-                        f"conjugacy orbit of block {b0} in {spec} splits unevenly",
-                        witness={"spec": spec, "block": b0, "counts": sorted(counts)},
-                    )
-                count += K // counts.pop()
+                _walk_blocks(masks, orbit, moves, conjugate, K, self.spec)
+                yield orbit, masks
+
+    def conjugacy_classes(self):
+        """Partition of the keys into conjugacy classes, each sorted, in
+        order of their least key: the orbits of blocks of one key (`K = 1`)."""
+        return [sorted(orbit) for orbit, _ in self._orbits(1)]
+
+    def class_count(self) -> int:
+        """The number of conjugacy classes.  The orbit of block `b0` marks in
+        `b0` the keys `b0 * K` times a subgroup of the scalars, of order `c`,
+        so each of its blocks marks `c` keys and the orbit holds `K // c`."""
+        K, spec, count = self.block, self.spec, 0
+        for orbit, masks in self._orbits(K):
+            if len(counts := {masks[b].bit_count() for b in orbit}) > 1:
+                raise InternalInvariantError(
+                    f"conjugacy orbit of block {orbit[0]} in {spec} splits unevenly",
+                    witness={"spec": spec, "block": orbit[0], "counts": sorted(counts)},
+                )
+            count += K // counts.pop()
         return count
 
     def _commutator_masks(self, ginv):
-        """Block masks of [G, G]: `_close` of the generator commutators, which
-        are first closed under conjugation by `ginv`, so the subgroup is normal.
-        A Counter marks the keys reached, where a bytearray would take |G|."""
-        mult = self.mult
+        """Block masks of [G, G]: `_walk_blocks` marks the conjugates under
+        `ginv` of the generator commutators, so the subgroup is normal, and
+        `_close` closes the keys marked in the blocks that walk touched."""
+        mult, K = self.mult, self.block
         comms = [mult(mult(ai, bi), mult(a, b)) for a, ai in ginv for b, bi in ginv]
-        gens = self._conjugation_closure(comms, Counter({self.identity: 1}), ginv)
-        return _close(gens, mult, self.order, self.block, self.spec)
+        masks, touched = [0] * (self.order // K), [k // K for k in comms]
+        for k in comms:
+            masks[k // K] |= 1 << k % K
+        _walk_blocks(masks, touched, ginv, _conjugation(mult), K, self.spec)
+        return _close(list(_keys(masks, dict.fromkeys(touched), K)), mult, self.order, K, self.spec)
 
     def commutator_subgroup(self):
         """Keys of [G, G], read off its block masks."""
-        K, masks = self.block, self._commutator_masks(self._noncentral_generators())
-        return {b * K + s for b, m in enumerate(masks) if m
-                for s, bit in enumerate(bin(m)[:1:-1]) if bit == "1"}
+        masks = self._commutator_masks(self._noncentral_generators())
+        return set(_keys(masks, range(len(masks)), self.block))
 
     def abelianization(self) -> AbelianInvariants:
         """Invariant factors of A = G/[G,G], from the masks of [G,G], which must
@@ -569,6 +568,9 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
 
     if spec.order > sys.maxsize:  # the keys are range(|G|), whose len() must fit
         raise ConstraintError(f"|G| = {spec.order} of {spec} exceeds {sys.maxsize}")
+    if max(spec.scalar_order, spec.gamma_order) > BLOCK_BOUND:
+        raise ConstraintError(f"{spec} has {spec.gamma_order} blocks of K = {spec.scalar_order} "
+                              f"keys; both must be at most {BLOCK_BOUND}")
     model = _model.family_model(spec)
     return FiniteGroup.from_generators(
         model.generators(), model.mult, model.to_matrix, spec.order, model.K, spec

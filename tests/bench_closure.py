@@ -1,9 +1,10 @@
 """Microbenchmarks of the family closure: `build_group` plus
 `scalar_subgroup` on one mid-size spec per family, `group_report`
 (conjugacy classes, commutator subgroup, abelianization) on specs of every
-family near |G| = 800 and on two large DD specs, one with few blocks of
-many keys and one with many blocks of few, and the SU(2) atom-table build
-per binary polyhedral kind.
+family near |G| = 800 and on three large specs, one with many blocks of
+few keys and two with few blocks of many, the per-key class list
+(`conjugacy_classes`) on the largest spec of each family with |G| <= 1200,
+and the SU(2) atom-table build per binary polyhedral kind.
 One more case closes every spec of the `|G| <= 4000` pool once and prints
 the wall time.
 
@@ -41,6 +42,17 @@ REPORT_SPECS = [
     GroupSpec("II", 7),  # 840
 ]
 
+# The largest spec of each family with |G| <= 1200, the range where the
+# tests check `conjugacy_classes` key by key (the first in sweep order on a tie).
+CLASS_SPECS = [
+    GroupSpec("DD", 1, 300),  # |G| = 1200
+    GroupSpec("DC", 4, 75),  # 1200
+    GroupSpec("TT", 49),  # 1176
+    GroupSpec("TD", 45),  # 1080
+    GroupSpec("OO", 25),  # 1200
+    GroupSpec("II", 7),  # 840
+]
+
 
 def _close(spec):
     group = build_group(spec)
@@ -74,6 +86,15 @@ def test_group_report(benchmark, spec):
 def test_group_report_large(benchmark, spec):
     report = benchmark.pedantic(group_report, setup=lambda: ((build_group(spec),), {}), rounds=3)
     assert report["order"] == spec.order
+
+
+@pytest.mark.benchmark(disable_gc=True)
+@pytest.mark.parametrize("spec", CLASS_SPECS, ids=str)
+def test_conjugacy_classes(benchmark, spec):
+    classes = benchmark.pedantic(
+        lambda group: group.conjugacy_classes(), setup=lambda: ((build_group(spec),), {}), rounds=5
+    )
+    assert sum(map(len, classes)) == spec.order
 
 
 @pytest.mark.parametrize("kind", "TOI")

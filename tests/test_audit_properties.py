@@ -4,6 +4,7 @@
 import contextlib
 import io
 import json
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +22,21 @@ json_values = st.recursive(
     max_leaves=8,
 )
 
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+# Runs of digits past the limit that int() reads or writes.
+huge_digits = st.integers(DIGIT_LIMIT + 1, DIGIT_LIMIT + 300).map(lambda k: "7" * k)
+
 # Numbers as the documents write them: integers, "p" and "p/q" strings
-# (q = 0 included), and floats (inf and nan included).
+# (q = 0 included), exponent strings read exactly ("1e400" is 10^400), digit
+# strings past the limit, and floats (inf and nan included).
 rationals = st.one_of(
     st.integers(-50, 50),
     st.integers(-50, 50).map(str),
     st.tuples(st.integers(-50, 50), st.integers(0, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["1e400", "-2.5e-7"]),
+    st.tuples(st.integers(-99, 99), st.integers(-400, 400)).map(lambda t: f"{t[0]}e{t[1]}"),
+    huge_digits,
     st.floats(),
 )
 
@@ -86,3 +96,40 @@ def test_audit_exit_code_is_0_or_2(tmp_path_factory, document):
     assert code in (0, 2), (document, err.getvalue())
     if code == 2:
         assert err.getvalue().startswith("input error:")
+
+
+# Document texts that `json.dumps` cannot write: an integer literal past the
+# digit limit in a rational or an integer field, nesting past the parser's
+# recursion limit (at the top and inside a field), and bytes that are not
+# UTF-8 (alone, or after a well-formed document).
+FIELDS = [
+    '{"class": {"CC": %s, "KC": 0}}',
+    '{"class": {"CC": 0, "KC": "1/3"}, "extra_terms": [%s]}',
+    '{"class": {"CC": 0, "KC": 0}, "underlying_genus": %s}',
+    '{"class": {"CC": 0, "KC": 0}, "points": [{"order": %s}]}',
+]
+deep = st.integers(1, 3).map(lambda k: 20 * k * sys.getrecursionlimit())
+raw_documents = st.one_of(
+    st.tuples(st.sampled_from(FIELDS), huge_digits).map(lambda t: t[0] % t[1]),
+    st.tuples(st.sampled_from(FIELDS), huge_digits).map(lambda t: t[0] % f'"-{t[1]}/3"'),
+    deep.map(lambda k: "[" * k + "]" * k),
+    deep.map(lambda k: '{"a": ' * k + "0" + "}" * k),
+    deep.map(lambda k: FIELDS[0] % ("[" * k + "]" * k)),
+).map(str.encode) | st.one_of(
+    st.binary(max_size=8).map(lambda b: b"\xff" + b),
+    st.tuples(documents.map(json.dumps), st.binary(max_size=4)).map(
+        lambda t: t[0].encode() + b"\x80" + t[1]
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=raw_documents)
+def test_audit_exit_code_is_2_on_edge_texts(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "raw.audit"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["audit", "--input", str(path)])
+    assert code == 2, (data[:200], err.getvalue())
+    assert err.getvalue().startswith("input error:")

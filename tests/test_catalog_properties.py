@@ -5,6 +5,7 @@ and never an uncaught exception."""
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -73,3 +74,35 @@ def test_sweep_catalog_exit_code_is_0_2_or_3(catalog):
     assert code in (0, 2, 3), (catalog, err.getvalue())
     if code == 2:
         assert err.getvalue().startswith("input error:")
+
+
+# Lines at the edges: a number past the digit limit, as a JSON literal or as
+# a string, in each field of a record; exponent literals (1e400 parses as an
+# infinite float) and exponent strings; and bytes that are not UTF-8, alone
+# or after a well-formed record.  Every such line is an input error; with
+# all three numbers 3 the spec is DD(3, 3), which fails gcd(m, n) = 1.
+RECORD = '{"spec": {"family": "DD", "m": %s, "n": %s}, "dE": %s}'
+huge = st.integers(sys.get_int_max_str_digits() + 1, sys.get_int_max_str_digits() + 300)
+numbers = st.one_of(
+    st.sampled_from(["3", "1e400", "-2.5e-7", '"1e400"', '"-2.5e-7"']),
+    huge.map(lambda k: "7" * k),
+    huge.map(lambda k: '"' + "7" * k + '"'),
+)
+edge_lines = st.one_of(
+    st.tuples(numbers, numbers, numbers).map(lambda t: (RECORD % t).encode()),
+    st.binary(max_size=8).map(lambda b: b"\xff" + b),
+    records.map(json.dumps).map(lambda r: r.encode() + b"\x80"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalog=st.lists(edge_lines, min_size=1, max_size=3))
+def test_sweep_catalog_exit_code_on_edge_lines(catalog):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_bytes(b"\n".join(catalog) + b"\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(ARGS + ["--catalog", str(path)])
+    assert code == 2, (catalog, err.getvalue())
+    assert err.getvalue().startswith("input error:")

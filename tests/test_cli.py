@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from ellsw import bundle, cli
 from ellsw.cli import main
 from ellsw.errors import CharacterConflictError, DomainError, InternalInvariantError
 from ellsw.errors import NotRationalError
+from ellsw.groups import BLOCK_BOUND
 from ellsw.swindex import _singular_sums, sweep_specs
 
 from character_checks import trivial_rho
@@ -182,6 +184,24 @@ def test_order_past_maxsize_is_a_parameter_error(capsys, command):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["group", "verify-rho"])
+@pytest.mark.parametrize(
+    "m, n",
+    [(10**18 + 1, 2), (1, 10**15)],
+    ids=["K-past-bound", "blocks-past-bound"],
+)
+def test_blocks_past_bound_are_a_parameter_error(capsys, command, m, n):
+    # |G| fits in sys.maxsize, but K = 2m bits per block mask or |G| / K = 2n
+    # masks would be allocated before the closure starts.
+    start = time.perf_counter()
+    code, out, err = run([command, "--family", "DD", "--m", str(m), "--n", str(n)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"at most {BLOCK_BOUND}" in err
 
 
 @pytest.mark.parametrize("command", ["swdim", "seifert"])

@@ -399,6 +399,23 @@ def test_model_eigen_exponents_match_matrices():
             assert lams == set(eigen_angles(model.to_matrix(key))), (spec, key)
 
 
+def test_atom_eigen_exponents_match_traces():
+    # Independent of root_pair, which builds `table.eigen`: each of the 192
+    # atoms of T, O and I stores a pair (e, -e) over zeta_base whose roots add
+    # up to the atom's trace, and zeta_base^e has the atom's order.
+    atoms = 0
+    for kind in "TOI":
+        table = _model.su2_table(kind)
+        base = table.base
+        for a, atom in enumerate(table.atoms):
+            e, f = table.eigen[a]
+            assert (e + f) % base == 0, (kind, a)
+            assert root_of_unity(e, base) + root_of_unity(-e, base) == atom.trace(), (kind, a)
+            assert base // math.gcd(e, base) == table.order[a], (kind, a)
+            atoms += 1
+    assert atoms == 192
+
+
 def test_model_rho_exponents_match_character():
     from ellsw.bundle import rho
 
@@ -529,6 +546,20 @@ def test_commutator_subgroup_matches_reference():
     for kind, n in (("T", 0), ("O", 0), ("I", 0), ("D", 5)):
         group = _binary(kind, n)
         assert group.commutator_subgroup() == _commutator_subgroup_by_products(group), kind
+
+
+def test_block_closure_of_one_key_is_its_powers():
+    # A key g = r mu^s with s off {0, K/2} generates a subgroup whose block
+    # masks are not symmetric under s -> -s, so a block walker that rotated
+    # a mask the wrong way would mark other keys than the powers of g.
+    from ellsw.groups import _close, _keys
+
+    for spec in (GroupSpec("DD", 7, 4), GroupSpec("DC", 6, 5), GroupSpec("TD", 9), GroupSpec("OO", 5)):
+        group = build_group(spec)
+        K = group.block
+        for g in (K + 1, 2 * K + 3, group.order - 2):
+            masks = _close([g], group.mult, group.order, K, spec)
+            assert set(_keys(masks, range(len(masks)), K)) == set(group.powers(g)), (spec, g)
 
 
 @pytest.mark.parametrize("kind,n", [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0)])

@@ -335,6 +335,16 @@ def order_maxsize(patch):
 
 
 @case
+def block_bound(patch):
+    # |G| = 8 (10^18 + 1) fits in sys.maxsize, but a block mask of
+    # K = 2 (10^18 + 1) bits does not fit in memory.
+    spec = GroupSpec("DD", 10**18 + 1, 2)
+    return (lambda: build_group(spec), ConstraintError, None,
+            f"{spec} has 4 blocks of K = {2 * 10**18 + 2} keys; "
+            f"both must be at most {groups.BLOCK_BOUND}")
+
+
+@case
 def divisor_chain(patch):
     return (lambda: AbelianInvariants((4, 6)), InternalInvariantError, {"factors": (4, 6)},
             "invariant factors must form a divisor chain")
