@@ -33,10 +33,13 @@ FAMILIES = ("DD", "DC", "TT", "TD", "OO", "II")
 BINARY_KIND = {"TT": "T", "TD": "T", "OO": "O", "II": "I"}
 BINARY = {"T": (24, 3), "O": (48, 4), "I": (120, 5)}
 
-# build_group's bound on K, the bits in one block mask, and on |G| / K, the
-# number of masks, so that a spec far too large to close is refused before
-# anything is allocated.
-BLOCK_BOUND = 1 << 22
+# build_group's bounds, so that a spec too large to close is refused before
+# anything is allocated.  Memory grows with |G|, the bits over all block
+# masks; time also with |G| / K, the masks the walk visits one by one.
+# On a 2-core x86-64 host, `group` took 1.45 GB and 25 s on DD(2^29 + 1, 2),
+# 2^32 + 8 keys in 4 blocks, and 210 MB and 43 s on DD(1, 2^21), 2^22
+# blocks of 2 keys.
+KEY_BOUND, BLOCK_BOUND = 1 << 32, 1 << 22
 
 
 @dataclass(frozen=True)
@@ -568,9 +571,9 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
 
     if spec.order > sys.maxsize:  # the keys are range(|G|), whose len() must fit
         raise ConstraintError(f"|G| = {spec.order} of {spec} exceeds {sys.maxsize}")
-    if max(spec.scalar_order, spec.gamma_order) > BLOCK_BOUND:
-        raise ConstraintError(f"{spec} has {spec.gamma_order} blocks of K = {spec.scalar_order} "
-                              f"keys; both must be at most {BLOCK_BOUND}")
+    if spec.order > KEY_BOUND or spec.gamma_order > BLOCK_BOUND:
+        raise ConstraintError(f"{spec} has {spec.order} keys in {spec.gamma_order} blocks; the "
+                              f"closure takes at most {KEY_BOUND} keys and {BLOCK_BOUND} blocks")
     model = _model.family_model(spec)
     return FiniteGroup.from_generators(
         model.generators(), model.mult, model.to_matrix, spec.order, model.K, spec

@@ -11,7 +11,7 @@ from ellsw import bundle, cli
 from ellsw.cli import main
 from ellsw.errors import CharacterConflictError, DomainError, InternalInvariantError
 from ellsw.errors import NotRationalError
-from ellsw.groups import BLOCK_BOUND
+from ellsw.groups import BLOCK_BOUND, KEY_BOUND
 from ellsw.swindex import _singular_sums, sweep_specs
 
 from character_checks import trivial_rho
@@ -189,11 +189,11 @@ def test_order_past_maxsize_is_a_parameter_error(capsys, command):
 @pytest.mark.parametrize("command", ["group", "verify-rho"])
 @pytest.mark.parametrize(
     "m, n",
-    [(10**18 + 1, 2), (1, 10**15)],
-    ids=["K-past-bound", "blocks-past-bound"],
+    [(10**18 + 1, 2), (1, 10**15), (1, BLOCK_BOUND // 2 + 1)],
+    ids=["keys-past-bound", "both-past-bound", "blocks-past-bound"],
 )
 def test_blocks_past_bound_are_a_parameter_error(capsys, command, m, n):
-    # |G| fits in sys.maxsize, but K = 2m bits per block mask or |G| / K = 2n
+    # |G| fits in sys.maxsize, but |G| bits of block masks or |G| / K = 2n
     # masks would be allocated before the closure starts.
     start = time.perf_counter()
     code, out, err = run([command, "--family", "DD", "--m", str(m), "--n", str(n)], capsys)
@@ -201,7 +201,7 @@ def test_blocks_past_bound_are_a_parameter_error(capsys, command, m, n):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
-    assert f"at most {BLOCK_BOUND}" in err
+    assert f"at most {KEY_BOUND} keys and {BLOCK_BOUND} blocks" in err
 
 
 @pytest.mark.parametrize("command", ["swdim", "seifert"])

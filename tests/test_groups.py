@@ -284,7 +284,10 @@ def test_classes_and_commutators_skip_only_central_generators():
 
 
 def test_class_count_matches_the_listed_classes():
-    # The block walk against the per-key walk.
+    # Both sides walk conjugation orbits with `_orbits`, so this checks only
+    # what differs: blocks of K keys with their rotations and `K // c`
+    # counts against blocks of one key.  The Burnside test below shares no
+    # code with the walk.
     from ellsw.swindex import sweep_specs
 
     groups = [build_binary_polyhedral(kind) for kind in "TOI"]
@@ -297,11 +300,14 @@ def test_class_count_matches_the_listed_classes():
 
 def test_class_count_counts_commuting_pairs():
     # Burnside: G has k |G| commuting pairs (a, b), k its number of classes.
-    # Counting the pairs shares no code with either conjugation walk.
+    # Counting the pairs shares no code with the conjugation walk.  Every
+    # spec with |G| <= 120, and the largest of each family with |G| <= 480.
     from ellsw.swindex import sweep_specs
 
     groups = [build_binary_polyhedral(kind) for kind in "TOI"]
-    for group in itertools.chain(groups, map(build_group, sweep_specs(120))):
+    largest = {s.family: s for s in sorted(sweep_specs(480), key=lambda s: s.order)}
+    specs = sweep_specs(120) + list(largest.values())
+    for group in itertools.chain(groups, map(build_group, specs)):
         mult = group.mult
         pairs = sum(mult(a, b) == mult(b, a) for a in group.keys for b in group.keys)
         assert pairs == group.class_count() * group.order, group.spec
@@ -331,6 +337,7 @@ def test_table_group_abelianization(kind, factors):
     [
         (GroupSpec("DD", 1000001, 2), (2, 2000002)),  # 4 blocks of K = 2000002 keys
         (GroupSpec("DC", 200000, 3), (800000,)),  # 6 blocks of K = 400000 keys
+        (GroupSpec("DD", 2097153, 2), (2, 4194306)),  # K past BLOCK_BOUND, |G| within KEY_BOUND
     ],
     ids=str,
 )

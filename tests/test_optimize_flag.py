@@ -336,12 +336,12 @@ def order_maxsize(patch):
 
 @case
 def block_bound(patch):
-    # |G| = 8 (10^18 + 1) fits in sys.maxsize, but a block mask of
-    # K = 2 (10^18 + 1) bits does not fit in memory.
+    # |G| = 8 (10^18 + 1) fits in sys.maxsize, but |G| bits of block masks
+    # do not fit in memory.
     spec = GroupSpec("DD", 10**18 + 1, 2)
     return (lambda: build_group(spec), ConstraintError, None,
-            f"{spec} has 4 blocks of K = {2 * 10**18 + 2} keys; "
-            f"both must be at most {groups.BLOCK_BOUND}")
+            f"{spec} has {8 * 10**18 + 8} keys in 4 blocks; the closure takes "
+            f"at most {groups.KEY_BOUND} keys and {groups.BLOCK_BOUND} blocks")
 
 
 @case
