@@ -14,7 +14,9 @@ routes read only the table: the library's `section_equivariance_report`
 reads V(g) off the dense keys with integer arithmetic;
 `polynomial_section_report`, the independent second route, expands f(gz)
 and rho(g) f(z) as exact polynomials over the cyclotomic field, at a cost
-cubic in |Gamma|, so only the tests run it, on small groups.
+cubic in |Gamma|, so only the tests run it, on small groups.  Each report
+gives the table's rows (name, key, e) as `generators`, the verdict on each
+in that order as `holds`, and their conjunction as `ok`.
 """
 
 from __future__ import annotations
@@ -195,16 +197,6 @@ def _section_inputs(spec: GroupSpec):
     return group, rows, reps
 
 
-def _report(group: FiniteGroup, rows, holds) -> dict:
-    """The report shape of both routes.  `generators` holds the table's
-    rows as (name, key, e), with rho(g) = mu_2m^e; `scalars` maps each
-    generator key to rho(g) where the identity holds and to None where it
-    fails."""
-    K = group.block
-    scalars = {g: root_of_unity(e, K) if ok else None for (_, g, e), ok in zip(rows, holds)}
-    return {"generators": rows, "scalars": scalars, "ok": all(holds)}
-
-
 def section_equivariance_report(spec: GroupSpec) -> dict:
     """Check f(gz) = rho(g) f(z) on generators by the transfer.
 
@@ -218,7 +210,7 @@ def section_equivariance_report(spec: GroupSpec) -> dict:
     K = group.block
     transfer = [sum(group.mult(r, g) % K for r in reps) % K for _, g, _ in rows]
     holds = [t == e for t, (_, _, e) in zip(transfer, rows)]
-    return {**_report(group, rows, holds), "transfer": transfer}
+    return {"generators": rows, "holds": holds, "ok": all(holds), "transfer": transfer}
 
 
 def verify_section_equivariance(spec: GroupSpec) -> bool:
@@ -244,4 +236,4 @@ def polynomial_section_report(spec: GroupSpec) -> dict:
         (m11, m12), (m21, m22) = group.to_matrix(g).entries
         composed = [(a * m11 + b * m21, a * m12 + b * m22) for a, b in forms]
         holds.append(_product_of_linear(composed) == f.scale(root_of_unity(e, group.block)))
-    return _report(group, rows, holds)
+    return {"generators": rows, "holds": holds, "ok": all(holds)}

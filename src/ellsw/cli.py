@@ -287,9 +287,9 @@ def cmd_verify_rho(args) -> int:
     K = 2 * spec.m
     lines = []
     payload = {"spec": spec.to_dict(), "ok": report["ok"], "witnesses": []}
-    for (name, _, e), t in zip(report["generators"], report["transfer"]):
+    for (name, _, e), t, ok in zip(report["generators"], report["transfer"], report["holds"]):
         rho_g, v_g = _zeta(e, K), _zeta(t, K)
-        if t != e:
+        if not ok:
             lines.append(f"FAIL  f({name} z) != rho({name}) f(z)")
             lines.append(f"      V({name}) = {v_g}, rho({name}) = {rho_g}")
             payload["witnesses"].append({"generator": name, "ok": False, "V": v_g, "rho": rho_g})

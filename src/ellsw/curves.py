@@ -9,6 +9,8 @@ adjunction slack certifies that a configuration is impossible.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,9 +129,14 @@ def _integer(value) -> int:
 
 def _rational(value) -> Fraction:
     """A JSON rational field: an integer, or a string such as "2/3" or "0.1"
-    read exactly; a float or a bool is malformed, not rounded."""
+    read exactly.  A float or a bool is malformed, not rounded; so is an
+    exponent past the integer digit limit, before 10**exponent is formed."""
     if type(value) not in (int, str):
         raise TypeError(f"expected an integer or a string, not {value!r}")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    exponent = type(value) is str and re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
+    if exponent and limit and abs(int(exponent[1])) > limit:
+        raise ValueError(f"the exponent of {value!r} exceeds the limit of {limit} digits")
     return Fraction(value)
 
 

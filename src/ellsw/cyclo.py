@@ -162,27 +162,27 @@ def _poly_modinv(a, mod):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
-    """Coefficients of Phi_n, constant term first: for n = p d, p prime (a
-    repeated one first), Phi_d(x^p) if p | d, else Phi_d(x^p) / Phi_d(x)."""
+    """Coefficients of Phi_n, constant term first: the product over d | n of
+    (x^d - 1)^mu(n/d).  Each binomial is multiplied in (mu = 1) or divided
+    out (mu = -1, after every product) in one linear pass."""
     if n <= 0:
         raise ValueError("cyclotomic_polynomial expects a positive integer")
-    if n == 1:
-        return (-1, 1)
-    primes = factorize(n)
-    p = next((q for q, e in primes.items() if e > 1), min(primes))
-    d = n // p
-    base = cyclotomic_polynomial(d)
-    spread = [0] * ((len(base) - 1) * p + 1)
-    spread[::p] = base
-    if d % p == 0:
-        return tuple(spread)
-    scale, q, r = _poly_pseudo_divmod(spread, base)
-    if scale != 1 or r:
-        raise InternalInvariantError(
-            f"Phi_{d}(x^{p}) / Phi_{d}(x) is not an integer polynomial",
-            witness={"n": n, "p": p, "scale": scale, "remainder": r},
-        )
-    return tuple(q)
+    signed = [(n, 1)]  # (d, mu(n/d)) for each d | n with n/d squarefree
+    for p in factorize(n):
+        signed += [(d // p, -s) for d, s in signed]
+    poly = [1]
+    for d, s in sorted(signed, key=lambda ds: -ds[1]):
+        if s == 1:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+            continue
+        for i in range(len(poly) - d - 1, -1, -1):  # the quotient is poly[d:]
+            poly[i] += poly[i + d]
+        if any(poly[:d]):
+            raise InternalInvariantError(
+                f"x^{d} - 1 leaves a remainder in Phi_{n}", witness={"n": n, "d": d}
+            )
+        poly = poly[d:]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Microbenchmarks of the cyclotomic core: `mul`, `inverse`, `reduced` and
-`root_of_unity` at orders 24, 60, 120 and 240.
+`root_of_unity` at orders 24, 60, 120 and 240, and `cyclotomic_polynomial`
+from an empty cache at orders 2310, 30030 and 100001.
 
     PYTHONPATH=src python -m pytest tests/bench_cyclo.py
 
@@ -12,7 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from ellsw.cyclo import CyclotomicNumber, _root_of_unity, euler_phi, root_of_unity
+from ellsw.cyclo import (
+    CyclotomicNumber,
+    _root_of_unity,
+    cyclotomic_polynomial,
+    euler_phi,
+    root_of_unity,
+)
 
 ORDERS = (24, 60, 120, 240)
 
@@ -49,3 +56,13 @@ def test_root_of_unity(benchmark, n):
     benchmark.pedantic(
         root_of_unity, args=(7, n), setup=_root_of_unity.cache_clear, rounds=200
     )
+
+
+@pytest.mark.parametrize("n", (2310, 30030, 100001))
+def test_cyclotomic_polynomial_cold(benchmark, n):
+    # Phi_n with no Phi_d cached: 2310 and 30030 have 5 and 6 distinct
+    # primes, 100001 = 11 * 9091 has degree 90900.
+    phi = benchmark.pedantic(
+        cyclotomic_polynomial, args=(n,), setup=cyclotomic_polynomial.cache_clear, rounds=3
+    )
+    assert len(phi) == euler_phi(n) + 1

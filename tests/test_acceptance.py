@@ -180,11 +180,11 @@ def test_criterion_6_section_equivariance():
         assert verify_section_equivariance(GroupSpec(family, m, n)), (family, m, n)
     # Printed witnesses for the degree-six dihedral section (n = 3).
     report = section_equivariance_report(GroupSpec("DD", 1, 3))
-    scalars = list(report["scalars"].values())
-    assert scalars[0] == root_of_unity(6, 2)  # f(hz) = mu_2^6 f(z) = f(z)
-    assert scalars[1] == -CyclotomicNumber.one()  # f(xz) = -f(z)
+    assert report["holds"] == [True, True, True]
+    # f(hz) = mu_2^6 f(z) = f(z) and f(xz) = mu_2 f(z) = -f(z)
+    assert [e for _, _, e in report["generators"][:2]] == [0, 1]
     report = section_equivariance_report(GroupSpec("DD", 5, 3))
-    assert list(report["scalars"].values())[0] == root_of_unity(6, 10)
+    assert report["holds"][0] and report["generators"][0][2] == 6  # f(hz) = mu_10^6 f(z)
     print(f"\n[criterion 6] PASS equivariance on {len(EQUIVARIANCE_CASES)} specs plus witnesses")
 
 

@@ -9,7 +9,7 @@ from ellsw.bundle import (
     section_equivariance_report,
     verify_section_equivariance,
 )
-from ellsw.cyclo import CyclotomicNumber, root_of_unity
+from ellsw.cyclo import root_of_unity
 from ellsw.errors import CharacterConflictError
 from ellsw.groups import GroupSpec, build_group, scalar_subgroup
 from ellsw.swindex import sweep_specs
@@ -115,16 +115,15 @@ def test_section_equivariance_witnesses_order_three_dihedral():
     # With n = 3 the section has degree 6: f(hz) = mu_{2m}^6 f(z), f(xz) = -f(z).
     spec = GroupSpec("DD", 5, 3)
     report = section_equivariance_report(spec)
-    scalars = list(report["scalars"].values())
-    assert scalars[0] == root_of_unity(6, 10)
-    assert scalars[1] == -CyclotomicNumber.one()
-    assert scalars[2] == CyclotomicNumber.one()
+    assert report["holds"] == [True, True, True]
+    # mu_10^6, mu_10^5 = -1 and 1
+    assert [e for _, _, e in report["generators"]] == [6, 5, 0]
 
 
 def test_icosahedral_section_invariant_on_binary_icosahedral_part():
     report = section_equivariance_report(GroupSpec("II", 1))
-    scalars = list(report["scalars"].values())
-    assert scalars[1] == 1 and scalars[2] == 1
+    assert report["holds"][1:] == [True, True]
+    assert [e for _, _, e in report["generators"][1:]] == [0, 0]
 
 
 def test_section_check_fails_for_the_trivial_character(monkeypatch):
@@ -134,7 +133,8 @@ def test_section_check_fails_for_the_trivial_character(monkeypatch):
     report = section_equivariance_report(spec)
     h, x, y = build_group(spec).gens
     assert report["ok"] is False
-    assert report["scalars"] == {h: CyclotomicNumber.one(), x: None, y: CyclotomicNumber.one()}
+    assert report["generators"] == [("h", h, 0), ("x", x, 0), ("y", y, 0)]
+    assert report["holds"] == [True, False, True]
     assert not verify_section_equivariance(spec)
 
 
@@ -170,7 +170,8 @@ def test_transfer_and_polynomial_routes_agree():
         transfer = section_equivariance_report(spec)
         polynomial = polynomial_section_report(spec)
         assert transfer["ok"] and polynomial["ok"], spec
-        assert polynomial["scalars"] == transfer["scalars"], spec
+        assert polynomial["generators"] == transfer["generators"], spec
+        assert polynomial["holds"] == transfer["holds"], spec
 
 
 @pytest.mark.parametrize(
@@ -190,7 +191,7 @@ def test_both_routes_reject_a_wrong_character(monkeypatch, spec, wrap, flagged):
     transfer = section_equivariance_report(spec)
     polynomial = polynomial_section_report(spec)
     assert transfer["ok"] is False and polynomial["ok"] is False
-    names = {name: key for name, key, _ in transfer["generators"]}
-    assert [g for g, v in transfer["scalars"].items() if v is None] == [names[flagged]]
-    assert [g for g, v in polynomial["scalars"].items() if v is None] == [names[flagged]]
+    for report in (transfer, polynomial):
+        failed = [name for (name, _, _), ok in zip(report["generators"], report["holds"]) if not ok]
+        assert failed == [flagged]
     assert not verify_section_equivariance(spec)

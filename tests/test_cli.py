@@ -134,6 +134,20 @@ def test_verify_rho_command_reports_a_failing_generator(capsys, monkeypatch):
     assert witness in rec["witnesses"]
 
 
+def test_verify_rho_forms_no_cyclotomic_value(capsys, monkeypatch):
+    # The transfer route compares integer exponents mod 2m, so a large m
+    # costs no Phi_2m: DD(100001, 2) has 800,008 keys in 4 blocks.
+    def no_root(*args):
+        raise AssertionError("the transfer route formed a root of unity")
+
+    monkeypatch.setattr(bundle, "root_of_unity", no_root)
+    start = time.perf_counter()
+    code, out, _ = run(["verify-rho", "--family", "DD", "--m", "100001", "--n", "2"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -298,18 +312,49 @@ def test_audit_rejects_inexact_rationals_and_impossible_values(tmp_path, capsys,
     [
         {"class": {"CC": "1e5000", "KC": "0"}},
         {"class": {"CC": "2/3", "KC": "-4/3"}, "extra_terms": ["1e-5000"]},
+        {"class": {"CC": "1e5000", "KC": "-1e5000"}},  # exact sums would cancel
     ],
-    ids=["numerator", "denominator"],
+    ids=["numerator", "denominator", "cancelling"],
 )
 def test_audit_rational_past_the_digit_limit_exit_code(tmp_path, capsys, doc):
-    # Read exactly, the value is fine; its "p/q" string would pass the
-    # interpreter's limit on integer string conversion.
+    # Read exactly, the value's "p/q" string would pass the interpreter's
+    # limit on integer string conversion; its exponent is refused first.
     path = tmp_path / "big.audit"
     path.write_text(json.dumps(doc))
     code, _, err = run(["audit", "--input", str(path)], capsys)
     assert code == 2
     assert "input error: malformed audit document: " in err
     assert "digits" in err
+
+
+# Times one `main` call in a child, so that a value which hangs the reader
+# fails the test by its timeout instead of stalling the suite.
+TIMED_MAIN = (
+    "import sys, time; from ellsw.cli import main; start = time.perf_counter(); "
+    "code = main(sys.argv[1:]); print(code, time.perf_counter() - start)"
+)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1e99999999", 2), ("-1e-99999999", 2), ("0e99999999", 2), ("1e9_999_999", 2), ("1e400", 0)],
+)
+def test_audit_exponent_past_the_digit_limit_exit_code(tmp_path, value, expected):
+    # Fraction would form 10^99999999 before reading the mantissa; the audit
+    # refuses an exponent past sys.get_int_max_str_digits() first.
+    path = tmp_path / "exp.audit"
+    path.write_text(json.dumps({"class": {"CC": value, "KC": "0"}}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, "audit", "--input", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    code, seconds = done.stdout.split()[-2:]
+    assert int(code) == expected, done.stderr
+    assert float(seconds) < 1
+    if expected:
+        assert "exceeds the limit of" in done.stderr
 
 
 def test_audit_missing_file_exit_code(capsys):

@@ -157,6 +157,20 @@ def test_cyclotomic_polynomials_of_the_divisors_multiply_to_x_n_minus_1():
         assert product == [-1] + [0] * (n - 1) + [1], n
 
 
+@pytest.mark.parametrize("n", [18182, 30030, 100001])
+def test_cyclotomic_polynomials_of_the_divisors_multiply_to_2_n_minus_1(n):
+    # The same identity at x = 2, modulo the prime 2^61 - 1, at orders whose
+    # expanded products would be too long to compare.
+    P = 2**61 - 1
+    product = 1
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        value = 0
+        for c in reversed(cyclotomic_polynomial(d)):
+            value = (2 * value + c) % P
+        product = product * value % P
+    assert product == (pow(2, n, P) - 1) % P
+
+
 def _random_value(rng, n):
     deg = euler_phi(n)
     coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(deg)]

@@ -249,13 +249,11 @@ def binary_order(patch):
 
 @case
 def cyclotomic_division(patch):
-    # Phi_3 = (x^3 - 1) / (x - 1), with a remainder forced into the division.
-    div = cyclo._poly_pseudo_divmod
-    patch(cyclo, "_poly_pseudo_divmod", lambda a, b: div(a, b)[:2] + ([1],))
+    # Told that 5 = 2 * (5 // 2), Phi_5 divides x^5 - 1 by x^2 - 1.
+    patch(cyclo, "factorize", lambda n: {2: 1})
     cyclo.cyclotomic_polynomial.cache_clear()
-    return (lambda: cyclo.cyclotomic_polynomial(3), InternalInvariantError,
-            {"n": 3, "p": 3, "scale": 1, "remainder": [1]},
-            "Phi_1(x^3) / Phi_1(x) is not an integer polynomial")
+    return (lambda: cyclo.cyclotomic_polynomial(5), InternalInvariantError,
+            {"n": 5, "d": 2}, "x^2 - 1 leaves a remainder in Phi_5")
 
 
 @case
@@ -420,7 +418,8 @@ def section_fail(patch):
 
     def call():
         report = bundle.section_equivariance_report(GroupSpec("DD", 1, 3))
-        return report["ok"], [g for g, v in report["scalars"].items() if v is None]
+        rows = zip(report["generators"], report["holds"])
+        return report["ok"], [g for (_, g, _), ok in rows if not ok]
 
     return call, (False, [6])
 
