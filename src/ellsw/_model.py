@@ -38,7 +38,6 @@ class _SU2Table:
 
     def __init__(self, kind: str):
         group = build_binary_polyhedral(kind)
-        self.kind = kind
         self.atoms = group.matrices()
         self.mult = group.table
         n = group.order
@@ -237,7 +236,8 @@ class PolyhedralModel:
 
     Key `r * K + s` is the atom `a = 2r` times `mu_amb^k`, `amb = 2m*w`,
     `k = w*s + cls[a]`: `w = 3` and `cls = table.class3` in TD.  Atom `2r + 1`
-    is `-a`, which is `a` times `mu_amb^(m*w)`.
+    is `-a`, which is `a` times `mu_amb^(m*w)`; `mult` alone meets it, and
+    folds it into the scalar as `mu_2m^m`.
     """
 
     is_dihedral = False
@@ -245,8 +245,7 @@ class PolyhedralModel:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.m = spec.m
-        self.kind = BINARY_KIND[spec.family]
-        self.table = su2_table(self.kind)
+        self.table = su2_table(BINARY_KIND[spec.family])
         self.labels = self.table.labels
         self.K = 2 * spec.m
         self.size = len(self.table.atoms) // 2 * self.K
@@ -256,7 +255,6 @@ class PolyhedralModel:
         else:
             self._w, self._cls = 1, [0] * len(self.table.atoms)
         self.amb = self.K * self._w
-        self.halfshift = spec.m * self._w
         self.N = math.lcm(self.amb, self.table.base)
 
     def decode(self, key):
@@ -277,22 +275,10 @@ class PolyhedralModel:
         a, s = self.decode(key)
         return a, self._w * s + self._cls[a]
 
-    def _key(self, a: int, k: int) -> int:
-        """The key of atom `a` (any sign) times mu_amb^k."""
-        if a & 1:  # -a, the odd atom of its pair
-            a, k = a - 1, k + self.halfshift
-        k %= self.amb
-        if k % self._w != self._cls[a]:
-            raise InternalInvariantError(
-                f"element of {self.spec} off the index-{self._w} grading",
-                witness={"spec": self.spec, "atom": a, "k": k},
-            )
-        return self.encode(a, k // self._w)
-
     def generators(self):
-        t, cls = self.table, self._cls
-        return [self._key(0, self._w), self._key(t.gen_x, cls[t.gen_x]),
-                self._key(t.gen_y, cls[t.gen_y])]
+        # mu_2m, then the atoms x and y times mu_amb^cls
+        t = self.table
+        return [self.encode(0, 1), self.encode(t.gen_x, 0), self.encode(t.gen_y, 0)]
 
     def mult(self, A, B):
         K, t = self.K, self.table

@@ -129,9 +129,6 @@ class BivariatePolynomial:
     def linear(a: CyclotomicNumber, b: CyclotomicNumber) -> "BivariatePolynomial":
         return BivariatePolynomial({(1, 0): a, (0, 1): b})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def mul(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out = {}
         for (p1, q1), c1 in self.terms.items():

@@ -40,23 +40,18 @@ def _spec_argv(spec):
     return argv + ["--n", str(spec.n)] if spec.n else argv
 
 
-def _calls_group():
+def _calls_json(command, tmp):
     for spec in sweep_specs(1200):
-        yield ["group", *_spec_argv(spec), "--json"]
+        yield [command, *_spec_argv(spec), "--json"]
 
 
-def _calls_seifert():
-    for spec in sweep_specs(1200):
-        yield ["seifert", *_spec_argv(spec), "--json"]
-
-
-def _calls_verify_rho():
+def _calls_verify_rho(tmp):
     for argv in [*map(_spec_argv, sweep_specs(400)), ["--family", "DD", "--m", "100001", "--n", "2"]]:
         yield ["verify-rho", *argv]
         yield ["verify-rho", *argv, "--json"]
 
 
-def _calls_sweep():
+def _calls_sweep(tmp):
     yield ["swdim", "--sweep", "--max-order", "4000"]
     yield ["swdim", "--sweep", "--max-order", "4000", "--json"]
 
@@ -141,9 +136,10 @@ def _calls_errors(tmp):
     yield ["swdim", "--sweep", "--max-order", "40", "--catalog", str(tmp / "missing" / "records.jsonl")]
 
 
+# Set name -> the calls of the set, given the temporary directory.
 SETS = {
-    "group": _calls_group,
-    "seifert": _calls_seifert,
+    "group": functools.partial(_calls_json, "group"),
+    "seifert": functools.partial(_calls_json, "seifert"),
     "verify-rho": _calls_verify_rho,
     "sweep": _calls_sweep,
     "errors": _calls_errors,
@@ -167,8 +163,7 @@ def digests(name):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
             mock.patch.object(cli, "build_parser", parser):
         os.environ.pop(cli.CATALOG_ENV, None)
-        calls = SETS[name](Path(tmp)) if name == "errors" else SETS[name]()
-        for argv in calls:
+        for argv in SETS[name](Path(tmp)):
             found[" ".join(argv).replace(tmp, TMP)] = _digest(argv, tmp)
     return found
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from ellsw import bundle, cli
 from ellsw.cli import main
 from ellsw.errors import CharacterConflictError, DomainError, InternalInvariantError
 from ellsw.errors import NotRationalError
-from ellsw.groups import BLOCK_BOUND, KEY_BOUND
+from ellsw.groups import BLOCK_BOUND, KEY_BOUND, GroupSpec
 from ellsw.swindex import _singular_sums, sweep_specs
 
 from character_checks import trivial_rho
@@ -582,3 +583,62 @@ def test_swdim_sweep_unreadable_catalog_exit_code(tmp_path, capsys, content, whe
     assert err.startswith("input error:") and str(catalog) in err
     if where:
         assert where in err
+
+
+def test_swdim_sweep_reports_a_closed_form_mismatch(capsys, monkeypatch):
+    closed_form = cli.closed_form_d_E
+    monkeypatch.setattr(
+        cli, "closed_form_d_E", lambda spec: closed_form(spec) + 2 * (spec == GroupSpec("DD", 1, 2))
+    )
+    code, out, _ = run(["swdim", "--sweep", "--max-order", "40"], capsys)
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == "DD m=1    n=2    |G|=8     dE=4   closed=6   FAIL"
+    assert all(line.endswith(" ok") for line in lines[1:-1])
+    assert lines[-1] == (
+        "swept 14 specs: 1 closed-form mismatches, 0 catalog drifts, 0 records appended"
+    )
+
+
+def test_audit_pair_term_within_range(tmp_path, capsys):
+    doc = {
+        "class": {"CC": "0", "KC": "0"},
+        "points": [{"order": 2, "l": 1, "lp": 1, "ambient": 4},
+                   {"order": 4, "l": 1, "lp": 1, "ambient": 4}],
+        "pairs": [{"i": 0, "j": 1}],
+    }
+    path = tmp_path / "pair.audit"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["audit", "--input", str(path), "--json"], capsys)
+    result = json.loads(out)
+    assert code == 0
+    assert result["rhs_terms"][-1] == ["k_pair_0_1", "1/2"]
+    assert result["slack"] == "-3/8" and not result["feasible"]
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ({"order": 0, "l": 1}, "point record entries must be positive"),
+        ({"order": 2, "l": 1, "lp": 0}, "defined winding l' must be positive"),
+    ],
+    ids=["zero-order", "zero-defined-winding"],
+)
+def test_audit_rejects_point_records(tmp_path, capsys, point, message):
+    path = tmp_path / "point.audit"
+    path.write_text(json.dumps({"class": {"CC": "1/2", "KC": "0"}, "points": [point]}))
+    code, _, err = run(["audit", "--input", str(path)], capsys)
+    assert code == 2
+    assert err == f"input error: malformed audit document: {message}\n"
+
+
+def test_swdim_sweep_failed_catalog_write_is_an_input_error(tmp_path, capsys, monkeypatch):
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_appending", lambda *args: contextlib.nullcontext(Full()))
+    catalog = tmp_path / "records.jsonl"
+    code, out, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"input error: cannot append to catalog {catalog}: [Errno 28] No space left on device\n"

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -19,8 +20,9 @@ from ellsw.groups import (
     scalar_subgroup,
     verify_free_action,
     _matrix_group,
+    _smith_invariants,
 )
-from ellsw import _model
+from ellsw import _model, groups
 
 
 def _binary(kind, n):
@@ -267,6 +269,50 @@ def test_abelianization_matches_the_quotient_element_orders():
         assert got == {d: len(sub) * c for d, c in expected.items()}, spec
 
 
+def _sympy_invariants(rows):
+    """The invariant factors above 1 of `Z^n / rows` by sympy's Smith form."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    return tuple(abs(int(f)) for f in invariant_factors(Matrix(rows), domain=ZZ) if abs(f) > 1)
+
+
+def test_smith_invariants_match_sympy_on_random_matrices():
+    from sympy import Matrix
+
+    rng = random.Random(20261019)
+    checked = split = 0
+    while checked < 300:
+        k = rng.randint(1, 4)
+        bound = rng.choice((3, 20))
+        rows = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(k)]
+        if checked % 2:  # a product mixes the rows into richer factors
+            other = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+            rows = [[int(x) for x in row] for row in (Matrix(rows) * Matrix(other)).tolist()]
+        if Matrix(rows).det() == 0:
+            continue
+        factors = _smith_invariants(rows)
+        assert factors == _sympy_invariants(rows), rows
+        checked += 1
+        split += len(factors) > 1
+    assert split > 30  # not only cyclic quotients
+
+
+def test_smith_invariants_match_sympy_on_the_abelianization_relations(monkeypatch):
+    from ellsw.swindex import sweep_specs
+
+    seen = []
+    smith = groups._smith_invariants
+    monkeypatch.setattr(groups, "_smith_invariants", lambda rows: seen.append(rows) or smith(rows))
+    for spec in sweep_specs(400):
+        build_group(spec).abelianization()
+    for kind in "TOI":
+        build_binary_polyhedral(kind).abelianization()
+    assert len(seen) == 274 and max(map(len, seen)) == 3
+    for rows in seen:
+        assert smith(rows) == _sympy_invariants(rows), rows
+
+
 def test_classes_and_commutators_skip_only_central_generators():
     # Conjugating by a scalar generator fixes every key, so the classes and
     # [G, G] must be those found by conjugating with every generator.
@@ -367,6 +413,10 @@ def test_powers_inverse_and_order_on_every_key(source):
 def test_unitarity_is_enforced():
     with pytest.raises(ConstraintError):
         UnitaryElement(((1, 1), (0, 1)))
+    # |3/5 + 4/5 i| = 1, but 3/5 + 4/5 i is no root of unity.
+    c = CyclotomicNumber.from_rational(Fraction(3, 5)) + Fraction(4, 5) * root_of_unity(1, 4)
+    with pytest.raises(ConstraintError, match="^determinant is not a root of unity$"):
+        UnitaryElement(((c, 0), (0, 1)))
 
 
 @pytest.mark.parametrize(

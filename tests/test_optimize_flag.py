@@ -385,15 +385,6 @@ def quaternion_count(patch):
 
 
 @case
-def td_grading(patch):
-    # In TD(3) the identity atom has class 0, so mu_18^1 times it is not in
-    # the group.
-    spec = GroupSpec("TD", 3)
-    return (lambda: _model.family_model(spec)._key(0, 1), InternalInvariantError,
-            {"spec": spec, "atom": 0, "k": 1}, f"element of {spec} off the index-3 grading")
-
-
-@case
 def conflict(patch):
     # x^2 = y^2 = -1 forces rho(x)^2 = rho(y)^2; i and 1 disagree on key 1.
     d2 = build_group(GroupSpec("DD", 1, 2))
