@@ -1,9 +1,9 @@
-"""Command-line front end: group reports, Seifert data, dimension sweeps,
-section-equivariance checks, and adjunction audits.
+"""Command-line front end: group reports, Seifert data, dimension sweeps and
+their catalog (`_catalog`), section-equivariance checks, and adjunction audits.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 malformed input
-document, 3 internal invariant violation (including sweep mismatches and
-catalog drift).
+document (errors converted by `errors.input_errors`), 3 internal invariant
+violation (including sweep mismatches and catalog drift).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from .bundle import section_equivariance_report
 from .curves import run_audit
 from .errors import CharacterConflictError, ConstraintError, DomainError, InputDocumentError
-from .errors import InternalInvariantError, NotRationalError
+from .errors import InternalInvariantError, NotRationalError, input_errors
 from .groups import FAMILIES, GroupSpec, build_group, group_report
 from .seifert import euler_number, normalized_invariant
 from .swindex import closed_form_d_E, sw_dimension_report, sweep_specs
@@ -124,121 +124,97 @@ def _catalog_path(args):
 def _reading(path):
     """The file at `path` opened as UTF-8 text; a path that cannot be read
     (missing, a directory) or bytes that are not UTF-8 are input errors."""
-    try:
+    with input_errors(f"cannot read {path}", (OSError, UnicodeDecodeError)):
         with open(path, "r", encoding="utf-8") as fh:
             yield fh
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputDocumentError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_json(text, where):
     """`json.loads(text)`; text that does not parse is an input error
     naming `where`, including an integer literal past the digit limit
     (ValueError) and nesting too deep for the parser (RecursionError)."""
-    try:
+    with input_errors(f"invalid JSON in {where}", (ValueError, RecursionError)):
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InputDocumentError(f"invalid JSON in {where}: {exc}") from exc
 
 
-def _read_catalog(path):
-    """(validated GroupSpec -> stored line, torn, open_end) for the catalog at `path`.
+@contextlib.contextmanager
+def _catalog(path, append):
+    """(validated GroupSpec -> stored line, write_record) for the catalog at `path`.
 
     Every line is parsed and its spec validated, but only the stripped line
-    text is kept; the sweep parses it again when it reaches the spec.  A
-    last line without a newline that does not parse is a record cut short
-    by a crash: `torn` is then (its line number, the bytes before it, its
-    length in bytes), else None.  `open_end` is true when the last line
-    kept has no newline.  Any other malformed line, or a spec that is not a
-    valid GroupSpec, is an input error.
+    text is kept; the sweep parses it again when it reaches the spec.  A last
+    line without a newline that does not parse is a record cut short by a
+    crash; any other malformed line, or an invalid spec, is an input error.
+
+    With `append` false the file is only read, and `write_record` is None.
+    Else the file is created if missing and its last line made whole (a torn
+    one cut off and named on stderr, an open one given its newline), and
+    `write_record(record)` writes and flushes one line; the file is synced
+    to disk once, at close.
     """
-    existing = {}
-    line = ""
-    with _reading(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            where = f"catalog {path} line {lineno}"
-            try:
-                rec = _parse_json(text, where)
-            except InputDocumentError:
-                if line.endswith("\n"):
-                    raise
-                size = len(line.encode("utf-8"))
-                return existing, (lineno, os.fstat(fh.fileno()).st_size - size, size), False
-            try:
-                spec = rec["spec"]
-                key = GroupSpec(spec["family"], spec["m"], spec.get("n", 0))
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise InputDocumentError(f"{where}: record has no valid spec") from exc
-            except ConstraintError as exc:
-                raise InputDocumentError(f"{where}: invalid spec: {exc}") from exc
-            existing[key] = text
-    return existing, None, bool(line) and not line.endswith("\n")
-
-
-@contextlib.contextmanager
-def _append_errors(path):
-    """An OS error while appending to the catalog (say, a path in a missing
-    directory) is an input error."""
-    try:
-        yield
-    except OSError as exc:
-        raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
-
-
-@contextlib.contextmanager
-def _appending(path, torn, open_end):
-    """The catalog at `path` opened for append, its last line made whole
-    first, and synced to disk once when it is closed.
-
-    A torn last line (see `_read_catalog`) is cut off and named on stderr; a
-    last line without its newline gets one, so the next record starts a
-    line of its own.
-    """
-    with _append_errors(path):
+    existing, torn, line = {}, None, ""
+    if os.path.exists(path):
+        with _reading(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                where = f"catalog {path} line {lineno}"
+                try:
+                    rec = _parse_json(text, where)
+                except InputDocumentError:
+                    if line.endswith("\n"):
+                        raise
+                    size = len(line.encode("utf-8"))
+                    torn = lineno, os.fstat(fh.fileno()).st_size - size, size
+                    break
+                try:
+                    spec = rec["spec"]
+                    with input_errors(f"{where}: invalid spec", ConstraintError):
+                        key = GroupSpec(spec["family"], spec["m"], spec.get("n", 0))
+                except (KeyError, TypeError, AttributeError) as exc:
+                    raise InputDocumentError(f"{where}: record has no valid spec") from exc
+                existing[key] = text
+    if not append:
+        yield existing, None
+        return
+    errors = input_errors(f"cannot append to catalog {path}")
+    with errors:
         catalog = open(path, "a", encoding="utf-8")
     with catalog:
         try:
-            with _append_errors(path):
+            with errors:
                 if torn:
                     lineno, keep, size = torn
                     catalog.truncate(keep)
                     print(f"catalog {path} line {lineno}: dropped a torn last record ({size} bytes)",
                           file=sys.stderr)
-                elif open_end:
+                elif line and not line.endswith("\n"):
                     catalog.write("\n")
-            yield catalog
+
+            def write_record(record):
+                with errors:
+                    catalog.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+                    catalog.flush()
+
+            yield existing, write_record
         finally:
             # Each record is flushed as it is written; one fsync at close
             # makes them durable without paying a disk sync per line.
-            with _append_errors(path):
+            with errors:
                 catalog.flush()
                 os.fsync(catalog.fileno())
-
-
-def _append(catalog, path, record):
-    """Write `record` to the open catalog as one line; a failed write is an input error."""
-    # A plain try: `_append_errors` would cost 2 us of the 120 us per record.
-    try:
-        catalog.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-        catalog.flush()
-    except OSError as exc:
-        raise InputDocumentError(f"cannot append to catalog {path}: {exc}") from exc
 
 
 def _swdim_sweep(args) -> int:
     specs = sweep_specs(args.max_order)
     path = _catalog_path(args)
-    existing, torn, open_end = {}, None, False
-    if path and os.path.exists(path):
-        existing, torn, open_end = _read_catalog(path)
     mismatches = drift = appended = 0
     # The catalog is opened before the first spec is computed, so a path that
     # cannot be appended to fails at once.  Each spec's lines and new record go
     # out as soon as it is computed: a sweep that stops keeps the specs before.
-    with _appending(path, torn, open_end) if path and specs else contextlib.nullcontext() as catalog:
+    catalog = _catalog(path, bool(specs)) if path else contextlib.nullcontext(({}, None))
+    with catalog as (existing, write_record):
         for spec in specs:
             name = f"{spec.family} m={spec.m} n={spec.n}"
             try:
@@ -259,7 +235,7 @@ def _swdim_sweep(args) -> int:
                         lines.append(f"DRIFT {name}")
                 else:
                     now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-                    _append(catalog, path, {**record, "computed_at": now})
+                    write_record({**record, "computed_at": now})
                     appended += 1
             lines.append(
                 f"{spec.family:>2} m={spec.m:<4} n={spec.n:<4} |G|={spec.order:<5} "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import frac_str
-from .errors import DomainError, InputDocumentError
+from .errors import DomainError, input_errors
 
 @dataclass(frozen=True)
 class OrbifoldPointRecord:
@@ -145,7 +145,9 @@ def run_audit(document: dict) -> dict:
 
     Returns lhs, every rhs term, and the slack (all exact "p/q" strings).
     """
-    try:
+    # ArithmeticError: "1/0" (ZeroDivisionError).
+    with input_errors("malformed audit document",
+                      (KeyError, ValueError, TypeError, IndexError, AttributeError, ArithmeticError)):
         cls = document["class"]
         data = CurveClassData(_rational(cls["CC"]), _rational(cls["KC"]))
         lhs = virtual_genus(data)
@@ -183,6 +185,3 @@ def run_audit(document: dict) -> dict:
             "slack": frac_str(slack),
             "feasible": slack >= 0,
         }
-    except (KeyError, ValueError, TypeError, IndexError, AttributeError, ArithmeticError) as exc:
-        # ArithmeticError: "1/0" (ZeroDivisionError).
-        raise InputDocumentError(f"malformed audit document: {exc}") from exc

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import os
 import subprocess
@@ -484,6 +483,37 @@ def test_swdim_sweep_with_no_spec_creates_no_catalog(tmp_path, capsys):
     assert not catalog.exists()
 
 
+DD_1_2 = b'{"spec": {"family": "DD", "m": 1, "n": 2}}\n'
+
+
+@pytest.mark.parametrize(
+    "content, code, message",
+    [
+        (DD_1_2 + b'{"spec": {"fam', 0, ""),  # a torn last record
+        (DD_1_2.rstrip(), 0, ""),  # a last record without its newline
+        (b'{"order": 8}\n', 2, "input error: catalog {} line 1: record has no valid spec\n"),
+    ],
+    ids=["torn", "open-end", "no-spec"],
+)
+def test_swdim_sweep_with_no_spec_leaves_the_catalog_alone(tmp_path, capsys, content, code, message):
+    catalog = tmp_path / "records.jsonl"
+    catalog.write_bytes(content)
+    got, _, err = run(["swdim", "--sweep", "--max-order", "7", "--catalog", str(catalog)], capsys)
+    assert (got, err) == (code, message.format(catalog))
+    assert catalog.read_bytes() == content
+
+
+def test_swdim_sweep_catalog_decode_error_after_the_first_chunk(tmp_path, capsys):
+    catalog = tmp_path / "records.jsonl"
+    catalog.write_bytes(DD_1_2 * 400 + b'{"spec": "\xff"}\n')  # 17,200 bytes of records first
+    code, out, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        f"input error: cannot read {catalog}: 'utf-8' codec can't decode byte 0xff "
+        "in position 826: invalid start byte\n"
+    )
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["swdim", "--family", "OO", "--m", "7", "--json"]
     code, out, _ = run(argv, capsys)
@@ -633,11 +663,15 @@ def test_audit_rejects_point_records(tmp_path, capsys, point, message):
 
 
 def test_swdim_sweep_failed_catalog_write_is_an_input_error(tmp_path, capsys, monkeypatch):
-    class Full:
-        def write(self, text):
-            raise OSError(28, "No space left on device")
+    def no_space(text):
+        raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "_appending", lambda *args: contextlib.nullcontext(Full()))
+    def full_disk_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        fh.write = no_space
+        return fh
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
     catalog = tmp_path / "records.jsonl"
     code, out, err = run(["swdim", "--sweep", "--max-order", "40", "--catalog", str(catalog)], capsys)
     assert code == 2 and out == ""
