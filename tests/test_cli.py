@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -97,6 +98,67 @@ def test_swdim_sweep_detects_catalog_drift(tmp_path, capsys):
     )
     assert code == 3
     assert "DRIFT" in out
+
+
+def _spec_name(record):
+    spec = record["spec"]
+    return f"{spec['family']} m={spec['m']} n={spec.get('n', 0)}"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_swdim_sweep_verify_pass_reports_exactly_the_changed_specs(tmp_path, capsys, newline):
+    catalog = tmp_path / "records.jsonl"
+    argv = ["swdim", "--sweep", "--max-order", "200", "--catalog", str(catalog)]
+    assert run(argv, capsys)[0] == 0
+    lines = catalog.read_text(encoding="utf-8").splitlines()
+    rng = random.Random(5)
+    rng.shuffle(lines)
+    changed = set()
+
+    def change(i, field):
+        record = json.loads(lines[i])
+        if field == "dE":
+            record["dE"] += 2
+        elif field == "S":
+            record["S"][min(record["S"])] = "12345/7"
+        else:
+            record["sum_chi"] = "-12345/7"
+        lines[i] = json.dumps(record)
+        return _spec_name(record)
+
+    for i in rng.sample(range(2, len(lines)), 6):
+        changed.add(change(i, rng.choice(["dE", "S", "sum_chi"])))
+    # A spec stored twice: the last line wins, so an earlier changed copy is
+    # no drift, and a changed copy after the first is one.
+    for i, later_changed in ((len(lines) - 1, False), (len(lines) - 2, True)):
+        copy = lines[i]
+        if later_changed:
+            lines.append(copy)
+            changed.add(change(len(lines) - 1, "dE"))
+        else:
+            lines.insert(0, copy)
+            change(0, "dE")
+    # An extra field of multi-byte characters near the top, so that byte and
+    # character offsets differ for every record after it; an extra field is
+    # a difference too.
+    record = json.loads(lines[1])
+    record["note"] = "Ωμέγα ∂ \U0001f600"
+    lines[1] = json.dumps(record, ensure_ascii=False)
+    changed.add(_spec_name(record))
+    for i in sorted(rng.sample(range(len(lines)), 5), reverse=True):
+        lines.insert(i, rng.choice(["", "  ", "\t"]))
+    content = (newline.join(lines) + newline).encode("utf-8")
+    catalog.write_bytes(content)
+
+    code, out, err = run(argv, capsys)
+    drifts = {line[len("DRIFT "):] for line in out.splitlines() if line.startswith("DRIFT ")}
+    assert (code, err) == (3, "")
+    assert drifts == changed and len(changed) >= 7
+    assert out.endswith(
+        f"swept {len(sweep_specs(200))} specs: 0 closed-form mismatches, "
+        f"{len(changed)} catalog drifts, 0 records appended\n"
+    )
+    assert catalog.read_bytes() == content
 
 
 def test_catalog_env_fallback(tmp_path, capsys, monkeypatch):
