@@ -9,6 +9,7 @@ violation (including sweep mismatches and catalog drift).
 from __future__ import annotations
 
 import argparse
+import array
 import contextlib
 import datetime
 import json
@@ -25,6 +26,9 @@ from .seifert import euler_number, normalized_invariant
 from .swindex import closed_form_d_E, sw_dimension_report, sweep_specs
 
 CATALOG_ENV = "ELLSW_CATALOG"
+
+# The line ends a catalog line may have; a line without one is the last.
+_LINE_ENDS = ("\n", "\r")
 
 # Library errors that no user input reaches: on a CLI path they are bugs.
 _INTERNAL_ERRORS = (InternalInvariantError, CharacterConflictError, DomainError, NotRationalError)
@@ -121,11 +125,11 @@ def _catalog_path(args):
 
 
 @contextlib.contextmanager
-def _reading(path):
+def _reading(path, newline=None):
     """The file at `path` opened as UTF-8 text; a path that cannot be read
     (missing, a directory) or bytes that are not UTF-8 are input errors."""
     with input_errors(f"cannot read {path}", (OSError, UnicodeDecodeError)):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
             yield fh
 
 
@@ -139,12 +143,16 @@ def _parse_json(text, where):
 
 @contextlib.contextmanager
 def _catalog(path, append):
-    """(validated GroupSpec -> stored line, write_record) for the catalog at `path`.
+    """(read_record, write_record) for the catalog at `path`.
 
-    Every line is parsed and its spec validated, but only the stripped line
-    text is kept; the sweep parses it again when it reaches the spec.  A last
-    line without a newline that does not parse is a record cut short by a
-    crash; any other malformed line, or an invalid spec, is an input error.
+    Every line is parsed and its spec validated up front, but only each
+    line's byte span is kept: one line number per spec (the last line that
+    names it) and one offset per line.  `read_record(spec)` reads that line
+    again, parses it and returns the record without its `computed_at`
+    stamp, or None if no line names `spec`.  A line read again that no
+    longer parses, or is no longer a record, is an input error.  A last
+    line without its line end that does not parse is a record cut short by
+    a crash; any other malformed line, or an invalid spec, is an input error.
 
     With `append` false the file is only read, and `write_record` is None.
     Else the file is created if missing and its last line made whole (a torn
@@ -152,10 +160,15 @@ def _catalog(path, append):
     `write_record(record)` writes and flushes one line; the file is synced
     to disk once, at close.
     """
-    existing, torn, line = {}, None, ""
+    # Lines keep their own ends ("\n", "\r\n" or "\r"), so each one's UTF-8
+    # length is its length in the file: starts[k] is where line k + 1 begins.
+    linenos, starts, torn, line = {}, array.array("q", [0]), None, ""
+    cannot_read = input_errors(f"cannot read {path}", (OSError, UnicodeDecodeError))
     if os.path.exists(path):
-        with _reading(path) as fh:
+        with _reading(path, newline="") as fh:
             for lineno, line in enumerate(fh, start=1):
+                size = len(line.encode("utf-8"))
+                starts.append(starts[-1] + size)
                 text = line.strip()
                 if not text:
                     continue
@@ -163,10 +176,9 @@ def _catalog(path, append):
                 try:
                     rec = _parse_json(text, where)
                 except InputDocumentError:
-                    if line.endswith("\n"):
+                    if line.endswith(_LINE_ENDS):
                         raise
-                    size = len(line.encode("utf-8"))
-                    torn = lineno, os.fstat(fh.fileno()).st_size - size, size
+                    torn = lineno, starts[-2], size
                     break
                 try:
                     spec = rec["spec"]
@@ -174,14 +186,33 @@ def _catalog(path, append):
                         key = GroupSpec(spec["family"], spec["m"], spec.get("n", 0))
                 except (KeyError, TypeError, AttributeError) as exc:
                     raise InputDocumentError(f"{where}: record has no valid spec") from exc
-                existing[key] = text
-    if not append:
-        yield existing, None
-        return
-    errors = input_errors(f"cannot append to catalog {path}")
-    with errors:
-        catalog = open(path, "a", encoding="utf-8")
-    with catalog:
+                linenos[key] = lineno
+    with contextlib.ExitStack() as stack:
+        if linenos:
+            with cannot_read:
+                reader = stack.enter_context(open(path, "rb"))
+
+        def read_record(spec):
+            lineno = linenos.get(spec)
+            if lineno is None:
+                return None
+            start = starts[lineno - 1]
+            with cannot_read:
+                reader.seek(start)
+                text = reader.read(starts[lineno] - start).decode("utf-8")
+            where = f"catalog {path} line {lineno}"
+            rec = _parse_json(text.strip(), where)
+            if not isinstance(rec, dict):
+                raise InputDocumentError(f"{where}: record has no valid spec")
+            rec.pop("computed_at", None)
+            return rec
+
+        if not append:
+            yield read_record, None
+            return
+        errors = input_errors(f"cannot append to catalog {path}")
+        with errors:
+            catalog = stack.enter_context(open(path, "a", encoding="utf-8"))
         try:
             with errors:
                 if torn:
@@ -189,7 +220,7 @@ def _catalog(path, append):
                     catalog.truncate(keep)
                     print(f"catalog {path} line {lineno}: dropped a torn last record ({size} bytes)",
                           file=sys.stderr)
-                elif line and not line.endswith("\n"):
+                elif line and not line.endswith(_LINE_ENDS):
                     catalog.write("\n")
 
             def write_record(record):
@@ -197,7 +228,7 @@ def _catalog(path, append):
                     catalog.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
                     catalog.flush()
 
-            yield existing, write_record
+            yield read_record, write_record
         finally:
             # Each record is flushed as it is written; one fsync at close
             # makes them durable without paying a disk sync per line.
@@ -213,8 +244,8 @@ def _swdim_sweep(args) -> int:
     # The catalog is opened before the first spec is computed, so a path that
     # cannot be appended to fails at once.  Each spec's lines and new record go
     # out as soon as it is computed: a sweep that stops keeps the specs before.
-    catalog = _catalog(path, bool(specs)) if path else contextlib.nullcontext(({}, None))
-    with catalog as (existing, write_record):
+    catalog = _catalog(path, bool(specs)) if path else contextlib.nullcontext((None, None))
+    with catalog as (read_record, write_record):
         for spec in specs:
             name = f"{spec.family} m={spec.m} n={spec.n}"
             try:
@@ -227,9 +258,8 @@ def _swdim_sweep(args) -> int:
                 mismatches += 1
             lines = []
             if path:
-                if spec in existing:
-                    old = json.loads(existing[spec])
-                    old.pop("computed_at", None)
+                old = read_record(spec)
+                if old is not None:
                     if old != record:
                         drift += 1
                         lines.append(f"DRIFT {name}")

@@ -110,7 +110,9 @@ def _dihedral_rotation_sum(m: int, n: int):
     return _scalar_sum(K, c) - 4 * m * v2
 
 
-@lru_cache(maxsize=2048)
+# Small: no CLI call looks a spec up twice and a sweep visits each spec
+# once, so a larger cache only holds label dicts that are never read again.
+@lru_cache(maxsize=64)
 def _singular_sums(spec: GroupSpec):
     """Ordered label -> exact rational chi-subtotal over G minus identity."""
     model = _model.family_model(spec)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -501,6 +502,38 @@ def test_swdim_sweep_checks_the_catalog_before_any_spec(tmp_path, capsys, monkey
         f"[Errno 2] No such file or directory: '{catalog}'\n"
     )
     assert out == "" and computed == []
+
+
+def test_swdim_sweep_catalog_changed_under_the_sweep_exit_code(tmp_path, capsys, monkeypatch):
+    # The verify pass keeps each record's offset, not its text, and reads
+    # the record again when it reaches the spec: a record overwritten after
+    # the first pass is an input error naming its line, not a traceback.
+    # The last record lies past the first read buffer, so the sweep reads
+    # it from the file after it was overwritten.
+    catalog = tmp_path / "records.jsonl"
+    argv = ["swdim", "--sweep", "--max-order", "200", "--catalog", str(catalog)]
+    run(argv, capsys)
+    lines = catalog.read_bytes().splitlines(keepends=True)
+    last = sum(map(len, lines[:-1]))
+    assert last > 2 * io.DEFAULT_BUFFER_SIZE
+    specs = sweep_specs(200)
+    original = cli._sw_record
+
+    def record(spec):
+        if spec == specs[1]:
+            with open(catalog, "r+b") as fh:
+                fh.seek(last)
+                fh.write(b"#" * (len(lines[-1]) - 1))
+        return original(spec)
+
+    monkeypatch.setattr(cli, "_sw_record", record)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err == (
+        f"input error: invalid JSON in catalog {catalog} line {len(lines)}: "
+        "Expecting value: line 1 column 1 (char 0)\n"
+    )
+    assert len(out.splitlines()) == len(specs) - 1  # the rows of the specs before
 
 
 def test_swdim_sweep_keeps_the_specs_before_an_internal_error(tmp_path, capsys, monkeypatch):

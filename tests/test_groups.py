@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -421,8 +422,12 @@ def test_unitarity_is_enforced():
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: root_of_unity(1, 5), lambda: build_group(GroupSpec("DD", 3, 4)).to_matrix(5)],
-    ids=["cyclotomic", "unitary"],
+    [
+        lambda: root_of_unity(1, 5),
+        lambda: build_group(GroupSpec("DD", 3, 4)).to_matrix(5),
+        lambda: GroupSpec("DC", 4, 3),
+    ],
+    ids=["cyclotomic", "unitary", "spec"],
 )
 @pytest.mark.parametrize(
     "round_trip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
@@ -432,6 +437,14 @@ def test_immutable_values_copy_and_pickle(make, round_trip):
     value = make()
     other = round_trip(value)
     assert other == value and hash(other) == hash(value)
+
+
+def test_group_spec_is_slotted_and_frozen():
+    spec = GroupSpec("DC", 4, 3)
+    assert not hasattr(spec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.m = 2
+    assert spec == GroupSpec("DC", 4, 3)
 
 
 def test_model_matches_matrix_closure():
