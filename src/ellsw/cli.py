@@ -124,11 +124,16 @@ def _catalog_path(args):
     return args.catalog or os.environ.get(CATALOG_ENV)
 
 
+def _read_errors(path):
+    """A path that cannot be read (missing, a directory) or bytes that are
+    not UTF-8 are input errors."""
+    return input_errors(f"cannot read {path}", (OSError, UnicodeDecodeError))
+
+
 @contextlib.contextmanager
 def _reading(path, newline=None):
-    """The file at `path` opened as UTF-8 text; a path that cannot be read
-    (missing, a directory) or bytes that are not UTF-8 are input errors."""
-    with input_errors(f"cannot read {path}", (OSError, UnicodeDecodeError)):
+    """The file at `path` opened as UTF-8 text, under `_read_errors`."""
+    with _read_errors(path):
         with open(path, "r", encoding="utf-8", newline=newline) as fh:
             yield fh
 
@@ -163,7 +168,7 @@ def _catalog(path, append):
     # Lines keep their own ends ("\n", "\r\n" or "\r"), so each one's UTF-8
     # length is its length in the file: starts[k] is where line k + 1 begins.
     linenos, starts, torn, line = {}, array.array("q", [0]), None, ""
-    cannot_read = input_errors(f"cannot read {path}", (OSError, UnicodeDecodeError))
+    cannot_read = _read_errors(path)
     if os.path.exists(path):
         with _reading(path, newline="") as fh:
             for lineno, line in enumerate(fh, start=1):

@@ -504,7 +504,15 @@ def test_swdim_sweep_checks_the_catalog_before_any_spec(tmp_path, capsys, monkey
     assert out == "" and computed == []
 
 
-def test_swdim_sweep_catalog_changed_under_the_sweep_exit_code(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "first, message",
+    [(b"#", "invalid JSON in catalog {} line {}: Expecting value: line 1 column 1 (char 0)"),
+     (b"[]", "catalog {} line {}: record has no valid spec")],
+    ids=["not-json", "not-a-record"],
+)
+def test_swdim_sweep_catalog_changed_under_the_sweep_exit_code(
+    tmp_path, capsys, monkeypatch, first, message
+):
     # The verify pass keeps each record's offset, not its text, and reads
     # the record again when it reaches the spec: a record overwritten after
     # the first pass is an input error naming its line, not a traceback.
@@ -523,16 +531,13 @@ def test_swdim_sweep_catalog_changed_under_the_sweep_exit_code(tmp_path, capsys,
         if spec == specs[1]:
             with open(catalog, "r+b") as fh:
                 fh.seek(last)
-                fh.write(b"#" * (len(lines[-1]) - 1))
+                fh.write(first.ljust(len(lines[-1]) - 1))
         return original(spec)
 
     monkeypatch.setattr(cli, "_sw_record", record)
     code, out, err = run(argv, capsys)
     assert code == 2
-    assert err == (
-        f"input error: invalid JSON in catalog {catalog} line {len(lines)}: "
-        "Expecting value: line 1 column 1 (char 0)\n"
-    )
+    assert err == "input error: " + message.format(catalog, len(lines)) + "\n"
     assert len(out.splitlines()) == len(specs) - 1  # the rows of the specs before
 
 
