@@ -13,11 +13,13 @@ equal; cross-order operations embed both sides into the lcm order first.
 
 All arithmetic is on Python ints.  A product is an integer convolution
 reduced modulo the monic integer polynomial Phi_N; a sum cross-multiplies
-the denominators; `inverse` runs a fraction-free remainder sequence against
-Phi_N.  `reduced()` rewrites a value at its conductor (the least order
-whose field contains it, never 2 mod 4); hashing and serialization use
-that form, so equal values hash equally whatever their order, and a
-rational value hashes as its Fraction.
+the denominators, except that a rational term (an int, a Fraction or an
+order-1 value) of `+` or `-` moves only the constant coordinate, with no
+embedding into a common order; `inverse` runs a fraction-free remainder
+sequence against Phi_N.  `reduced()` rewrites a value at its conductor
+(the least order whose field contains it, never 2 mod 4); hashing and
+serialization use that form, so equal values hash equally whatever their
+order, and a rational value hashes as its Fraction.
 """
 
 from __future__ import annotations
@@ -373,6 +375,10 @@ class CyclotomicNumber:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if other.order == 1:
+            return _shift(self, other.num[0], other.den)
+        if self.order == 1:
+            return _shift(other, self.num[0], self.den)
         a, b = CyclotomicNumber._common(self, other)
         if a.den == b.den:
             return _make(a.order, [x + y for x, y in zip(a.num, b.num)], a.den)
@@ -386,6 +392,8 @@ class CyclotomicNumber:
 
     def __sub__(self, other):
         if type(other) is not CyclotomicNumber:
+            if type(other) is int:
+                return _shift(self, -other, 1)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -523,9 +531,20 @@ def _raw(order, num, den) -> CyclotomicNumber:
     return self
 
 
+def _shift(x, p: int, q: int) -> CyclotomicNumber:
+    """x + p/q (q > 0, p/q in lowest terms): only the constant coordinate moves."""
+    num, den = x.num, x.den
+    if q == 1:
+        # gcd(num[0] + p den, num[1:], den) == gcd(num, den) == 1
+        return _raw(x.order, (num[0] + p * den, *num[1:]), den)
+    return _make(x.order, [num[0] * q + p * den, *(c * q for c in num[1:])], den * q)
+
+
 def _coerce(x):
     if isinstance(x, CyclotomicNumber):
         return x
+    if type(x) is int:
+        return _raw(1, (x,), 1)
     if isinstance(x, (int, Fraction)):
         return CyclotomicNumber.from_rational(x)
     return NotImplemented

@@ -28,20 +28,36 @@ from .rootsum import RootSum
 _ZERO = Fraction(0)
 
 
-def chi(g: UnitaryElement, rho_value: CyclotomicNumber) -> CyclotomicNumber:
+def chi(
+    g: UnitaryElement, rho_value: CyclotomicNumber, inverses: dict | None = None
+) -> CyclotomicNumber:
     """Isolated cone-point contribution of a single group element,
     2 (rho(g) - 1) / ((1 - conj l1)(1 - conj l2)); the free action makes
     the fixed point's isotropy trivial, and no other sector term arises.
     The denominator is conj det(g - 1), read off the entries with no
     eigenvalue search, and inverted at its conductor, which can be far
-    below the order of the entries."""
+    below the order of the entries.
+
+    `inverses`, when given, is a mapping the caller owns from the exact
+    (order, num, den) of det(g - 1) to 1/conj det(g - 1): conjugate
+    elements share their eigenvalues, so a caller summing over a group
+    reduces, conjugates and inverts each distinct denominator once.  Only
+    invertible denominators are stored, so both DomainErrors are raised
+    on every call that meets them."""
     if g.is_identity():
         raise DomainError("chi is undefined at the identity")
+    if inverses is None:
+        inverses = {}
     (a, b), (c, d) = g.entries
-    den = ((a - 1) * (d - 1) - b * c).reduced().conjugate()
-    if den.is_zero():
-        raise DomainError("element has eigenvalue 1; the action is not free")
-    return (rho_value - 1) * 2 * den.inverse()
+    det = (a - 1) * (d - 1) - b * c
+    key = (det.order, det.num, det.den)
+    inv = inverses.get(key)
+    if inv is None:
+        den = det.reduced().conjugate()
+        if den.is_zero():
+            raise DomainError("element has eigenvalue 1; the action is not free")
+        inv = inverses[key] = den.inverse()
+    return (rho_value - 1) * 2 * inv
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +230,20 @@ def sum_chi_by_elements(spec: GroupSpec) -> Fraction:
 def s_breakdown_by_elements(spec: GroupSpec) -> dict:
     """Label -> chi subtotal, from per-element evaluation (small groups only).
 
-    Uses the matrix group, the extended character, and per-element cyclotomic
-    division; far slower than the engine but independent of it.  Only the
-    label of each key comes from the family model, as in the engine.
+    Uses the matrix group, the extended character, and one `chi` call per
+    non-identity element; far slower than the engine but independent of it.
+    Each element builds its own matrix and its own det(g - 1); the inverses
+    of the distinct denominators are shared through a mapping that lives
+    for this call only, so nothing carries over from one call to the next.
+    Only the label of each key comes from the family model, as in the engine.
     """
     model = _model.family_model(spec)
     group = build_group(spec)
     character = rho(spec, group)
     out = dict.fromkeys(model.labels, CyclotomicNumber.zero())
+    inverses = {}
     for k in group.keys[1:]:  # every key but the identity 0
-        out[model.label(k)] += chi(group.to_matrix(k), character.value(k))
+        out[model.label(k)] += chi(group.to_matrix(k), character.value(k), inverses)
     return {label: v.as_rational() for label, v in out.items()}
 
 

@@ -1,8 +1,9 @@
 """Microbenchmarks of the per-element cross-check layers: the per-element
 `chi` sum (`sum_chi_by_elements`, closure plus one cyclotomic `chi` per
-element) on DD(7,2), OO(7) and II(1), and the section check by the
-transfer (`verify_section_equivariance`, which builds the group and `rho`
-itself) on DD(1,3) and TT(1).
+element) on DD(7,2), OO(7) and II(1), and on DD(7,29) and DC(8,25), where
+the high field degree makes the inversions dominate; and the section check
+by the transfer (`verify_section_equivariance`, which builds the group and
+`rho` itself) on DD(1,3) and TT(1).
 
     PYTHONPATH=src python -m pytest tests/bench_crosscheck.py
 
@@ -20,6 +21,8 @@ CHI_SPECS = [
     GroupSpec("DD", 7, 2),  # |G| = 56
     GroupSpec("OO", 7),  # 336
     GroupSpec("II", 1),  # 120
+    GroupSpec("DD", 7, 29),  # 812
+    GroupSpec("DC", 8, 25),  # 800
 ]
 
 SECTION_SPECS = [

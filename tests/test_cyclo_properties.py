@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellsw.cyclo import (
@@ -93,6 +93,39 @@ def test_inverse(ab):
     assert a * inv == 1
     assert inv.inverse() == a
     assert (b / a) * a == b
+
+
+# Ints (negative and zero included) and Fractions (denominators above 1
+# included) as the rational operand of + and -.
+rationals = st.one_of(
+    st.integers(-30, 30), st.fractions(min_value=-20, max_value=20, max_denominator=12)
+)
+
+
+@given(st.integers(1, 60).flatmap(values_at), rationals)
+@example(x=CyclotomicNumber(12, [Fraction(1, 2), 0, 3, -1]), q=0)
+@example(x=CyclotomicNumber(1, [Fraction(-5, 6)]), q=Fraction(5, 6))
+@example(x=CyclotomicNumber(9, [Fraction(1, 3)] + [0] * 5), q=Fraction(-2, 9))
+def test_rational_operand_moves_only_the_constant_coordinate(x, q):
+    c0, *rest = x.coeffs
+    rest = tuple(rest)
+    as_value = CyclotomicNumber.from_rational(q)
+    cases = [
+        (x + q, (c0 + q, *rest)),
+        (q + x, (c0 + q, *rest)),
+        (x + as_value, (c0 + q, *rest)),
+        (as_value + x, (c0 + q, *rest)),
+        (x - q, (c0 - q, *rest)),
+        (x - as_value, (c0 - q, *rest)),
+        (q - x, (q - c0, *(-c for c in rest))),
+        (as_value - x, (q - c0, *(-c for c in rest))),
+    ]
+    for got, want in cases:
+        assert got.order == x.order
+        assert got.coeffs == want
+        assert got.den > 0 and math.gcd(*got.num, got.den) == 1
+    assert (x == q) is (c0 == q and not any(rest))
+    assert (x == as_value) is (x == q)
 
 
 @given(same_order_pair(), st.data())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ellsw import _model
 from ellsw.bundle import rho
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import DomainError
@@ -164,6 +165,59 @@ def test_engine_matches_per_element_enumeration(spec):
     element = s_breakdown_by_elements(spec)
     assert list(engine.items()) == list(element.items())  # same labels, same order
     assert sum(engine.values(), Fraction(0)) == sum_chi_by_elements(spec)
+
+
+def _plain_breakdown_by_elements(spec):
+    """Label -> sum of `chi` over the non-identity elements, each call on
+    its own with no shared mapping of inverses."""
+    model = _model.family_model(spec)
+    group = build_group(spec)
+    character = rho(spec, group)
+    out = dict.fromkeys(model.labels, CyclotomicNumber.zero())
+    for k in group.keys[1:]:
+        out[model.label(k)] += chi(group.to_matrix(k), character.value(k))
+    return {label: v.as_rational() for label, v in out.items()}
+
+
+@pytest.mark.parametrize("spec", [*sweep_specs(96), GroupSpec("II", 1)], ids=str)
+def test_shared_inverses_equal_the_plain_per_element_sum(spec):
+    shared = s_breakdown_by_elements(spec)
+    assert list(shared.items()) == list(_plain_breakdown_by_elements(spec).items())
+
+
+def test_per_element_route_keeps_no_state_across_calls(monkeypatch):
+    calls = []
+    inverse = CyclotomicNumber.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
+    spec = GroupSpec("DD", 5, 2)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        s_breakdown_by_elements(spec)
+        counts.append(len(calls))
+    # Each distinct denominator is inverted once per call, and again in
+    # the next call: the mapping lives for one call only.
+    assert 0 < counts[0] == counts[1] < spec.order - 1
+
+
+def test_chi_raises_every_time_with_a_shared_mapping():
+    inverses = {}
+    minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
+    assert chi(minus, -ONE, inverses) == -1
+    ident = UnitaryElement(((1, 0), (0, 1)), check=False)
+    fixes_line = UnitaryElement(((1, 0), (0, -1)), check=False)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            chi(ident, ONE, inverses)
+        with pytest.raises(DomainError):
+            chi(fixes_line, -ONE, inverses)
+    assert len(inverses) == 1  # only the invertible denominator of -I
+    assert chi(minus, -ONE, inverses) == -1
 
 
 # Every valid spec with |G| <= 336, by family, so that a drawn family comes
