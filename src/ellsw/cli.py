@@ -12,6 +12,7 @@ import argparse
 import array
 import contextlib
 import datetime
+import io
 import json
 import math
 import os
@@ -130,14 +131,6 @@ def _read_errors(path):
     return input_errors(f"cannot read {path}", (OSError, UnicodeDecodeError))
 
 
-@contextlib.contextmanager
-def _reading(path, newline=None):
-    """The file at `path` opened as UTF-8 text, under `_read_errors`."""
-    with _read_errors(path):
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            yield fh
-
-
 def _parse_json(text, where):
     """`json.loads(text)`; text that does not parse is an input error
     naming `where`, including an integer literal past the digit limit
@@ -147,19 +140,21 @@ def _parse_json(text, where):
 
 
 @contextlib.contextmanager
-def _catalog(path, append):
-    """(read_record, write_record) for the catalog at `path`.
+def _catalog(path, specs):
+    """(read_record, write_record) for the catalog at `path`, over the sweep's
+    `specs`: a sweep holds one `GroupSpec` per spec, so the catalog keys none.
 
-    Every line is parsed and its spec validated up front, but only each
-    line's byte span is kept: one line number per spec (the last line that
-    names it) and one offset per line.  `read_record(spec)` reads that line
-    again, parses it and returns the record without its `computed_at`
-    stamp, or None if no line names `spec`.  A line read again that no
+    One handle reads the file.  Every line is parsed and its spec validated
+    up front, but only byte spans are kept: one offset per line and one line
+    number per spec in `specs` (the last line that names it); a line for any
+    other spec is forgotten.  `read_record(i)` reads the line of `specs[i]`
+    again, parses it and returns the record without its `computed_at` stamp,
+    or None if no line names that spec.  A line read again that no
     longer parses, or is no longer a record, is an input error.  A last
     line without its line end that does not parse is a record cut short by
     a crash; any other malformed line, or an invalid spec, is an input error.
 
-    With `append` false the file is only read, and `write_record` is None.
+    With no `specs` the file is only read, and `write_record` is None.
     Else the file is created if missing and its last line made whole (a torn
     one cut off and named on stderr, an open one given its newline), and
     `write_record(record)` writes and flushes one line; the file is synced
@@ -167,39 +162,43 @@ def _catalog(path, append):
     """
     # Lines keep their own ends ("\n", "\r\n" or "\r"), so each one's UTF-8
     # length is its length in the file: starts[k] is where line k + 1 begins.
-    linenos, starts, torn, line = {}, array.array("q", [0]), None, ""
+    linenos, starts, torn, line = None, array.array("q", [0]), None, ""
     cannot_read = _read_errors(path)
-    if os.path.exists(path):
-        with _reading(path, newline="") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                size = len(line.encode("utf-8"))
-                starts.append(starts[-1] + size)
-                text = line.strip()
-                if not text:
-                    continue
-                where = f"catalog {path} line {lineno}"
-                try:
-                    rec = _parse_json(text, where)
-                except InputDocumentError:
-                    if line.endswith(_LINE_ENDS):
-                        raise
-                    torn = lineno, starts[-2], size
-                    break
-                try:
-                    spec = rec["spec"]
-                    with input_errors(f"{where}: invalid spec", ConstraintError):
-                        key = GroupSpec(spec["family"], spec["m"], spec.get("n", 0))
-                except (KeyError, TypeError, AttributeError) as exc:
-                    raise InputDocumentError(f"{where}: record has no valid spec") from exc
-                linenos[key] = lineno
     with contextlib.ExitStack() as stack:
-        if linenos:
+        if os.path.exists(path):
+            index = {spec: i for i, spec in enumerate(specs)}
+            linenos = array.array("q", bytes(8 * len(specs)))  # 0: no line
             with cannot_read:
                 reader = stack.enter_context(open(path, "rb"))
+                lines = io.TextIOWrapper(reader, encoding="utf-8", newline="")
+                for lineno, line in enumerate(lines, start=1):
+                    size = len(line.encode("utf-8"))
+                    starts.append(starts[-1] + size)
+                    text = line.strip()
+                    if not text:
+                        continue
+                    where = f"catalog {path} line {lineno}"
+                    try:
+                        rec = _parse_json(text, where)
+                    except InputDocumentError:
+                        if line.endswith(_LINE_ENDS):
+                            raise
+                        torn = lineno, starts[-2], size
+                        break
+                    try:
+                        spec = rec["spec"]
+                        with input_errors(f"{where}: invalid spec", ConstraintError):
+                            i = index.get(GroupSpec(spec["family"], spec["m"], spec.get("n", 0)))
+                    except (KeyError, TypeError, AttributeError) as exc:
+                        raise InputDocumentError(f"{where}: record has no valid spec") from exc
+                    if i is not None:
+                        linenos[i] = lineno
+                lines.detach()  # keep `reader` open for the re-reads
+            del index  # freed before the sweep reaches its own peak
 
-        def read_record(spec):
-            lineno = linenos.get(spec)
-            if lineno is None:
+        def read_record(i):
+            lineno = linenos and linenos[i]
+            if not lineno:
                 return None
             start = starts[lineno - 1]
             with cannot_read:
@@ -212,7 +211,7 @@ def _catalog(path, append):
             rec.pop("computed_at", None)
             return rec
 
-        if not append:
+        if not specs:
             yield read_record, None
             return
         errors = input_errors(f"cannot append to catalog {path}")
@@ -249,9 +248,9 @@ def _swdim_sweep(args) -> int:
     # The catalog is opened before the first spec is computed, so a path that
     # cannot be appended to fails at once.  Each spec's lines and new record go
     # out as soon as it is computed: a sweep that stops keeps the specs before.
-    catalog = _catalog(path, bool(specs)) if path else contextlib.nullcontext((None, None))
+    catalog = _catalog(path, specs) if path else contextlib.nullcontext((None, None))
     with catalog as (read_record, write_record):
-        for spec in specs:
+        for i, spec in enumerate(specs):
             name = f"{spec.family} m={spec.m} n={spec.n}"
             try:
                 record = _sw_record(spec)
@@ -263,7 +262,7 @@ def _swdim_sweep(args) -> int:
                 mismatches += 1
             lines = []
             if path:
-                old = read_record(spec)
+                old = read_record(i)
                 if old is not None:
                     if old != record:
                         drift += 1
@@ -315,7 +314,7 @@ def cmd_verify_rho(args) -> int:
 def cmd_audit(args) -> int:
     if not args.input:
         raise ConstraintError("--input FILE is required for audit")
-    with _reading(args.input) as fh:
+    with _read_errors(args.input), open(args.input, encoding="utf-8") as fh:
         document = _parse_json(fh.read(), args.input)
     result = run_audit(document)
     _emit(

@@ -44,9 +44,9 @@ KEY_BOUND, BLOCK_BOUND = 1 << 32, 1 << 22
 
 @dataclass(frozen=True, slots=True)
 class GroupSpec:
-    """One of the six families plus its parameters.  Slotted: a sweep and
-    its catalog hold one per spec, 56 bytes each instead of 152 with a
-    `__dict__` (CPython 3.11)."""
+    """One of the six families plus its parameters.  Slotted: a sweep holds
+    one per spec, 56 bytes each instead of 152 with a `__dict__` (CPython
+    3.11)."""
 
     family: str
     m: int
@@ -54,9 +54,6 @@ class GroupSpec:
 
     def __post_init__(self):
         self.validate()
-        # One string per family name, not one per spec: a JSON parser makes a
-        # new string for each record, and a catalog keys a spec per record.
-        object.__setattr__(self, "family", FAMILIES[FAMILIES.index(self.family)])
 
     def validate(self) -> "GroupSpec":
         f, m, n = self.family, self.m, self.n

@@ -162,6 +162,34 @@ def test_swdim_sweep_verify_pass_reports_exactly_the_changed_specs(tmp_path, cap
     assert catalog.read_bytes() == content
 
 
+def test_swdim_sweep_validates_but_does_not_compare_lines_outside_the_sweep(tmp_path, capsys):
+    catalog = tmp_path / "records.jsonl"
+    run(["swdim", "--sweep", "--max-order", "200", "--catalog", str(catalog)], capsys)
+    lines = catalog.read_text(encoding="utf-8").splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    k = next(k for k, r in enumerate(records) if r["order"] > 100)
+    records[k]["dE"] += 2
+    lines[k] = json.dumps(records[k]) + "\n"
+    content = "".join(lines).encode("utf-8")
+    catalog.write_bytes(content)
+    argv = ["swdim", "--sweep", "--max-order", "100", "--catalog", str(catalog)]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert "DRIFT" not in out
+    assert out.endswith("0 closed-form mismatches, 0 catalog drifts, 0 records appended\n")
+    assert catalog.read_bytes() == content
+    # A line outside the sweep is still validated: an invalid spec fails it.
+    content += b'{"spec": {"family": "DD", "m": 2, "n": 3}}\n'
+    catalog.write_bytes(content)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"input error: catalog {catalog} line {len(lines) + 1}: invalid spec: "
+        "family DD requires m odd\n"
+    )
+    assert catalog.read_bytes() == content
+
+
 def test_catalog_env_fallback(tmp_path, capsys, monkeypatch):
     catalog = tmp_path / "env_records.jsonl"
     monkeypatch.setenv("ELLSW_CATALOG", str(catalog))
