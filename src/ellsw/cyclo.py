@@ -104,55 +104,43 @@ def _poly_trim(p):
     return p
 
 
-def _poly_pseudo_divmod(num, den):
-    """(m, q, r) with m*num == q*den + r, deg r < deg den, m a nonzero integer.
-
-    Each step scales by |lc(den)|/gcd(top, lc(den)) only, which keeps m
-    small and positive; m == 1 whenever the quotient has integer coefficients.
-    """
-    r = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [0] * (len(r) - dd)
-    m = 1
-    for k in range(len(r) - 1 - dd, -1, -1):
-        t = r[k + dd]
-        if not t:
-            continue
-        g = math.gcd(t, lead)
-        scale = abs(lead) // g
-        if scale != 1:
-            r = [x * scale for x in r]
-            q = [x * scale for x in q]
-            m *= scale
-        t = t // g if lead > 0 else -t // g
-        q[k] = t
-        for j, c in enumerate(den):
-            if c:
-                r[k + j] -= t * c
-    return m, q, _poly_trim(r[:dd])
-
-
 def _poly_modinv(a, mod):
     """(s, c) with s*a == c modulo `mod`, c a nonzero integer.
 
-    A primitive remainder sequence: every remainder r_i is kept alongside
-    an s_i with s_i*a == r_i (mod `mod`), and both are divided by their
-    common content, so no rational number is ever formed.
+    A primitive remainder sequence on pairs (r, s) with s*a == r (mod `mod`).
+    While deg r0 >= deg r1, the leading term t x^(k + deg r1) of r0 is
+    cancelled, one term at a time: r0 <- (|l|/g) r0 - (sign(l) t/g) x^k r1,
+    with l = lc(r1) and g = gcd(t, l), and s0 likewise with s1.  Then
+    (r0, s0) is divided by its content and the pairs swap, so no rational
+    number is ever formed.
     """
     r0, s0 = list(mod), [0]
     r1, s1 = _poly_trim(list(a)), [1]
     while len(r1) > 1:
-        m, q, r = _poly_pseudo_divmod(r0, r1)
-        qs = _poly_mul(q, s1)
-        s = [m * x for x in s0] + [0] * max(0, len(qs) - len(s0))
-        for i, x in enumerate(qs):
-            s[i] -= x
-        g = math.gcd(*r, *s)
+        lead = r1[-1]
+        while len(r0) >= len(r1):
+            k = len(r0) - len(r1)
+            t = r0[-1]
+            g = math.gcd(t, lead)
+            scale = abs(lead) // g  # > 0, so lc(r1) == -1 needs no scaling
+            if scale != 1:
+                r0 = [x * scale for x in r0]
+                s0 = [x * scale for x in s0]
+            t = t // g if lead > 0 else -t // g
+            # Phi_N and the per-element denominators are mostly sparse.
+            for j, c in enumerate(r1, k):
+                if c:
+                    r0[j] -= t * c
+            s0 += [0] * (k + len(s1) - len(s0))
+            for j, c in enumerate(s1, k):
+                if c:
+                    s0[j] -= t * c
+            _poly_trim(r0)
+        g = math.gcd(*r0, *s0)
         if g > 1:
-            r = [x // g for x in r]
-            s = [x // g for x in s]
-        r0, s0, r1, s1 = r1, s1, r, _poly_trim(s)
+            r0 = [x // g for x in r0]
+            s0 = [x // g for x in s0]
+        r0, s0, r1, s1 = r1, s1, r0, _poly_trim(s0)
     if not r1:
         raise ZeroDivisionError("element is not invertible modulo Phi_N")
     return s1, r1[0]

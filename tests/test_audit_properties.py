@@ -89,6 +89,9 @@ documents = st.one_of(
 @given(document=documents)
 def test_audit_exit_code_is_0_or_2(tmp_path_factory, document):
     path = tmp_path_factory.getbasetemp() / "doc.audit"
+    # A fresh file, not a truncating overwrite: on ext4 the overwrite can
+    # flush the old data first, at tens of milliseconds per example.
+    path.unlink(missing_ok=True)
     path.write_text(json.dumps(document), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -127,6 +130,7 @@ raw_documents = st.one_of(
 @given(data=raw_documents)
 def test_audit_exit_code_is_2_on_edge_texts(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "raw.audit"
+    path.unlink(missing_ok=True)
     path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
