@@ -16,7 +16,8 @@ reduced modulo the monic integer polynomial Phi_N; a sum cross-multiplies
 the denominators, except that a rational term (an int, a Fraction or an
 order-1 value) of `+` or `-` moves only the constant coordinate, with no
 embedding into a common order; `inverse` runs a fraction-free remainder
-sequence against Phi_N.  `reduced()` rewrites a value at its conductor
+sequence against Phi_N; `trace` sums the Galois conjugates through
+Ramanujan sums.  `reduced()` rewrites a value at its conductor
 (the least order whose field contains it, never 2 mod 4); hashing and
 serialization use that form, so equal values hash equally whatever their
 order, and a rational value hashes as its Fraction.
@@ -25,6 +26,7 @@ order, and a rational value hashes as its Fraction.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -150,6 +152,14 @@ def _poly_modinv(a, mod):
 # cyclotomic polynomials and reduction modulo Phi_n
 
 
+def _squarefree_cofactors(n: int):
+    """(d, mu(n/d)) for each d | n with n/d squarefree."""
+    signed = [(n, 1)]
+    for p in factorize(n):
+        signed += [(d // p, -s) for d, s in signed]
+    return signed
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
     """Coefficients of Phi_n, constant term first: the product over d | n of
@@ -157,11 +167,8 @@ def cyclotomic_polynomial(n: int):
     out (mu = -1, after every product) in one linear pass."""
     if n <= 0:
         raise ValueError("cyclotomic_polynomial expects a positive integer")
-    signed = [(n, 1)]  # (d, mu(n/d)) for each d | n with n/d squarefree
-    for p in factorize(n):
-        signed += [(d // p, -s) for d, s in signed]
     poly = [1]
-    for d, s in sorted(signed, key=lambda ds: -ds[1]):
+    for d, s in sorted(_squarefree_cofactors(n), key=lambda ds: -ds[1]):
         if s == 1:
             poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
             continue
@@ -179,6 +186,17 @@ def cyclotomic_polynomial(n: int):
 def _phi_tail(n: int):
     """Nonzero (index, coefficient) pairs of Phi_n below its leading term."""
     return tuple((j, c) for j, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
+
+
+@lru_cache(maxsize=256)
+def _trace_row(n: int):
+    """Tr(zeta_n^i) over Q for i < phi(n): the Ramanujan sum c_n(i), by
+    Kluyver's formula, the sum of d mu(n/d) over the d dividing gcd(i, n)."""
+    row = [0] * euler_phi(n)
+    for d, s in _squarefree_cofactors(n):
+        for i in range(0, len(row), d):
+            row[i] += s * d
+    return tuple(row)
 
 
 def _reduce(n: int, dense: list) -> list:
@@ -290,6 +308,11 @@ class CyclotomicNumber:
                 dense[(j * t) % n] = c
         # An automorphism of Z[zeta_n] keeps the numerators' content.
         return _raw(n, _reduce(n, dense), self.den)
+
+    def trace(self) -> Fraction:
+        """The trace from Q(zeta_order) to Q: the sum of the phi(order)
+        images galois(t), read off the coordinates as sum num_i c_N(i) / den."""
+        return Fraction(sum(map(operator.mul, self.num, _trace_row(self.order))), self.den)
 
     def reduced(self) -> "CyclotomicNumber":
         """Rewrite at the conductor: the least order whose field contains self."""
@@ -553,7 +576,10 @@ def root_of_unity(k: int, n: int) -> CyclotomicNumber:
     return _root_of_unity(k % n, n)
 
 
-@lru_cache(maxsize=None)
+# A root at order n holds up to phi(n) ints, and a long run over many specs
+# meets tens of thousands of distinct roots; one group's matrices reuse a
+# few hundred.
+@lru_cache(maxsize=1024)
 def _root_of_unity(k: int, n: int) -> CyclotomicNumber:
     return _raw(n, _monomial(n, k), 1).reduced()
 

@@ -6,9 +6,12 @@ The dimension is c1(E)^2 - K.c1(E) plus a cone-point contribution
     chi(g) = 2 (rho(g) - 1) / ((1 - conj l1)(1 - conj l2)),
 
 with l1, l2 the eigenvalues of g.  `chi` evaluates single elements
-exactly; the sweep engine sums whole scalar-subgroup cosets in closed
-form and certifies each labelled subtotal rational by Galois stability.
-A derivation sketch for the closed forms lives next to the formulas.
+exactly.  Two independent routes sum it by label: the sweep engine sums
+whole scalar-subgroup cosets in closed form and certifies each labelled
+subtotal rational by Galois stability; the per-element route walks the
+matrix group one cyclic subgroup at a time, calls `chi` on one generator
+and takes Galois images or a trace for the others.  A derivation sketch
+for the closed forms lives next to the formulas.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 
 from . import _model
 from .bundle import rho
-from .cyclo import CyclotomicNumber, frac_str
+from .cyclo import CyclotomicNumber, euler_phi, frac_str
 from .errors import ConstraintError, DomainError, InternalInvariantError
 from .groups import BINARY, BINARY_KIND, GroupSpec, UnitaryElement, build_group
 from .rootsum import RootSum
@@ -222,29 +225,53 @@ def closed_form_d_E(spec: GroupSpec) -> int:
 
 
 def sum_chi_by_elements(spec: GroupSpec) -> Fraction:
-    """Brute-force sum of chi over all non-identity matrices: the sum of the
-    labelled per-element subtotals of `s_breakdown_by_elements`."""
+    """The sum of chi over all non-identity elements: the sum of the labelled
+    subtotals of `s_breakdown_by_elements`."""
     return sum(s_breakdown_by_elements(spec).values(), Fraction(0))
 
 
 def s_breakdown_by_elements(spec: GroupSpec) -> dict:
-    """Label -> chi subtotal, from per-element evaluation (small groups only).
+    """Label -> chi subtotal, from the matrix group one cyclic subgroup at a
+    time (small groups only); far slower than the engine but independent of it.
 
-    Uses the matrix group, the extended character, and one `chi` call per
-    non-identity element; far slower than the engine but independent of it.
-    Each element builds its own matrix and its own det(g - 1); the inverses
-    of the distinct denominators are shared through a mapping that lives
-    for this call only, so nothing carries over from one call to the next.
-    Only the label of each key comes from the family model, as in the engine.
+    For t coprime to d = ord(g), the eigenvalues of g^t and rho(g^t) are
+    those of g to the t, so chi(g^t) = sigma_t(chi(g)), with sigma_t the
+    automorphism zeta_d -> zeta_d^t of Q(zeta_d), which holds chi(g).  The
+    walk takes each unvisited key g, marks the generators g^t of <g> and
+    calls `chi` on g alone.  When every generator carries one label, their
+    sum is the trace from Q(zeta_d) to Q, which is phi(d)/phi(N) times the
+    trace from Q(zeta_N), N the order chi(g) is stored at.  Otherwise each
+    generator takes `galois(t)` of chi(g).  `chi` stores its value at the
+    lcm of its factors' conductors, all subfields of Q(zeta_d), so N
+    divides d and t is coprime to N (`galois` raises if it is not).  Labels
+    are read per key from the family model, as in the engine.  g^t has an
+    eigenvalue 1 iff g has one, so `chi` still raises DomainError for every
+    cyclic subgroup that is not free.  The inverses of the distinct
+    denominators are shared through a mapping that lives for this call only.
     """
     model = _model.family_model(spec)
     group = build_group(spec)
     character = rho(spec, group)
-    out = dict.fromkeys(model.labels, CyclotomicNumber.zero())
+    traces = dict.fromkeys(model.labels, _ZERO)
+    images = dict.fromkeys(model.labels, CyclotomicNumber.zero())
     inverses = {}
+    seen = bytearray(group.order)
     for k in group.keys[1:]:  # every key but the identity 0
-        out[model.label(k)] += chi(group.to_matrix(k), character.value(k), inverses)
-    return {label: v.as_rational() for label, v in out.items()}
+        if seen[k]:
+            continue
+        powers = list(group.powers(k))  # k, k^2, ..., k^d = identity
+        d = len(powers)
+        gens = [(t, powers[t - 1]) for t in range(1, d) if math.gcd(t, d) == 1]
+        labels = [model.label(g) for _, g in gens]
+        for _, g in gens:
+            seen[g] = 1
+        value = chi(group.to_matrix(k), character.value(k), inverses)
+        if len(set(labels)) == 1:
+            traces[labels[0]] += Fraction(euler_phi(d), euler_phi(value.order)) * value.trace()
+            continue
+        for (t, _), label in zip(gens, labels):
+            images[label] += value.galois(t)
+    return {label: traces[label] + images[label].as_rational() for label in model.labels}
 
 
 # ---------------------------------------------------------------------------

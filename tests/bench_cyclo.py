@@ -1,5 +1,6 @@
 """Microbenchmarks of the cyclotomic core: `mul`, `inverse`, `reduced` and
-`root_of_unity` at orders 24, 60, 120 and 240, and `cyclotomic_polynomial`
+`root_of_unity` at orders 24, 60, 120 and 240, `inverse` of sparse values
+(2-3 nonzero coordinates) at orders 241 and 964, and `cyclotomic_polynomial`
 from an empty cache at orders 2310, 30030 and 100001.
 
     PYTHONPATH=src python -m pytest tests/bench_cyclo.py
@@ -40,6 +41,27 @@ def test_mul(benchmark, n):
 @pytest.mark.parametrize("n", ORDERS)
 def test_inverse(benchmark, n):
     a = _value(n, 3)
+    assert a * benchmark(a.inverse) == 1
+
+
+def _sparse_value(n, seed):
+    """Two or three coordinates +-1, the rest 0: shaped like the per-element
+    denominators conj det(g - 1) of DC(2,241), 482 of whose 487 inverted
+    values have 2 or 3 nonzero coordinates, at orders 241 and 964."""
+    rng = random.Random(seed)
+    coeffs = [0] * euler_phi(n)
+    for j in rng.sample(range(len(coeffs)), rng.choice((2, 3))):
+        coeffs[j] = rng.choice((-1, 1))
+    return CyclotomicNumber(n, coeffs)
+
+
+# Degrees 240 and 480.  Their remainder sequences stay sparse, so a loop
+# that stops skipping zero coefficients is 40-75% slower here and within
+# noise on the dense values of `test_inverse`.
+@pytest.mark.parametrize("n", (241, 964))
+@pytest.mark.parametrize("seed", (1, 3))
+def test_inverse_sparse(benchmark, n, seed):
+    a = _sparse_value(n, seed)
     assert a * benchmark(a.inverse) == 1
 
 

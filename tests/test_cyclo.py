@@ -228,3 +228,14 @@ def test_galois_conjugation_is_field_automorphism():
         t = rng.choice([t for t in range(1, n) if math.gcd(t, n) == 1])
         assert (a * b).galois(t) == a.galois(t) * b.galois(t)
         assert (a + b).galois(t) == a.galois(t) + b.galois(t)
+
+
+def test_trace_is_the_sum_of_the_galois_conjugates():
+    rng = random.Random(11)
+    for n in range(1, 121):
+        x = _random_value(rng, n)
+        conjugates = [x.galois(t) for t in range(1, n + 1) if math.gcd(t, n) == 1]
+        assert len(conjugates) == euler_phi(n)
+        total = sum(conjugates, CyclotomicNumber.zero())
+        assert x.trace() == total.as_rational()
+        assert CyclotomicNumber.one().embed(n).trace() == euler_phi(n)

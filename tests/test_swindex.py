@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellsw import _model
+from ellsw import _model, swindex
 from ellsw.bundle import rho
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import DomainError
@@ -179,10 +180,73 @@ def _plain_breakdown_by_elements(spec):
     return {label: v.as_rational() for label, v in out.items()}
 
 
-@pytest.mark.parametrize("spec", [*sweep_specs(96), GroupSpec("II", 1)], ids=str)
-def test_shared_inverses_equal_the_plain_per_element_sum(spec):
-    shared = s_breakdown_by_elements(spec)
-    assert list(shared.items()) == list(_plain_breakdown_by_elements(spec).items())
+@pytest.mark.parametrize("spec", sweep_specs(120), ids=str)
+def test_cyclic_subgroup_route_equals_the_plain_per_element_sum(spec):
+    by_subgroups = s_breakdown_by_elements(spec)
+    assert list(by_subgroups.items()) == list(_plain_breakdown_by_elements(spec).items())
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("DD", 3, 4), GroupSpec("DC", 4, 3), GroupSpec("OO", 7)], ids=str)
+def test_cyclic_subgroup_route_equals_the_plain_sum_under_any_labels(monkeypatch, spec):
+    # The family labels split a cyclic subgroup only where rho is 1 on it (a
+    # pure y^l carries Lambda3), so chi is 0 on all of its generators.  Labels
+    # by key mod 3 split subgroups where chi is not 0, and their sums are not
+    # rational, so both routes keep them as field elements here.
+    family_model = _model.family_model
+
+    def relabelled(spec):
+        model = family_model(spec)
+        model.label = lambda key: model.labels[key % 3]
+        return model
+
+    monkeypatch.setattr(_model, "family_model", relabelled)
+    monkeypatch.setattr(CyclotomicNumber, "as_rational", lambda self: self)
+    by_subgroups = s_breakdown_by_elements(spec)
+    plain = _plain_breakdown_by_elements(spec)
+    assert list(by_subgroups) == list(plain)
+    assert all(by_subgroups[label] == plain[label] for label in plain)
+    assert not all(v.is_rational() for v in plain.values())
+
+
+def _label_mismatches(specs):
+    """(spec, engine labels, per-element labels) for each spec where they differ."""
+    out = []
+    for spec in specs:
+        engine = list(s_breakdown(spec).items())
+        element = list(s_breakdown_by_elements(spec).items())
+        if engine != element:
+            out.append((str(spec), engine, element))
+    return out
+
+
+def test_engine_matches_the_per_element_route_on_every_label_to_600():
+    specs = sweep_specs(600)
+    assert len(specs) == 445
+    assert _label_mismatches(specs) == []
+
+
+def test_engine_matches_the_per_element_route_on_polyhedral_labels_to_4000():
+    specs = [s for s in sweep_specs(4000) if s.family not in ("DD", "DC")]
+    assert len(specs) == 120
+    assert _label_mismatches(s for s in specs if s.order > 600) == []
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("DD", 5, 3), GroupSpec("DC", 4, 3), GroupSpec("OO", 7)], ids=str)
+def test_per_element_route_raises_on_a_cyclic_subgroup_with_eigenvalue_1(monkeypatch, spec):
+    # Give every generator of one cyclic subgroup the matrix diag(1, -1),
+    # as a group that does not act freely would: `chi` meets det(g - 1) = 0.
+    group = build_group(spec)
+    k = group.keys[-1]
+    powers = list(group.powers(k))
+    gens = {g for t, g in enumerate(powers, 1) if math.gcd(t, len(powers)) == 1}
+    assert len(gens) > 1
+    fixes_line = UnitaryElement(((1, 0), (0, -1)), check=False)
+    to_matrix = group.to_matrix
+    group.to_matrix = lambda key: fixes_line if key in gens else to_matrix(key)
+    monkeypatch.setattr(swindex, "build_group", lambda _: group)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="eigenvalue 1"):
+            s_breakdown_by_elements(spec)
 
 
 def test_per_element_route_keeps_no_state_across_calls(monkeypatch):
@@ -232,6 +296,7 @@ def test_engine_matches_per_element_labels_on_random_specs(spec):
     engine = s_breakdown(spec)
     element = s_breakdown_by_elements(spec)
     assert list(engine.items()) == list(element.items())
+    assert list(element.items()) == list(_plain_breakdown_by_elements(spec).items())
 
 
 @st.composite
