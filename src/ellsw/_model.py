@@ -14,7 +14,8 @@ matrix.  The polyhedral atom tables are built once per kind on the keys
 of `build_binary_polyhedral`, reusing its Cayley table and exact
 matrices, and are validated against the defining relations; atom
 `2r + t` is `(-1)^t` times atom `2r`, so block `r` of a family key holds
-the atom pair of rank `r`.
+the atom pair of rank `r`.  An atom's eigenvalues are the pair of roots of
+its order, from the power walk, whose sum is its trace.
 
 The models also own the partition behind the labelled chi-subtotals:
 `labels` lists the labels in report order and `label(key)` names the
@@ -30,7 +31,7 @@ from functools import lru_cache
 from .bundle import extend_character
 from .cyclo import CyclotomicNumber, root_of_unity
 from .errors import CharacterConflictError, ConstraintError, InternalInvariantError
-from .groups import BINARY_KIND, GroupSpec, UnitaryElement, build_binary_polyhedral, eigen_exponents
+from .groups import BINARY_KIND, GroupSpec, UnitaryElement, build_binary_polyhedral
 
 
 class _SU2Table:
@@ -63,17 +64,18 @@ class _SU2Table:
         self.labels = tuple(f"S{r}" for r in range(len(orders) + 1))
         name = {o: f"S{r}" for r, o in enumerate(orders, start=1)}
         self.label = ["S0"] * 2 + [name[label_order[a & -2]] for a in range(2, n)]
-        # Eigenvalues as powers of zeta_base, base = n / 2 = 12, 24 or 60.
+        # Eigenvalues zeta_base^e and zeta_base^-e, base = n / 2 = 12, 24 or 60.
         b = self.base = n // 2
         self.eigen = []
-        for i, a in enumerate(self.atoms):
-            d, e1, e2 = eigen_exponents(a)
-            if d != self.order[i] or b % d:
+        for i, (a, d) in enumerate(zip(self.atoms, self.order)):
+            e = next((e for e in range(b) if b // math.gcd(e, b) == d
+                      and root_of_unity(e, b) + root_of_unity(-e, b) == a.trace()), None)
+            if e is None:
                 raise InternalInvariantError(
-                    "atom eigenvalues disagree with the table order",
-                    witness={"kind": kind, "atom": i, "order": self.order[i], "eigen_order": d},
+                    "no eigenvalues of the atom's order add up to its trace",
+                    witness={"kind": kind, "atom": i, "order": d, "trace": a.trace()},
                 )
-            self.eigen.append((e1 * (b // d), e2 * (b // d)))
+            self.eigen.append((e, -e % b))
         if kind == "T":
             # The grading T -> T/Q8 = Z/3 is the character x -> 0, y -> 1 of
             # the table; TD keys encode their mu_6m part through it.

@@ -17,10 +17,10 @@ the denominators, except that a rational term (an int, a Fraction or an
 order-1 value) of `+` or `-` moves only the constant coordinate, with no
 embedding into a common order; `inverse` runs a fraction-free remainder
 sequence against Phi_N; `trace` sums the Galois conjugates through
-Ramanujan sums.  `reduced()` rewrites a value at its conductor
-(the least order whose field contains it, never 2 mod 4); hashing and
-serialization use that form, so equal values hash equally whatever their
-order, and a rational value hashes as its Fraction.
+Ramanujan sums.  `reduced()` rewrites a value at its conductor (the least
+order whose field contains it, never 2 mod 4), where `root_of_unity` writes
+roots directly; hashing and serialization use that form, so equal values
+hash equally whatever their order, and a rational value as its Fraction.
 """
 
 from __future__ import annotations
@@ -214,11 +214,6 @@ def _reduce(n: int, dense: list) -> list:
     elif len(dense) < deg:
         dense.extend([0] * (deg - len(dense)))
     return dense
-
-
-def _monomial(n: int, e: int) -> list:
-    """Canonical integer coordinates of zeta_n^e."""
-    return _reduce(n, [0] * (e % n) + [1])
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +435,9 @@ class CyclotomicNumber:
         n = self.order
         terms = [(j, c) for j, c in enumerate(num) if c]
         if len(terms) == 1:
-            # (c zeta^j / den)^-1 = (den / c) zeta^-j
+            # (c zeta^j / den)^-1 = (den / c) zeta^-j, at the root's conductor
             j, c = terms[0]
-            return _make(n, [self.den * r for r in _monomial(n, -j)], c)
+            return _root_of_unity(-j % n, n) * _make(1, (self.den,), c)
         s, c = _poly_modinv(num, cyclotomic_polynomial(n))
         den = self.den
         return _make(n, _reduce(n, [den * x for x in s]), c)
@@ -570,18 +565,21 @@ _ONE_CYC = _raw(1, (1,), 1)
 
 
 def root_of_unity(k: int, n: int) -> CyclotomicNumber:
-    """zeta_n^k in canonical form at the conductor."""
+    """zeta_n^k, written directly at its conductor."""
     if n < 1:
         raise ValueError("order must be a positive integer")
     return _root_of_unity(k % n, n)
 
 
-# A root at order n holds up to phi(n) ints, and a long run over many specs
-# meets tens of thousands of distinct roots; one group's matrices reuse a
-# few hundred.
+# A root holds up to phi(n) ints, and a long run meets tens of thousands of
+# distinct roots; one group's matrices reuse a few hundred.
 @lru_cache(maxsize=1024)
 def _root_of_unity(k: int, n: int) -> CyclotomicNumber:
-    return _raw(n, _monomial(n, k), 1).reduced()
+    g = math.gcd(k, n)  # zeta_n^k = zeta_d^e with gcd(e, d) = 1, at conductor d
+    e, d, sign = k // g, n // g, 1
+    if d % 4 == 2:  # or at c = d/2: zeta_2c^e = -zeta_c^(e(c + 1)/2), c and e odd
+        e, d, sign = e * (d + 2) // 4 % (d // 2), d // 2, -1
+    return _raw(d, _reduce(d, [0] * e + [sign]), 1)
 
 
 # Keyed by order; a table holds up to 2n * phi(n) ints, so only a few dozen are kept.
@@ -592,7 +590,7 @@ def _root_table(n: int) -> dict:
     are in exponent order."""
     L = n if n % 2 == 0 else 2 * n
     table = {}
-    row = _monomial(n, 0)
+    row = _reduce(n, [1])
     for i in range(n):
         table[tuple(row)] = i * (L // n)
         if L != n:  # zeta_2n^(2i + n) = -zeta_n^i

@@ -1,7 +1,8 @@
 """Microbenchmarks of the per-element cross-check layers: the per-element
 `chi` sum (`sum_chi_by_elements`, closure plus one cyclotomic `chi` per
-cyclic subgroup) on DD(7,2), OO(7) and II(1), and on DD(7,29), DC(8,25) and
-DC(2,241), where the high field degree makes the inversions dominate; the
+cyclic subgroup) on DD(7,2), OO(7) and II(1), on DD(7,29), DC(8,25) and
+DC(2,241), where the high field degree makes the inversions dominate, and on
+DD(1,935), whose matrices are built from roots of order 1870; the
 section check by the transfer (`verify_section_equivariance`, which builds
 the group and `rho` itself) on DD(1,3) and TT(1); and, once, every label of
 the per-element route against the engine on all 1,015 specs with
@@ -34,6 +35,7 @@ CHI_SPECS = [
     GroupSpec("DD", 7, 29),  # 812
     GroupSpec("DC", 8, 25),  # 800
     GroupSpec("DC", 2, 241),  # 1928, sparse denominators
+    GroupSpec("DD", 1, 935),  # 3740, entries are roots of order 1870
 ]
 
 # Prints the number of specs compared, the seconds taken, the peak resident

@@ -1,5 +1,6 @@
 """Microbenchmarks of the cyclotomic core: `mul`, `inverse`, `reduced` and
-`root_of_unity` at orders 24, 60, 120 and 240, `inverse` of sparse values
+`root_of_unity` at orders 24, 60, 120 and 240 (`root_of_unity` also at 1870
+and 2310), `inverse` of sparse values
 (2-3 nonzero coordinates) at orders 241 and 964, and `cyclotomic_polynomial`
 from an empty cache at orders 2310, 30030 and 100001.
 
@@ -72,9 +73,11 @@ def test_reduced(benchmark, n):
     assert (n // 2) % benchmark(x.reduced).order == 0
 
 
-@pytest.mark.parametrize("n", ORDERS)
+# 1870 = 2 * 5 * 11 * 17 and 2310 = 2 * 3 * 5 * 7 * 11 are 2 mod 4 with many
+# primes: zeta^7 is written at order 935, and at 165 = 2310 / 14.
+@pytest.mark.parametrize("n", ORDERS + (1870, 2310))
 def test_root_of_unity(benchmark, n):
-    # The uncached path: canonical monomial, then reduction to the conductor.
+    # The uncached path: the monomial written directly at the conductor.
     benchmark.pedantic(
         root_of_unity, args=(7, n), setup=_root_of_unity.cache_clear, rounds=200
     )

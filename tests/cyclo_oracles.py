@@ -21,3 +21,9 @@ def from_dict(d) -> CyclotomicNumber:
     """The value a `to_dict` document describes."""
     coeffs = [Fraction(s) for s in d["coeffs"]]
     return CyclotomicNumber(int(d["order"]), coeffs)
+
+
+def root_by_descent(k: int, n: int) -> CyclotomicNumber:
+    """zeta_n^k written at order n, then moved to its conductor by the
+    generic `reduced()` descent: the construction `root_of_unity` replaced."""
+    return CyclotomicNumber._from_dense(n, [0] * (k % n) + [1]).reduced()

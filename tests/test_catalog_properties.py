@@ -6,9 +6,8 @@ import contextlib
 import io
 import json
 import sys
-import tempfile
-from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,15 +61,23 @@ lines = st.one_of(
 )
 
 
+@pytest.fixture(scope="module")
+def catalog_path(tmp_path_factory):
+    """One catalog path, in one directory, for every example of this
+    module.  Each example unlinks the catalog and writes a fresh file:
+    removing a temporary directory per example took about a third of the
+    200-example test."""
+    return tmp_path_factory.mktemp("catalog") / "records.jsonl"
+
+
 @settings(max_examples=200, deadline=None)
 @given(catalog=st.lists(lines, min_size=1, max_size=4))
-def test_sweep_catalog_exit_code_is_0_2_or_3(catalog):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "records.jsonl"
-        path.write_text("\n".join(catalog) + "\n", encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(ARGS + ["--catalog", str(path)])
+def test_sweep_catalog_exit_code_is_0_2_or_3(catalog_path, catalog):
+    catalog_path.unlink(missing_ok=True)
+    catalog_path.write_text("\n".join(catalog) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(ARGS + ["--catalog", str(catalog_path)])
     assert code in (0, 2, 3), (catalog, err.getvalue())
     if code == 2:
         assert err.getvalue().startswith("input error:")
@@ -97,12 +104,11 @@ edge_lines = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(catalog=st.lists(edge_lines, min_size=1, max_size=3))
-def test_sweep_catalog_exit_code_on_edge_lines(catalog):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "records.jsonl"
-        path.write_bytes(b"\n".join(catalog) + b"\n")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(ARGS + ["--catalog", str(path)])
+def test_sweep_catalog_exit_code_on_edge_lines(catalog_path, catalog):
+    catalog_path.unlink(missing_ok=True)
+    catalog_path.write_bytes(b"\n".join(catalog) + b"\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(ARGS + ["--catalog", str(catalog_path)])
     assert code == 2, (catalog, err.getvalue())
     assert err.getvalue().startswith("input error:")

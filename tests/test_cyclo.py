@@ -1,19 +1,69 @@
+import functools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from ellsw import cyclo
 from ellsw.cyclo import CyclotomicNumber, cyclotomic_polynomial, euler_phi, power, root_of_unity
 from ellsw.errors import NotRationalError
 
-from cyclo_oracles import from_dict, to_complex
+from cyclo_oracles import from_dict, root_by_descent, to_complex
 
 
 def test_root_of_unity_identity_cases():
     assert root_of_unity(0, 12) == 1
     assert root_of_unity(6, 12) == -1
     assert root_of_unity(1, 3) + root_of_unity(2, 3) == -1
+
+
+def _exact(x):
+    return x.order, x.num, x.den
+
+
+@functools.cache
+def _descent():
+    """Each zeta_n^k, n <= 240, by the descent from order n, keyed by (k mod n, n)."""
+    return {(k, n): _exact(root_by_descent(k, n)) for n in range(1, 241) for k in range(n)}
+
+
+def _roots():
+    """root_of_unity(k, n) for every -n <= k < n <= 240, keyed like `_descent`."""
+    cyclo._root_of_unity.cache_clear()
+    built = {}
+    for n in range(1, 241):
+        for k in range(-n, n):
+            x = built.setdefault((k % n, n), _exact(root_of_unity(k, n)))
+            assert _exact(root_of_unity(k, n)) == x, (k, n)
+    cyclo._root_of_unity.cache_clear()
+    return built
+
+
+def test_root_of_unity_equals_the_descent_from_its_order():
+    assert _roots() == _descent()
+
+
+def test_root_of_unity_never_runs_the_descent():
+    def descend(self):
+        raise AssertionError("root_of_unity called reduced()")
+
+    expected = _descent()
+    with mock.patch.object(CyclotomicNumber, "reduced", descend):
+        built = _roots()
+    assert built == expected
+
+
+def test_inverse_of_a_monomial():
+    # c zeta_n^j / den has one power-basis term for j < phi(n); its inverse
+    # is a root at its conductor, scaled by den / c.
+    rng = random.Random(5)
+    for n in range(1, 121):
+        for j in range(euler_phi(n)):
+            c, den = rng.choice((1, -1, 3, -6)), rng.choice((1, 2, 35))
+            x = CyclotomicNumber._from_dense(n, [0] * j + [Fraction(c, den)])
+            assert x * x.inverse() == 1, (n, j, c, den)
 
 
 def test_conjugate_of_i():

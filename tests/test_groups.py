@@ -6,6 +6,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -23,7 +24,7 @@ from ellsw.groups import (
     _matrix_group,
     _smith_invariants,
 )
-from ellsw import _model, groups
+from ellsw import _model, cyclo, groups
 
 
 def _binary(kind, n):
@@ -470,9 +471,10 @@ def test_model_eigen_exponents_match_matrices():
 
 
 def test_atom_eigen_exponents_match_traces():
-    # Independent of root_pair, which builds `table.eigen`: each of the 192
-    # atoms of T, O and I stores a pair (e, -e) over zeta_base whose roots add
-    # up to the atom's trace, and zeta_base^e has the atom's order.
+    # Each of the 192 atoms of T, O and I stores a pair (e, -e) over
+    # zeta_base whose roots add up to the atom's trace, and zeta_base^e has
+    # the atom's order.  The table is built by that rule, so the pair is also
+    # checked against the root-pair search on the atom's trace and determinant.
     atoms = 0
     for kind in "TOI":
         table = _model.su2_table(kind)
@@ -482,8 +484,23 @@ def test_atom_eigen_exponents_match_traces():
             assert (e + f) % base == 0, (kind, a)
             assert root_of_unity(e, base) + root_of_unity(-e, base) == atom.trace(), (kind, a)
             assert base // math.gcd(e, base) == table.order[a], (kind, a)
+            d, e1, e2 = eigen_exponents(atom)
+            assert (e, f) == (e1 * (base // d), e2 * (base // d)), (kind, a)
             atoms += 1
     assert atoms == 192
+
+
+@pytest.mark.parametrize("kind", "TOI")
+def test_atom_tables_build_without_the_root_pair_search(kind):
+    def search(*args):
+        raise AssertionError("the SU(2) table ran the root-pair search")
+
+    with (mock.patch.object(cyclo, "root_pair", search),
+          mock.patch.object(groups, "root_pair", search),
+          mock.patch.object(cyclo, "_root_table", search),
+          mock.patch.object(groups, "eigen_exponents", search)):
+        table = _model._SU2Table(kind)
+    assert table.eigen == _model.su2_table(kind).eigen
 
 
 def test_model_rho_exponents_match_character():

@@ -355,12 +355,12 @@ def trivial_factor(patch):
 
 
 @case
-def atom_eigen_order(patch):
-    # Every atom given eigenvalues of order 7; the identity atom has order 1.
-    patch(_model, "eigen_exponents", lambda a: (7, 0, 0))
+def atom_eigen_trace(patch):
+    # Every root read as 0, so no pair adds up to the identity atom's trace 2.
+    patch(_model, "root_of_unity", lambda k, n: cyclo.CyclotomicNumber.zero())
     return (lambda: _model._SU2Table("O"), InternalInvariantError,
-            {"kind": "O", "atom": 0, "order": 1, "eigen_order": 7},
-            "atom eigenvalues disagree with the table order")
+            {"kind": "O", "atom": 0, "order": 1, "trace": 2},
+            "no eigenvalues of the atom's order add up to its trace")
 
 
 @case
