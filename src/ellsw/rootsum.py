@@ -54,10 +54,7 @@ class RootSum:
         if e == 0:
             raise ZeroDivisionError("1 - zeta^0 is zero")
         d = n // math.gcd(e, n)
-        out = RootSum(n)
-        out.c = {(e * j) % n: -j for j in range(1, d)}
-        out.den = d
-        return out
+        return _raw(n, {(e * j) % n: -j for j in range(1, d)}, d)
 
     def add_scaled(self, other: "RootSum", exp_shift: int = 0, coef=1) -> "RootSum":
         """In-place self += coef * zeta^exp_shift * other."""
@@ -100,17 +97,11 @@ class RootSum:
             for e1, v1 in self.c.items():
                 k = (e1 + e2) % n
                 c[k] = c.get(k, 0) + v1 * v2
-        out = RootSum(n)
-        out.c = {e: v for e, v in c.items() if v}
-        out.den = self.den * other.den
-        return out
+        return _raw(n, {e: v for e, v in c.items() if v}, self.den * other.den)
 
     def galois_permuted(self, t: int) -> "RootSum":
         n = self.n
-        out = RootSum(n)
-        out.c = {(e * t) % n: v for e, v in self.c.items()}
-        out.den = self.den
-        return out
+        return _raw(n, {(e * t) % n: v for e, v in self.c.items()}, self.den)
 
     def is_galois_stable(self) -> bool:
         """True if the stored dict is literally invariant under Gal(Q(zeta_n)/Q).
@@ -156,3 +147,10 @@ class RootSum:
 
     def __repr__(self):
         return f"RootSum(n={self.n}, terms={len(self.c)}, den={self.den})"
+
+
+def _raw(n: int, c: dict, den: int) -> RootSum:
+    """Like RootSum(n, c), for integer numerators, none 0, over den > 0."""
+    self = object.__new__(RootSum)
+    self.n, self.c, self.den = n, c, den
+    return self

@@ -10,7 +10,7 @@ exactly.  Two independent routes sum it by label: the sweep engine sums
 whole scalar-subgroup cosets in closed form and certifies each labelled
 subtotal rational by Galois stability; the per-element route walks the
 matrix group one cyclic subgroup at a time, calls `chi` on one generator
-and takes Galois images or a trace for the others.  A derivation sketch
+and adds its trace, the sum over all the generators.  A derivation sketch
 for the closed forms lives next to the formulas.
 """
 
@@ -87,11 +87,7 @@ def _scalar_sum(K: int, c: int) -> int:
 
 
 def _coset_sum(N, K, c, w2m, a_exp, b_exp) -> RootSum:
-    if (a_exp * K) % N == 0 or (b_exp * K) % N == 0:
-        raise InternalInvariantError(
-            "coset has a K-th-power eigenvalue of 1",
-            witness={"N": N, "K": K, "a_exp": a_exp, "b_exp": b_exp},
-        )
+    # Freeness, u^K != 1 != v^K, is checked with a witness by validate_free_action.
     if (a_exp - b_exp) % N == 0:
         raise InternalInvariantError(
             "scalar coset fed to the non-scalar formula",
@@ -237,23 +233,20 @@ def s_breakdown_by_elements(spec: GroupSpec) -> dict:
     For t coprime to d = ord(g), the eigenvalues of g^t and rho(g^t) are
     those of g to the t, so chi(g^t) = sigma_t(chi(g)), with sigma_t the
     automorphism zeta_d -> zeta_d^t of Q(zeta_d), which holds chi(g).  The
-    walk takes each unvisited key g, marks the generators g^t of <g> and
-    calls `chi` on g alone.  When every generator carries one label, their
-    sum is the trace from Q(zeta_d) to Q, which is phi(d)/phi(N) times the
-    trace from Q(zeta_N), N the order chi(g) is stored at.  Otherwise each
-    generator takes `galois(t)` of chi(g).  `chi` stores its value at the
-    lcm of its factors' conductors, all subfields of Q(zeta_d), so N
-    divides d and t is coprime to N (`galois` raises if it is not).  Labels
-    are read per key from the family model, as in the engine.  g^t has an
-    eigenvalue 1 iff g has one, so `chi` still raises DomainError for every
-    cyclic subgroup that is not free.  The inverses of the distinct
-    denominators are shared through a mapping that lives for this call only.
+    walk marks the generators g^t of each unvisited <g> and calls `chi` on g
+    alone.  Their sum, the trace from Q(zeta_d) to Q, is phi(d)/phi(N) times
+    the trace from Q(zeta_N), N | d the lcm of the conductors `chi` stores
+    at; it goes to the label of g.  The family labels split <g> only as
+    Lambda1 with Lambda3 in DD and DC, where a pure y^l has rho = 1 and so
+    chi is 0 on all of <g>; a generator of another label where chi(g) != 0
+    raises InternalInvariantError.  g^t has an eigenvalue 1 iff g has one,
+    so `chi` still raises DomainError for every non-free cyclic subgroup.
+    Each distinct denominator is inverted once per call, and not kept.
     """
     model = _model.family_model(spec)
     group = build_group(spec)
     character = rho(spec, group)
     traces = dict.fromkeys(model.labels, _ZERO)
-    images = dict.fromkeys(model.labels, CyclotomicNumber.zero())
     inverses = {}
     seen = bytearray(group.order)
     for k in group.keys[1:]:  # every key but the identity 0
@@ -261,17 +254,20 @@ def s_breakdown_by_elements(spec: GroupSpec) -> dict:
             continue
         powers = list(group.powers(k))  # k, k^2, ..., k^d = identity
         d = len(powers)
-        gens = [(t, powers[t - 1]) for t in range(1, d) if math.gcd(t, d) == 1]
-        labels = [model.label(g) for _, g in gens]
-        for _, g in gens:
+        gens = [powers[t - 1] for t in range(2, d) if math.gcd(t, d) == 1]
+        for g in gens:
             seen[g] = 1
         value = chi(group.to_matrix(k), character.value(k), inverses)
-        if len(set(labels)) == 1:
-            traces[labels[0]] += Fraction(euler_phi(d), euler_phi(value.order)) * value.trace()
+        if value.is_zero():
             continue
-        for (t, _), label in zip(gens, labels):
-            images[label] += value.galois(t)
-    return {label: traces[label] + images[label].as_rational() for label in model.labels}
+        label = model.label(k)
+        if any(model.label(g) != label for g in gens):
+            raise InternalInvariantError(
+                f"cyclic subgroup of key {k} in {spec} spans two labels where chi is not 0",
+                witness={"spec": spec, "key": k, "order": d},
+            )
+        traces[label] += Fraction(euler_phi(d), euler_phi(value.order)) * value.trace()
+    return traces
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Checks on `ellsw.bundle.Character`, and wrong generator tables, shared by
-the test modules."""
+"""Checks on `ellsw.bundle.Character`, and wrong generator tables and labels,
+shared by the test modules."""
 
 
 def is_multiplicative(character) -> bool:
@@ -34,3 +34,15 @@ def twisted_rho(table, k):
         return [(h, (e + k) % (2 * spec.m)), *rest]
 
     return twisted
+
+
+def labels_by_key_mod_3(family_model):
+    """Wrap `family_model` so that its models label key k with their label
+    k mod 3: a partition that splits cyclic subgroups where chi is not 0."""
+
+    def relabelled(spec):
+        model = family_model(spec)
+        model.label = lambda key: model.labels[key % 3]
+        return model
+
+    return relabelled

@@ -20,8 +20,8 @@ from unittest import mock
 
 import pytest
 
-from character_checks import trivial_rho
-from ellsw import _model, bundle, cyclo, groups, seifert
+from character_checks import labels_by_key_mod_3, trivial_rho
+from ellsw import _model, bundle, cyclo, groups, seifert, swindex
 from ellsw.errors import CharacterConflictError, ConstraintError, InternalInvariantError
 from ellsw.groups import AbelianInvariants, FiniteGroup, GroupSpec, UnitaryElement, build_group
 from ellsw.rootsum import RootSum
@@ -209,18 +209,20 @@ def leg_normalized(patch):
 
 
 @case
-def coset_root(patch):
-    # zeta_12^(3 * 4) = 1: an eigenvalue whose K-th power is 1.
-    return (lambda: _coset_sum(12, 4, 0, 0, 3, 1), InternalInvariantError,
-            {"N": 12, "K": 4, "a_exp": 3, "b_exp": 1}, "coset has a K-th-power eigenvalue of 1")
-
-
-@case
 def coset_scalar(patch):
     # Exponents 1 and 13 name the same eigenvalue over N = 12.
     return (lambda: _coset_sum(12, 4, 0, 0, 1, 13), InternalInvariantError,
             {"N": 12, "K": 4, "a_exp": 1, "b_exp": 13},
             "scalar coset fed to the non-scalar formula")
+
+
+@case
+def split_subgroup(patch):
+    # Labels by key mod 3 split <mu_6>, key 1 of order 6, where chi is not 0.
+    patch(_model, "family_model", labels_by_key_mod_3(_model.family_model))
+    return (lambda: swindex.s_breakdown_by_elements(DD34), InternalInvariantError,
+            {"spec": DD34, "key": 1, "order": 6},
+            f"cyclic subgroup of key 1 in {DD34} spans two labels where chi is not 0")
 
 
 @case

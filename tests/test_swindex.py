@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ellsw import _model, swindex
 from ellsw.bundle import rho
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
-from ellsw.errors import DomainError
+from ellsw.errors import DomainError, InternalInvariantError
 from ellsw.groups import FAMILIES, GroupSpec, UnitaryElement, build_group, eigen_angles
 from ellsw.swindex import (
     chi,
@@ -22,6 +22,8 @@ from ellsw.swindex import (
     sw_dimension_report,
     sweep_specs,
 )
+
+from character_checks import labels_by_key_mod_3
 
 ONE = CyclotomicNumber.one()
 
@@ -132,7 +134,6 @@ def test_dimension_checks_fire(monkeypatch, shift, message):
     # DD(1, 2) has d(E) = 4; moving -K.c1(E) by `shift` must be refused by
     # both d_E and the report, which share one check.
     from ellsw import swindex
-    from ellsw.errors import InternalInvariantError
 
     spec = GroupSpec("DD", 1, 2)
     assert d_E(spec) == 4
@@ -186,26 +187,49 @@ def test_cyclic_subgroup_route_equals_the_plain_per_element_sum(spec):
     assert list(by_subgroups.items()) == list(_plain_breakdown_by_elements(spec).items())
 
 
-@pytest.mark.parametrize("spec", [GroupSpec("DD", 3, 4), GroupSpec("DC", 4, 3), GroupSpec("OO", 7)], ids=str)
-def test_cyclic_subgroup_route_equals_the_plain_sum_under_any_labels(monkeypatch, spec):
-    # The family labels split a cyclic subgroup only where rho is 1 on it (a
-    # pure y^l carries Lambda3), so chi is 0 on all of its generators.  Labels
-    # by key mod 3 split subgroups where chi is not 0, and their sums are not
-    # rational, so both routes keep them as field elements here.
-    family_model = _model.family_model
+def test_family_labels_split_a_cyclic_subgroup_only_where_rho_is_1():
+    # The fact the per-element route rests on, read off the character's
+    # exponents with no `chi`: a cyclic subgroup whose generators carry two
+    # labels holds a pure y^l (Lambda3) beside Lambda1, so rho is 1 on it.
+    subgroups, split = 0, []
+    for spec in sweep_specs(600):
+        model = _model.family_model(spec)
+        group = build_group(spec)
+        character = rho(spec, group)
+        seen = bytearray(group.order)
+        for k in group.keys[1:]:
+            if seen[k]:
+                continue
+            powers = list(group.powers(k))
+            gens = [g for t, g in enumerate(powers, 1) if math.gcd(t, len(powers)) == 1]
+            for g in gens:
+                seen[g] = 1
+            subgroups += 1
+            labels = sorted({model.label(g) for g in gens})
+            if len(labels) > 1:
+                split.append((spec.family, labels, character.value_exp(k) % character.zeta_order))
+    assert (subgroups, len(split)) == (22240, 1705)
+    assert {(family, tuple(labels), exp) for family, labels, exp in split} == {
+        ("DD", ("Lambda1", "Lambda3"), 0),
+        ("DC", ("Lambda1", "Lambda3"), 0),
+    }
 
-    def relabelled(spec):
-        model = family_model(spec)
-        model.label = lambda key: model.labels[key % 3]
-        return model
 
-    monkeypatch.setattr(_model, "family_model", relabelled)
-    monkeypatch.setattr(CyclotomicNumber, "as_rational", lambda self: self)
-    by_subgroups = s_breakdown_by_elements(spec)
-    plain = _plain_breakdown_by_elements(spec)
-    assert list(by_subgroups) == list(plain)
-    assert all(by_subgroups[label] == plain[label] for label in plain)
-    assert not all(v.is_rational() for v in plain.values())
+@pytest.mark.parametrize(
+    "spec, order",
+    [(GroupSpec("DD", 3, 4), 6), (GroupSpec("DC", 4, 3), 8), (GroupSpec("OO", 7), 14)],
+    ids=str,
+)
+def test_cyclic_subgroup_route_raises_on_labels_that_split_where_chi_is_not_0(
+    monkeypatch, spec, order
+):
+    # Labels by key mod 3 split the subgroup of the scalar mu_2m (key 1, of
+    # order 2m), where chi is not 0: its trace has no one label to go to.
+    monkeypatch.setattr(_model, "family_model", labels_by_key_mod_3(_model.family_model))
+    with pytest.raises(InternalInvariantError) as info:
+        s_breakdown_by_elements(spec)
+    assert info.value.witness == {"spec": spec, "key": 1, "order": order}
+    assert str(info.value) == f"cyclic subgroup of key 1 in {spec} spans two labels where chi is not 0"
 
 
 def _label_mismatches(specs):
@@ -408,7 +432,6 @@ def test_coset_sum_is_symmetric_and_galois_equivariant_as_stored():
 
 def test_sweep_specs_skips_only_constraint_errors(monkeypatch):
     from ellsw import groups
-    from ellsw.errors import InternalInvariantError
 
     def broken_validate(self):
         if self.family == "II":
@@ -448,7 +471,6 @@ def test_free_action_closed_form_matches_the_rotation_loop():
     # reference is the loop over y^l, 0 < l < n, on a grid of (N, K, n) with
     # K | N and 2n | N, free and non-free.
     from ellsw import _model
-    from ellsw.errors import InternalInvariantError
 
     model = _model.DihedralModel(GroupSpec("DD", 1, 2))
     outcomes = {True: 0, False: 0}
