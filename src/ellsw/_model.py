@@ -25,7 +25,7 @@ label of one key (Lambda1..Lambda3 for DD/DC, S0..S3 for TT/TD/OO/II).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .bundle import extend_character
@@ -46,8 +46,9 @@ class _SU2Table:
         self.gen_x, self.gen_y = group.gens
         walks = [list(group.powers(i)) for i in range(n)]
         self.order = [len(w) for w in walks]
-        # Image order: the first power of the atom that is +-1 (atom 0 or 1).
-        image_order = [next(t for t, g in enumerate(w, start=1) if g < 2) for w in walks]
+        # Image order: the first power that is +-1.  -1 is SU(2)'s only element
+        # of order 2, so that is d/2 for an atom of even order d, else d.
+        image_order = [d // 2 if d % 2 == 0 else d for d in self.order]
         # Label order: the largest image order over cyclic subgroups containing
         # the atom.  This separates, say, the quaternion elements inside the
         # order-8 subgroups of the octahedral group from the stand-alone
@@ -99,7 +100,8 @@ def su2_table(kind: str) -> _SU2Table:
     return _SU2Table(kind)
 
 
-# One scalar-subgroup coset for the index engine.
+# `count` scalar-subgroup cosets for the index engine that share one label,
+# one rho exponent over 2m and one pair of eigenvalue exponents over N.
 CosetData = namedtuple("CosetData", ("label", "count", "w2m", "a_exp", "b_exp"))
 
 
@@ -210,7 +212,7 @@ class DihedralModel:
         return UnitaryElement(rows, check=False)
 
     def reflection_coset(self) -> CosetData:
-        """All n reflection cosets share one descriptor."""
+        """The n reflection cosets, all Lambda2, as one descriptor of count n."""
         base = self.encode(1, 0, 0)
         a, b = self.eigen_exps(base)
         return CosetData(self.label(base), self.n, self.rho_exp_2m(base), a, b)
@@ -325,11 +327,10 @@ class PolyhedralModel:
         return self.encode(a, 0)
 
     def nonscalar_cosets(self):
-        t = self.table
-        for a in range(2, len(t.atoms), 2):
-            base = self.base_key(a)
-            e1, e2 = self.eigen_exps(base)
-            yield CosetData(t.label[a], 1, self.rho_exp_2m(base), e1, e2)
+        """The non-scalar atom pairs, one descriptor per shared (label, w2m, a <= b)."""
+        counts = Counter((self.label(k), self.rho_exp_2m(k), *sorted(self.eigen_exps(k)))
+                         for k in map(self.base_key, range(2, len(self.table.atoms), 2)))
+        return [CosetData(label, n, w2m, a, b) for (label, w2m, a, b), n in counts.items()]
 
     def validate_free_action(self):
         step = self.N // self.K

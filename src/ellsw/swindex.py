@@ -6,12 +6,13 @@ The dimension is c1(E)^2 - K.c1(E) plus a cone-point contribution
     chi(g) = 2 (rho(g) - 1) / ((1 - conj l1)(1 - conj l2)),
 
 with l1, l2 the eigenvalues of g.  `chi` evaluates single elements
-exactly.  Two independent routes sum it by label: the sweep engine sums
-whole scalar-subgroup cosets in closed form and certifies each labelled
-subtotal rational by Galois stability; the per-element route walks the
-matrix group one cyclic subgroup at a time, calls `chi` on one generator
-and adds its trace, the sum over all the generators.  A derivation sketch
-for the closed forms lives next to the formulas.
+exactly.  Two independent routes sum it by label: the sweep engine takes
+the first label in closed form and sums every other over the model's coset
+descriptors, each `count` scalar-subgroup cosets in closed form, and
+certifies each labelled subtotal rational by Galois stability; the
+per-element route walks the matrix group one cyclic subgroup at a time,
+calls `chi` on one generator and adds its trace, the sum over all its
+generators.  The closed forms are derived next to their formulas.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def chi(
 #
 #   P(s) = [u^(s+1)/(1 - u^K) - v^(s+1)/(1 - v^K)] / (u - v),
 #
-# valid because freeness forces u^K != 1 != v^K.  The scalar coset itself
+# valid because freeness forces u^K != 1 != v^K; `count` cosets that share
+# w, alpha and beta sum to count times that.  The scalar coset itself
 # telescopes to the integer c (K - c - 2).
 
 
@@ -86,7 +88,7 @@ def _scalar_sum(K: int, c: int) -> int:
     return c * (K - c - 2)
 
 
-def _coset_sum(N, K, c, w2m, a_exp, b_exp) -> RootSum:
+def _coset_sum(N, K, c, w2m, a_exp, b_exp, count) -> RootSum:
     # Freeness, u^K != 1 != v^K, is checked with a witness by validate_free_action.
     if (a_exp - b_exp) % N == 0:
         raise InternalInvariantError(
@@ -96,13 +98,14 @@ def _coset_sum(N, K, c, w2m, a_exp, b_exp) -> RootSum:
     w_exp = (w2m * (N // K)) % N
     inv_a = RootSum.inv_one_minus(N, (-a_exp * K) % N)
     inv_b = RootSum.inv_one_minus(N, (-b_exp * K) % N)
-    # 2K (w P(c) - P(0)), with the factor zeta^a of 1/(u - v) =
+    # 2K count (w P(c) - P(0)), with the factor zeta^a of 1/(u - v) =
     # zeta^a / (1 - zeta^(a-b)) shifted into each term
+    scale = 2 * K * count
     t = RootSum(N)
-    t.add_scaled(inv_a, (w_exp - a_exp * c) % N, 2 * K)
-    t.add_scaled(inv_a, 0, -2 * K)
-    t.add_scaled(inv_b, (w_exp - b_exp * (c + 1) + a_exp) % N, -2 * K)
-    t.add_scaled(inv_b, (a_exp - b_exp) % N, 2 * K)
+    t.add_scaled(inv_a, (w_exp - a_exp * c) % N, scale)
+    t.add_scaled(inv_a, 0, -scale)
+    t.add_scaled(inv_b, (w_exp - b_exp * (c + 1) + a_exp) % N, -scale)
+    t.add_scaled(inv_b, (a_exp - b_exp) % N, scale)
     return t.mul(RootSum.inv_one_minus(N, (a_exp - b_exp) % N))
 
 
@@ -129,29 +132,24 @@ def _dihedral_rotation_sum(m: int, n: int):
 # once, so a larger cache only holds label dicts that are never read again.
 @lru_cache(maxsize=64)
 def _singular_sums(spec: GroupSpec):
-    """Ordered label -> exact rational chi-subtotal over G minus identity."""
+    """Ordered label -> exact rational chi-subtotal over G minus identity: the
+    first label in closed form, every other from the model's coset descriptors."""
     model = _model.family_model(spec)
     model.validate_free_action()
     N, K = model.N, model.K
     c = model.c0 % K
     if model.is_dihedral:
-        lam1 = _dihedral_rotation_sum(spec.m, spec.n)
-        refl = model.reflection_coset()
-        rs = _coset_sum(N, K, c, refl.w2m, refl.a_exp, refl.b_exp)
-        lam2 = rs.rational_value() * refl.count
-        return dict(zip(model.labels, (Fraction(lam1), lam2, _ZERO)))
-    labels = {model.labels[0]: Fraction(_scalar_sum(K, c))}
-    buckets = {label: {} for label in model.labels[1:]}
-    for data in model.nonscalar_cosets():
-        key = (data.w2m, min(data.a_exp, data.b_exp), max(data.a_exp, data.b_exp))
-        bucket = buckets[data.label]
-        bucket[key] = bucket.get(key, 0) + data.count
-    for label, bucket in buckets.items():
-        total = RootSum(N)
-        for (w2m, a_exp, b_exp), count in bucket.items():
-            total.add_scaled(_coset_sum(N, K, c, w2m, a_exp, b_exp), 0, count)
-        labels[label] = total.rational_value()
-    return labels
+        first, cosets = _dihedral_rotation_sum(spec.m, spec.n), [model.reflection_coset()]
+    else:
+        first, cosets = _scalar_sum(K, c), model.nonscalar_cosets()
+    labels = dict.fromkeys(model.labels, 0)
+    labels[model.labels[0]] = first
+    for data in cosets:
+        rs = _coset_sum(N, K, c, data.w2m, data.a_exp, data.b_exp, data.count)
+        total = labels[data.label]
+        labels[data.label] = total.add_scaled(rs) if total else rs
+    return {label: Fraction(v) if type(v) is int else v.rational_value()
+            for label, v in labels.items()}
 
 
 def s_breakdown(spec: GroupSpec) -> dict:

@@ -211,7 +211,7 @@ def leg_normalized(patch):
 @case
 def coset_scalar(patch):
     # Exponents 1 and 13 name the same eigenvalue over N = 12.
-    return (lambda: _coset_sum(12, 4, 0, 0, 1, 13), InternalInvariantError,
+    return (lambda: _coset_sum(12, 4, 0, 0, 1, 13, 1), InternalInvariantError,
             {"N": 12, "K": 4, "a_exp": 1, "b_exp": 13},
             "scalar coset fed to the non-scalar formula")
 

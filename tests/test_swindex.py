@@ -10,7 +10,7 @@ from ellsw import _model, swindex
 from ellsw.bundle import rho
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import DomainError, InternalInvariantError
-from ellsw.groups import FAMILIES, GroupSpec, UnitaryElement, build_group, eigen_angles
+from ellsw.groups import BINARY_KIND, FAMILIES, GroupSpec, UnitaryElement, build_group, eigen_angles
 from ellsw.swindex import (
     chi,
     closed_form_d_E,
@@ -351,7 +351,9 @@ def test_coset_sum_closed_form_matches_direct_summation(params):
         mu_k = root_of_unity(-k, K)
         den = (ONE - mu_k * root_of_unity(-a_exp, N)) * (ONE - mu_k * root_of_unity(-b_exp, N))
         direct = direct + (w * root_of_unity(c * k, K) - ONE) * 2 * den.inverse()
-    assert _coset_sum(N, K, c, w2m, a_exp, b_exp).to_cyclotomic() == direct
+    assert _coset_sum(N, K, c, w2m, a_exp, b_exp, 1).to_cyclotomic() == direct
+    # count cosets that share the descriptor sum to count times one
+    assert _coset_sum(N, K, c, w2m, a_exp, b_exp, 3).to_cyclotomic() == direct * 3
 
 
 def test_chi_conjugate_pairs_are_real():
@@ -422,11 +424,11 @@ def test_coset_sum_is_symmetric_and_galois_equivariant_as_stored():
 
     N, K, c = 60, 10, 4
     for (w, a, b) in ((6, 7, 53), (2, 11, 49), (14, 3, 25)):
-        s1 = _coset_sum(N, K, c, w, a, b)
-        s2 = _coset_sum(N, K, c, w, b, a)
+        s1 = _coset_sum(N, K, c, w, a, b, 1)
+        s2 = _coset_sum(N, K, c, w, b, a, 1)
         assert s1.c == s2.c
         for t in (7, 11, 59):
-            image = _coset_sum(N, K, c, (w * t) % K, (a * t) % N, (b * t) % N)
+            image = _coset_sum(N, K, c, (w * t) % K, (a * t) % N, (b * t) % N, 1)
             assert s1.galois_permuted(t).c == image.c
 
 
@@ -461,7 +463,7 @@ def test_rotation_label_matches_the_summed_rotation_cosets():
         for l in range(1, spec.n):
             key = model.encode(0, l, 0)
             a_exp, b_exp = model.eigen_exps(key)
-            total.add_scaled(_coset_sum(N, K, c, model.rho_exp_2m(key), a_exp, b_exp))
+            total.add_scaled(_coset_sum(N, K, c, model.rho_exp_2m(key), a_exp, b_exp, 1))
         expect = _scalar_sum(K, c) + total.rational_value()
         assert _dihedral_rotation_sum(spec.m, spec.n) == expect, spec
 
@@ -490,3 +492,24 @@ def test_free_action_closed_form_matches_the_rotation_loop():
                 assert raised == loop, (N, K, n)
                 outcomes[loop] += 1
     assert outcomes[True] > 1000 and outcomes[False] > 1000
+
+
+def test_polyhedral_cosets_are_grouped_once_per_descriptor():
+    # The descriptors of TT/TD/OO/II count the 11, 23 or 59 non-scalar atom
+    # pairs between them, and no two share (label, w2m, a_exp, b_exp).
+    pairs = {"T": 11, "O": 23, "I": 59}
+    specs = [spec for spec in sweep_specs(4000) if spec.family not in ("DD", "DC")]
+    assert len(specs) > 100
+    for spec in specs:
+        model = _model.family_model(spec)
+        cosets = list(model.nonscalar_cosets())
+        assert sum(data.count for data in cosets) == pairs[BINARY_KIND[spec.family]], spec
+        keys = [(data.label, data.w2m, data.a_exp, data.b_exp) for data in cosets]
+        assert len(set(keys)) == len(keys), spec
+        assert all(data.a_exp <= data.b_exp for data in cosets), spec
+
+
+def test_breakdown_lists_the_model_labels_in_report_order():
+    # Single-spec swdim prints the labels in this order.
+    for spec in sweep_specs(1200):
+        assert list(s_breakdown(spec)) == list(_model.family_model(spec).labels), spec
