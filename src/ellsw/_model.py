@@ -200,15 +200,16 @@ class DihedralModel:
         return range(self.size)
 
     def to_matrix(self, key) -> UnitaryElement:
+        # Each entry mu_4m^(2s + dc*t) zeta_2n^(+-l) is one root zeta_N^e.
         t, l, s = self.decode(key)
-        scal = root_of_unity(2 * s + self._dc * t, 4 * self.m)
-        a = root_of_unity(l, 2 * self.n)
-        ai = root_of_unity(-l, 2 * self.n)
+        N = self.N
+        sc, e = (2 * s + self._dc * t) * (N // (4 * self.m)), l * (N // (2 * self.n))
+        a, ai = root_of_unity(sc + e, N), root_of_unity(sc - e, N)
         zero = CyclotomicNumber.zero()
         if t == 0:
-            rows = ((scal * a, zero), (zero, scal * ai))
+            rows = ((a, zero), (zero, ai))
         else:
-            rows = ((zero, scal * ai), (-(scal * a), zero))
+            rows = ((zero, ai), (-a, zero))
         return UnitaryElement(rows, check=False)
 
     def reflection_coset(self) -> CosetData:
@@ -218,6 +219,7 @@ class DihedralModel:
         return CosetData(self.label(base), self.n, self.rho_exp_2m(base), a, b)
 
     def validate_free_action(self):
+        """Raise unless every coset acts freely; return `[reflection_coset()]`."""
         step = self._s_step
         # The coset of y^l holds an element with eigenvalue 1 iff step divides
         # l * rot_step; the least such l > 0 is step // gcd(step, rot_step).
@@ -233,6 +235,7 @@ class DihedralModel:
                     f"reflection coset of {self.spec} contains a non-free element",
                     witness={"spec": self.spec, "exponent": e, "N": self.N},
                 )
+        return [self.reflection_coset()]
 
 
 class PolyhedralModel:
@@ -333,14 +336,17 @@ class PolyhedralModel:
         return [CosetData(label, n, w2m, a, b) for (label, w2m, a, b), n in counts.items()]
 
     def validate_free_action(self):
+        """Raise unless every coset acts freely; return `nonscalar_cosets()`."""
         step = self.N // self.K
-        for data in self.nonscalar_cosets():
+        cosets = self.nonscalar_cosets()
+        for data in cosets:
             if data.a_exp % step == 0 or data.b_exp % step == 0:
                 raise InternalInvariantError(
                     f"{data.label} coset of {self.spec} contains a non-free element",
                     witness={"spec": self.spec, "label": data.label,
                              "exponents": (data.a_exp, data.b_exp), "N": self.N},
                 )
+        return cosets
 
 
 def family_model(spec: GroupSpec):

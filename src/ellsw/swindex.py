@@ -42,17 +42,28 @@ def chi(
     eigenvalue search, and inverted at its conductor, which can be far
     below the order of the entries.
 
+    Where rho(g) = 1 the value is 0 and only freeness is checked, with no
+    product on a diagonal g, whose det(g - 1) = (a - 1)(d - 1).
+
     `inverses`, when given, is a mapping the caller owns from the exact
     (order, num, den) of det(g - 1) to 1/conj det(g - 1): conjugate
     elements share their eigenvalues, so a caller summing over a group
     reduces, conjugates and inverts each distinct denominator once.  Only
-    invertible denominators are stored, so both DomainErrors are raised
-    on every call that meets them."""
+    the invertible denominators of rho(g) != 1 are stored, so both
+    DomainErrors are raised on every call that meets them."""
     if g.is_identity():
         raise DomainError("chi is undefined at the identity")
+    (a, b), (c, d) = g.entries
+    if rho_value.is_one():
+        if b.is_zero() and c.is_zero():
+            fixed = a.is_one() or d.is_one()
+        else:
+            fixed = ((a - 1) * (d - 1) - b * c).is_zero()
+        if fixed:
+            raise DomainError("element has eigenvalue 1; the action is not free")
+        return CyclotomicNumber.zero()
     if inverses is None:
         inverses = {}
-    (a, b), (c, d) = g.entries
     det = (a - 1) * (d - 1) - b * c
     key = (det.order, det.num, det.den)
     inv = inverses.get(key)
@@ -135,13 +146,10 @@ def _singular_sums(spec: GroupSpec):
     """Ordered label -> exact rational chi-subtotal over G minus identity: the
     first label in closed form, every other from the model's coset descriptors."""
     model = _model.family_model(spec)
-    model.validate_free_action()
+    cosets = model.validate_free_action()
     N, K = model.N, model.K
     c = model.c0 % K
-    if model.is_dihedral:
-        first, cosets = _dihedral_rotation_sum(spec.m, spec.n), [model.reflection_coset()]
-    else:
-        first, cosets = _scalar_sum(K, c), model.nonscalar_cosets()
+    first = _dihedral_rotation_sum(spec.m, spec.n) if model.is_dihedral else _scalar_sum(K, c)
     labels = dict.fromkeys(model.labels, 0)
     labels[model.labels[0]] = first
     for data in cosets:
@@ -238,8 +246,9 @@ def s_breakdown_by_elements(spec: GroupSpec) -> dict:
     Lambda1 with Lambda3 in DD and DC, where a pure y^l has rho = 1 and so
     chi is 0 on all of <g>; a generator of another label where chi(g) != 0
     raises InternalInvariantError.  g^t has an eigenvalue 1 iff g has one,
-    so `chi` still raises DomainError for every non-free cyclic subgroup.
-    Each distinct denominator is inverted once per call, and not kept.
+    so `chi` raises DomainError for every non-free cyclic subgroup, rho = 1
+    or not; only where rho(g) != 1 does it form a denominator, and each
+    distinct one is inverted once per call, and not kept.
     """
     model = _model.family_model(spec)
     group = build_group(spec)

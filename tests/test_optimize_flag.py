@@ -22,7 +22,7 @@ import pytest
 
 from character_checks import labels_by_key_mod_3, trivial_rho
 from ellsw import _model, bundle, cyclo, groups, seifert, swindex
-from ellsw.errors import CharacterConflictError, ConstraintError, InternalInvariantError
+from ellsw.errors import CharacterConflictError, ConstraintError, DomainError, InternalInvariantError
 from ellsw.groups import AbelianInvariants, FiniteGroup, GroupSpec, UnitaryElement, build_group
 from ellsw.rootsum import RootSum
 from ellsw.seifert import SeifertInvariant
@@ -223,6 +223,14 @@ def split_subgroup(patch):
     return (lambda: swindex.s_breakdown_by_elements(DD34), InternalInvariantError,
             {"spec": DD34, "key": 1, "order": 6},
             f"cyclic subgroup of key 1 in {DD34} spans two labels where chi is not 0")
+
+
+@case
+def trivial_rho_fixed_point(patch):
+    # diag(1, -1) fixes a line; where rho = 1, chi checks freeness alone.
+    g = UnitaryElement(((1, 0), (0, -1)), check=False)
+    return (lambda: swindex.chi(g, cyclo.CyclotomicNumber.one(), {}), DomainError, None,
+            "element has eigenvalue 1; the action is not free")
 
 
 @case

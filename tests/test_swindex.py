@@ -308,6 +308,20 @@ def test_chi_raises_every_time_with_a_shared_mapping():
     assert chi(minus, -ONE, inverses) == -1
 
 
+def test_chi_with_trivial_rho_checks_freeness_and_stores_nothing():
+    # rho = 1: zero where det(g - 1) != 0, with no denominator formed or kept.
+    inverses = {}
+    fixes_line = UnitaryElement(((1, 0), (0, -1)), check=False)
+    swap = UnitaryElement(((0, 1), (1, 0)), check=False)  # eigenvalues 1, -1
+    minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
+    for _ in range(2):
+        for g in (fixes_line, swap):
+            with pytest.raises(DomainError, match="eigenvalue 1"):
+                chi(g, ONE, inverses)
+        assert chi(minus, ONE, inverses).is_zero()
+    assert inverses == {}
+
+
 # Every valid spec with |G| <= 336, by family, so that a drawn family comes
 # up even though the dihedral families hold almost all of the specs.
 SPECS_BY_FAMILY = {f: [s for s in sweep_specs(336) if s.family == f] for f in FAMILIES}
@@ -507,6 +521,23 @@ def test_polyhedral_cosets_are_grouped_once_per_descriptor():
         keys = [(data.label, data.w2m, data.a_exp, data.b_exp) for data in cosets]
         assert len(set(keys)) == len(keys), spec
         assert all(data.a_exp <= data.b_exp for data in cosets), spec
+
+
+def test_engine_groups_each_polyhedral_spec_once(monkeypatch):
+    # The freeness check hands the engine the descriptors it checked.
+    calls = []
+    nonscalar_cosets = _model.PolyhedralModel.nonscalar_cosets
+
+    def counted(self):
+        calls.append(self.spec)
+        return nonscalar_cosets(self)
+
+    monkeypatch.setattr(_model.PolyhedralModel, "nonscalar_cosets", counted)
+    for family in ("TT", "TD", "OO", "II"):
+        spec = next(s for s in sweep_specs(600) if s.family == family)
+        calls.clear()
+        swindex._singular_sums.__wrapped__(spec)
+        assert calls == [spec]
 
 
 def test_breakdown_lists_the_model_labels_in_report_order():
