@@ -227,7 +227,7 @@ class CyclotomicNumber:
     common factor shared by all of them (see the module docstring).
     """
 
-    __slots__ = ("order", "num", "den", "_hash")
+    __slots__ = ("order", "num", "den")
 
     def __new__(cls, order: int, coeffs):
         """From phi(order) ints or Fractions, the power-basis coordinates."""
@@ -478,12 +478,9 @@ class CyclotomicNumber:
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        if self._hash is None:
-            r = self.reduced()
-            # A rational value equals its int or Fraction, so it hashes as one.
-            h = hash(Fraction(r.num[0], r.den)) if r.order == 1 else hash((r.order, r.num, r.den))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        r = self.reduced()
+        # A rational value equals its int or Fraction, so it hashes as one.
+        return hash(Fraction(r.num[0], r.den)) if r.order == 1 else hash((r.order, r.num, r.den))
 
     # -- conversions -----------------------------------------------------
 
@@ -533,7 +530,6 @@ def _raw(order, num, den) -> CyclotomicNumber:
     _set(self, "order", order)
     _set(self, "num", tuple(num))
     _set(self, "den", den)
-    _set(self, "_hash", None)
     return self
 
 

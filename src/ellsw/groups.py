@@ -135,14 +135,13 @@ class AbelianInvariants:
 class UnitaryElement:
     """A 2x2 unitary matrix with exact cyclotomic entries."""
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries",)
 
     def __init__(self, entries, check: bool = True):
         rows = tuple(tuple(_as_cyc(e) for e in row) for row in entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("expected a 2x2 matrix")
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_hash", None)
         if check:
             self._check_unitary()
 
@@ -208,9 +207,7 @@ class UnitaryElement:
         return self.entries == other.entries
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.entries))
-        return self._hash
+        return hash(self.entries)
 
     def __repr__(self):
         return f"UnitaryElement({self.entries[0]!r}, {self.entries[1]!r})"
@@ -539,9 +536,8 @@ def _matrix_group(gens, bound) -> FiniteGroup:
     for i, a in enumerate(mats):  # a first-in first-out queue: mats grows
         for step, g in zip(steps, gens):
             p = a * g
-            j = seen.get(p)
-            if j is None:
-                j = seen[p] = len(mats)
+            j = seen.setdefault(p, len(mats))
+            if j == len(mats):  # p is new
                 if j == bound:
                     raise InternalInvariantError(
                         f"closure exceeded the order bound {bound}",

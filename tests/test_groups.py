@@ -503,6 +503,20 @@ def test_atom_tables_build_without_the_root_pair_search(kind):
     assert table.eigen == _model.su2_table(kind).eigen
 
 
+@pytest.mark.parametrize("kind,order", [("T", 24), ("O", 48), ("I", 120)])
+def test_closure_hashes_each_product_once(kind, order):
+    """Two generators give 2|G| products, each hashed once as it is looked up
+    or inserted; the identity and -I add one hash each. Each matrix hash
+    hashes its four entries, and nothing else in the build hashes a number."""
+    with (mock.patch.object(UnitaryElement, "__hash__", autospec=True,
+                            side_effect=UnitaryElement.__hash__) as matrix_hash,
+          mock.patch.object(CyclotomicNumber, "__hash__", autospec=True,
+                            side_effect=CyclotomicNumber.__hash__) as number_hash):
+        assert build_binary_polyhedral(kind).order == order
+    assert matrix_hash.call_count == 2 * order + 2
+    assert number_hash.call_count == 4 * matrix_hash.call_count
+
+
 def test_model_rho_exponents_match_character():
     from ellsw.bundle import rho
 
