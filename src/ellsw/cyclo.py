@@ -19,8 +19,8 @@ embedding into a common order; `inverse` runs a fraction-free remainder
 sequence against Phi_N; `trace` sums the Galois conjugates through
 Ramanujan sums.  `reduced()` rewrites a value at its conductor (the least
 order whose field contains it, never 2 mod 4), where `root_of_unity` writes
-roots directly; hashing and serialization use that form, so equal values
-hash equally whatever their order, and a rational value as its Fraction.
+roots directly; hashing uses that form, so equal values hash equally
+whatever their order, and a rational value as its Fraction.
 """
 
 from __future__ import annotations
@@ -369,10 +369,10 @@ class CyclotomicNumber:
 
     def multiplicative_order(self):
         """Order as a root of unity, or None if not one."""
-        try:
-            return root_exponent(self)[0]
-        except DomainError:
-            return None
+        x = self.reduced()
+        L = math.lcm(x.order, 2)
+        j = _root_table(L).get(x.embed(L).num) if x.den == 1 else None
+        return None if j is None else L // math.gcd(j, L)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -484,13 +484,6 @@ class CyclotomicNumber:
 
     # -- conversions -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        r = self.reduced()
-        return {
-            "order": r.order,
-            "coeffs": [frac_str(c) for c in r.coeffs],
-        }
-
     def __repr__(self):
         coeffs = self.coeffs
         if self.order == 1:
@@ -578,39 +571,18 @@ def _root_of_unity(k: int, n: int) -> CyclotomicNumber:
     return _raw(d, _reduce(d, [0] * e + [sign]), 1)
 
 
-# Keyed by order; a table holds up to 2n * phi(n) ints, so only a few dozen are kept.
+# Keyed by order; a table holds up to n * phi(n) ints, so only a few dozen are kept.
 @lru_cache(maxsize=32)
 def _root_table(n: int) -> dict:
-    """Numerators at order n of every root of unity in Q(zeta_n) -> its
-    exponent as a power of zeta_L, L = lcm(n, 2).  For even n the entries
-    are in exponent order."""
-    L = n if n % 2 == 0 else 2 * n
+    """Numerators at order n (n even) of zeta_n^i -> i, in exponent order.
+    Every root of unity in Q(zeta_n) is one of these."""
     table = {}
     row = _reduce(n, [1])
     for i in range(n):
-        table[tuple(row)] = i * (L // n)
-        if L != n:  # zeta_2n^(2i + n) = -zeta_n^i
-            table[tuple(-c for c in row)] = (2 * i + n) % L
+        table[tuple(row)] = i
         # zeta * zeta^i: shift by one place, then one reduction step.
         row = _reduce(n, [0, *row])
     return table
-
-
-def root_exponent(value: CyclotomicNumber):
-    """(d, e) with value == zeta_d^e, d the multiplicative order of value
-    and gcd(e, d) == 1 (so e == 0 only for d == 1).
-
-    One dictionary lookup at the value's conductor; raises DomainError when
-    the value is not a root of unity.
-    """
-    value = value.reduced()
-    n = value.order
-    j = _root_table(n).get(value.num) if value.den == 1 else None
-    if j is None:
-        raise DomainError(f"not a root of unity: {value!r}")
-    L = n if n % 2 == 0 else 2 * n
-    g = math.gcd(j, L)
-    return L // g, j // g
 
 
 def root_pair(s: CyclotomicNumber, p: CyclotomicNumber):
@@ -622,20 +594,19 @@ def root_pair(s: CyclotomicNumber, p: CyclotomicNumber):
     they are its eigenvalues and d is its order.  Raises DomainError when
     x^2 - s x + p has a root that is not a root of unity.
     """
-    s = s.reduced()
-    D, e = root_exponent(p)
+    s, p = s.reduced(), p.reduced()
     # Both roots lie in a field of degree <= 2 over Q(zeta_c).  A cyclotomic
     # field Q(zeta_M) (M a multiple of c) has degree phi(M)/phi(c) <= 2 over
     # it only for M in {c, 2c, 3c with 3 not dividing c}, c even.
-    c = math.lcm(s.order, D, 2)
+    c = math.lcm(s.order, p.order, 2)
     L = 2 * c if c % 3 == 0 else 6 * c
-    t = s.embed(L)
-    if t.den == 1:
-        # L is even, so the table lists a = 0, 1, ... in order, and the first
-        # a with s - zeta_L^a = zeta_L^b and a + b = e is the smaller root.
-        table = _root_table(L)
+    t, q = s.embed(L), p.embed(L)
+    table = _root_table(L) if t.den == 1 and q.den == 1 else {}
+    e = table.get(q.num)  # p == zeta_L^e
+    if e is not None:
+        # The table lists a = 0, 1, ... in order, and the first a with
+        # s - zeta_L^a = zeta_L^b and a + b = e is the smaller root.
         target = t.num
-        e *= L // D
         for row, a in table.items():
             b = table.get(tuple(x - y for x, y in zip(target, row)))
             if b is not None and (a + b - e) % L == 0:

@@ -1,10 +1,9 @@
 """Test-only oracles for `ellsw.cyclo.CyclotomicNumber`: a floating-point
-complex embedding and a parser for `to_dict`, both independent of the
-library's exact arithmetic, and the constructions that `root_of_unity` and
-the dihedral `to_matrix` replaced.  No float enters `src/`."""
+complex embedding, independent of the library's exact arithmetic, and the
+constructions that `root_of_unity` and the dihedral `to_matrix` replaced.
+No float enters `src/`."""
 
 import cmath
-from fractions import Fraction
 
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 
@@ -16,12 +15,6 @@ def to_complex(x: CyclotomicNumber) -> complex:
         if c:
             z += float(c) * cmath.exp(2j * cmath.pi * j / x.order)
     return z
-
-
-def from_dict(d) -> CyclotomicNumber:
-    """The value a `to_dict` document describes."""
-    coeffs = [Fraction(s) for s in d["coeffs"]]
-    return CyclotomicNumber(int(d["order"]), coeffs)
 
 
 def root_by_descent(k: int, n: int) -> CyclotomicNumber:

@@ -51,6 +51,12 @@ def _calls_verify_rho(tmp):
         yield ["verify-rho", *argv, "--json"]
 
 
+def _calls_swdim(tmp):
+    for spec in sweep_specs(1200):
+        yield ["swdim", *_spec_argv(spec)]
+        yield ["swdim", *_spec_argv(spec), "--json"]
+
+
 def _calls_sweep(tmp):
     yield ["swdim", "--sweep", "--max-order", "4000"]
     yield ["swdim", "--sweep", "--max-order", "4000", "--json"]
@@ -141,6 +147,7 @@ SETS = {
     "group": functools.partial(_calls_json, "group"),
     "seifert": functools.partial(_calls_json, "seifert"),
     "verify-rho": _calls_verify_rho,
+    "swdim": _calls_swdim,
     "sweep": _calls_sweep,
     "errors": _calls_errors,
 }

@@ -10,7 +10,7 @@ from ellsw import cyclo
 from ellsw.cyclo import CyclotomicNumber, cyclotomic_polynomial, euler_phi, power, root_of_unity
 from ellsw.errors import NotRationalError
 
-from cyclo_oracles import from_dict, root_by_descent, to_complex
+from cyclo_oracles import root_by_descent, to_complex
 
 
 def test_root_of_unity_identity_cases():
@@ -260,14 +260,6 @@ def test_field_axioms_randomized():
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
         assert a + (b + c) == (a + b) + c
-
-
-def test_serialization_round_trip():
-    x = root_of_unity(3, 8) * Fraction(2, 7) + 1
-    d = x.to_dict()
-    assert d["order"] == 8
-    assert all("/" in s for s in d["coeffs"])
-    assert from_dict(d) == x
 
 
 def test_galois_conjugation_is_field_automorphism():

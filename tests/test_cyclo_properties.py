@@ -4,9 +4,10 @@ Values are drawn at mixed orders: squarefree ones, ones with p^2 | n, and
 values embedded above their conductor, so `reduced()` has work to do.
 """
 
-import json
+import contextlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,13 +19,14 @@ from ellsw.cyclo import (
     cyclotomic_polynomial,
     euler_phi,
     factorize,
-    root_exponent,
     root_of_unity,
     root_pair,
 )
+from ellsw import cyclo
 from ellsw.errors import DomainError
+from ellsw.groups import build_binary_polyhedral, eigen_exponents
 
-from cyclo_oracles import from_dict, to_complex
+from cyclo_oracles import to_complex
 
 # Each draw picks a universe N and orders among its divisors, so mixed-order
 # arithmetic stays at lcm orders <= N.  The divisors cover squarefree orders
@@ -164,7 +166,6 @@ def test_equal_values_hash_equal_across_orders(a, k):
     b = a.embed(a.order * k)
     assert a == b
     assert hash(a) == hash(b)
-    assert a.to_dict() == b.to_dict()
 
 
 @given(values(2))
@@ -175,15 +176,6 @@ def test_hash_agrees_with_equality(ab):
     assert c == a and hash(c) == hash(a)
     if a == b:
         assert hash(a) == hash(b)
-
-
-@given(values(1))
-def test_dict_round_trip(a):
-    (a,) = a
-    d = json.loads(json.dumps(a.to_dict()))
-    back = from_dict(d)
-    assert back == a
-    assert back.to_dict() == a.to_dict()
 
 
 @given(values(2))
@@ -206,19 +198,32 @@ def test_modinv_is_fraction_free(n, data):
     assert x * CyclotomicNumber(n, [Fraction(v, c) for v in s + [0] * (deg - len(s))]) == 1
 
 
-def test_root_exponent_matches_root_of_unity():
-    for n in range(1, 241):
-        for k in range(n):
-            g = math.gcd(k, n)
-            assert root_exponent(root_of_unity(k, n)) == (n // g, k // g), (k, n)
+@contextlib.contextmanager
+def even_root_tables():
+    """Fail unless every root table built inside the block, at least one,
+    is built at an even order: the one layout `_root_table` has."""
+    build, orders = cyclo._root_table, []
+
+    def record(n):
+        orders.append(n)
+        return build(n)
+
+    with mock.patch.object(cyclo, "_root_table", record):
+        yield
+    assert orders and all(n % 2 == 0 for n in orders), orders
 
 
-def test_root_exponent_rejects_non_roots():
+def test_multiplicative_order_matches_root_of_unity():
+    with even_root_tables():
+        for n in range(1, 241):
+            for k in range(n):
+                assert root_of_unity(k, n).multiplicative_order() == n // math.gcd(k, n), (k, n)
+
+
+def test_multiplicative_order_rejects_non_roots():
     z5 = root_of_unity(1, 5)
     for value in (CyclotomicNumber.from_rational(2), CyclotomicNumber.zero(), 1 + z5,
                   z5 * Fraction(1, 2), (z5 + z5.conjugate()) * 2):
-        with pytest.raises(DomainError):
-            root_exponent(value)
         assert value.multiplicative_order() is None
 
 
@@ -227,9 +232,18 @@ def test_root_pair_recovers_any_two_roots(d, a, b):
     a, b = sorted((a % d, b % d))
     s = root_of_unity(a, d) + root_of_unity(b, d)
     p = root_of_unity(a + b, d)
-    e, x, y = root_pair(s, p)
+    with even_root_tables():
+        e, x, y = root_pair(s, p)
     g = math.gcd(a, b, d)
     assert (e, x, y) == (d // g, a // g, b // g)
+
+
+def test_eigen_exponents_build_root_tables_at_even_orders():
+    with even_root_tables():
+        for g in build_binary_polyhedral("O").matrices():
+            d, a, b = eigen_exponents(g)
+            assert root_of_unity(a, d) + root_of_unity(b, d) == g.trace(), g
+            assert root_of_unity(a + b, d) == g.det(), g
 
 
 def test_root_pair_rejects_non_roots():
