@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from .cyclo import CyclotomicNumber, root_of_unity
-from .errors import CharacterConflictError, ConstraintError, InternalInvariantError
+from .errors import CharacterConflictError, ConstraintError
 from .groups import FiniteGroup, GroupSpec, build_group
 
 
@@ -166,11 +166,6 @@ def _product_of_linear(forms) -> BivariatePolynomial:
     return out
 
 
-def _coset_representatives(group: FiniteGroup):
-    """The first key of each scalar coset: the dense keys `b * K`."""
-    return list(range(0, group.order, group.block))
-
-
 def _pulled_back_forms(group, reps):
     """The form (1, 1) . (gamma z) = (a + c) z1 + (b + d) z2 per gamma."""
     forms = []
@@ -182,16 +177,12 @@ def _pulled_back_forms(group, reps):
 
 def _section_inputs(spec: GroupSpec):
     """The group, the generator table with each row's key, as (name, key, e),
-    and the coset representatives."""
+    and the coset representatives: the first key `b * K` of each scalar
+    coset, `|G| / K = |Gamma|` of them, since the closure demands that `K`
+    divide `|G|`."""
     group = build_group(spec)
-    reps = _coset_representatives(group)
-    if len(reps) != spec.gamma_order:
-        raise InternalInvariantError(
-            f"{len(reps)} coset representatives of {spec}, expected {spec.gamma_order}",
-            witness={"spec": spec, "found": len(reps), "expected": spec.gamma_order},
-        )
     rows = [(name, g, e) for g, (name, e) in zip(group.gens, generator_table(spec))]
-    return group, rows, reps
+    return group, rows, range(0, group.order, group.block)
 
 
 def section_equivariance_report(spec: GroupSpec) -> dict:

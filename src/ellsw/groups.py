@@ -7,9 +7,9 @@ blocks `b * K + range(K)` of its scalars, and gives the exact 2x2
 cyclotomic matrix of each key.  The family groups number their elements
 through a structured scalar*atom model (see _model) whose multiplication
 agrees with matrix multiplication by construction; the binary
-tetrahedral, octahedral and icosahedral groups number their matrices in
-sign pairs, key 2r + t being (-1)^t times the r-th pair's first-found
-matrix, and multiply through a Cayley table.  The binary dihedral group
+tetrahedral, octahedral and icosahedral groups are closed with -I, each
+new matrix appended with its negative, so key 2r + 1 is minus key 2r,
+and multiply through a Cayley table.  The binary dihedral group
 D*_4n is family DD with m = 1.  One block walker, `_walk_blocks`, closes
 G and [G,G], marks the commutators' conjugates, checks that [G,G] is
 normal, and counts the classes, or lists them on blocks of one key.
@@ -201,6 +201,9 @@ class UnitaryElement:
         """Non-negative power by square-and-multiply."""
         return power(self, k, UnitaryElement(((1, 0), (0, 1)), check=False))
 
+    def __neg__(self) -> "UnitaryElement":
+        return UnitaryElement(tuple(tuple(-x for x in row) for row in self.entries), check=False)
+
     def __eq__(self, other):
         if not isinstance(other, UnitaryElement):
             return NotImplemented
@@ -327,8 +330,8 @@ class FiniteGroup:
     queries are exact.  Every group carries `block = K`: its blocks
     `b * K + range(K)` are the cosets of the scalars, block 0 the scalars
     and key `s` the power mu^s of key 1.  A family group (see _model) has
-    `K = 2m`; a group closed from matrices (`_matrix_group`) has the sign
-    pairs as blocks (`K = 2`, or 1 without -I) and carries its Cayley
+    `K = 2m`; a group closed from matrices (`_matrix_group`), which adds
+    -I, has the sign pairs as blocks (`K = 2`) and carries its Cayley
     table (`table[a][b] = a b`).  One walker, `_walk_blocks`, closes a
     family group and [G, G] under `mult` (through `_close`); under
     conjugation it marks the commutators' conjugates, checks that [G, G]
@@ -519,48 +522,40 @@ def build_binary_polyhedral(kind: str) -> FiniteGroup:
 
 
 def _matrix_group(gens, bound) -> FiniteGroup:
-    """The group generated by the matrices `gens`, with its Cayley table,
-    keyed in blocks of the scalars {1, -1}: key `2r + t` is `(-1)^t` times
-    the first-found matrix of the r-th sign pair (`K = 2`; without -I,
-    `K = 1` and the keys follow discovery order).
+    """The group generated by the matrices `gens` and -I, with its Cayley
+    table, keyed in sign pairs: each new matrix is appended with its
+    negative, so key `2r + 1` is minus key `2r` and `K = 2`.
 
-    The breadth-first search records each generator's right-multiplication
-    step and each new element's parent `a_j = a_p g`; column `j` of the
-    table then follows from column `p`, since `a_i a_j = (a_i a_p) g`, so
-    the whole table costs one matrix product per element and generator.
-    """
-    mats = [UnitaryElement(((1, 0), (0, 1)), check=False)]
-    seen = {mats[0]: 0}
-    parent = [None]
-    steps = [[] for _ in gens]
-    for i, a in enumerate(mats):  # a first-in first-out queue: mats grows
+    The breadth-first search multiplies only the even keys: as
+    `(-a) g = -(a g)`, a step on key `2r + 1` is the step on key `2r` with
+    the low bit flipped.  Column `j` of the table follows from that of the
+    parent of `a_j = a_p g`, since `a_i a_j = (a_i a_p) g`, and column
+    `j + 1` is column `j` with the low bits flipped."""
+    one = UnitaryElement(((1, 0), (0, 1)), check=False)
+    mats, seen = [one, -one], {one: 0, -one: 1}
+    steps, parent = [[] for _ in gens], [(0, None)]  # parent: (p, step) per sign pair
+    for i, a in itertools.islice(enumerate(mats), 0, None, 2):  # a queue: mats grows
         for step, g in zip(steps, gens):
             p = a * g
             j = seen.setdefault(p, len(mats))
-            if j == len(mats):  # p is new
-                if j == bound:
-                    raise InternalInvariantError(
-                        f"closure exceeded the order bound {bound}",
-                        witness={"bound": bound, "generators": gens},
-                    )
-                mats.append(p)
+            if j == len(mats):  # p is new, and so is -p
+                if j + 2 > bound:
+                    raise InternalInvariantError(f"closure exceeded the order bound {bound}",
+                                                 witness={"bound": bound, "generators": gens})
+                mats += (p, -p)
+                seen[mats[-1]] = j + 1
                 parent.append((i, step))
-            step.append(j)
-    cols = [range(len(mats))]
-    for p, step in parent[1:]:
-        cols.append(list(map(step.__getitem__, cols[p])))
-    found = list(zip(*cols))  # found[i][j] = a_i a_j
-    minus = seen.get(UnitaryElement(((-1, 0), (0, -1)), check=False))
-    neg = cols[0] if minus is None else found[minus]  # a_i -> -a_i
-    order = sorted(cols[0], key=lambda i: (min(i, neg[i]), i > neg[i]))  # key -> a_i
-    key = sorted(cols[0], key=order.__getitem__)  # the inverse: a_i -> key
-    K, mats = 1 if minus is None else 2, [mats[i] for i in order]
-    if (k := next((k for k in range(K, len(mats)) if mats[k].is_scalar()), None)) is not None:
-        raise InternalInvariantError(f"scalar key {k} lies outside block 0 of size {K}",
-                                     witness={"key": k, "matrix": mats[k], "block_size": K})
-    table = [[key[found[i][j]] for j in order] for i in order]
+            step += (j, j ^ 1)
+    if (k := next((k for k in range(2, len(mats)) if mats[k].is_scalar()), None)) is not None:
+        raise InternalInvariantError(f"scalar key {k} lies outside block 0 of size 2",
+                                     witness={"key": k, "matrix": mats[k], "block_size": 2})
+    cols = []
+    for p, step in parent:  # the identity's pair has no parent
+        col = range(len(mats)) if step is None else list(map(step.__getitem__, cols[p]))
+        cols += (col, [k ^ 1 for k in col])
+    table = list(zip(*cols))  # table[i][j] = a_i a_j
     return FiniteGroup(len(mats), lambda a, b: table[a][b], mats.__getitem__,
-                       [key[step[0]] for step in steps], K, table=table)
+                       [step[0] for step in steps], 2, table=table)
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:

@@ -13,6 +13,7 @@ import pytest
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import ConstraintError
 from ellsw.groups import (
+    FiniteGroup,
     GroupSpec,
     UnitaryElement,
     build_binary_polyhedral,
@@ -30,8 +31,8 @@ from ellsw import _model, cyclo, groups
 def _binary(kind, n):
     """The binary polyhedral group of a kind: T, O and I from
     build_binary_polyhedral, the binary dihedral group D*_4n ("D") as family
-    DD with m = 1, and the cyclic group of order n ("C") closed from
-    diag(zeta_n, zeta_n^-1)."""
+    DD with m = 1, and the cyclic group of even order n ("C"), which holds
+    -I, closed from diag(zeta_n, zeta_n^-1)."""
     if kind == "D":
         return build_group(GroupSpec("DD", 1, n))
     if kind == "C":
@@ -42,7 +43,7 @@ def _binary(kind, n):
 
 @pytest.mark.parametrize(
     "kind,n,order",
-    [("D", 2, 8), ("D", 3, 12), ("D", 5, 20), ("T", 0, 24), ("O", 0, 48), ("I", 0, 120), ("C", 7, 7)],
+    [("D", 2, 8), ("D", 3, 12), ("D", 5, 20), ("T", 0, 24), ("O", 0, 48), ("I", 0, 120), ("C", 14, 14)],
 )
 def test_binary_polyhedral_orders(kind, n, order):
     assert _binary(kind, n).order == order
@@ -130,22 +131,31 @@ def test_family_orders(family, m, n, order):
 
 
 def test_scalar_subgroup_of_a_matrix_group():
-    # T, O and I hold the scalars {I, -I}, generated by key 1; C(7) holds
-    # only I, and its scalar subgroup has no generator.
+    # T, O and I hold the scalars {I, -I}, generated by key 1.  A group
+    # keyed in blocks of one key (K = 1), here the cyclic group of order 7
+    # built directly, has only I there, and its scalar subgroup no generator.
     one = UnitaryElement(((1, 0), (0, 1)))
     minus = UnitaryElement(((-1, 0), (0, -1)))
     for kind in "TOI":
         sub = scalar_subgroup(build_binary_polyhedral(kind))
         assert sub.matrices() == [one, minus] and sub.gens == [1], kind
-    sub = scalar_subgroup(_binary("C", 7))
+    mats = [UnitaryElement(((root_of_unity(k, 7), 0), (0, root_of_unity(-k, 7))), check=False)
+            for k in range(7)]
+    sub = scalar_subgroup(FiniteGroup(7, lambda a, b: (a + b) % 7, mats.__getitem__, [1], 1))
     assert sub.matrices() == [one] and sub.gens == []
 
 
-@pytest.mark.parametrize("kind", "TOI")
+@pytest.mark.parametrize("kind", "TOIC")
 def test_matrix_group_keys_come_in_sign_pairs(kind):
     # Key 1 is -I and key 2r + 1 is -(key 2r), so the blocks of K = 2 are
-    # the cosets of the scalars.
-    group = build_binary_polyhedral(kind)
+    # the cosets of the scalars.  The closure adds -I to generators that
+    # lack it: diag(zeta_7, zeta_7^-1), of order 7, closes to 14 keys.
+    if kind == "C":
+        g = UnitaryElement(((root_of_unity(1, 7), 0), (0, root_of_unity(-1, 7))), check=False)
+        group = _matrix_group([g], 14)
+        assert group.order == 14
+    else:
+        group = build_binary_polyhedral(kind)
     minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
     assert group.block == 2 and group.to_matrix(1) == minus
     for r in range(group.order // 2):
@@ -395,7 +405,7 @@ def test_abelianization_with_blocks_far_larger_than_their_count(spec, factors):
 
 @pytest.mark.parametrize(
     "source",
-    [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0),
+    [("C", 14), ("D", 5), ("T", 0), ("O", 0), ("I", 0),
      GroupSpec("DD", 3, 4), GroupSpec("DC", 2, 3), GroupSpec("TD", 9)],
     ids=str,
 )
@@ -505,16 +515,30 @@ def test_atom_tables_build_without_the_root_pair_search(kind):
 
 @pytest.mark.parametrize("kind,order", [("T", 24), ("O", 48), ("I", 120)])
 def test_closure_hashes_each_product_once(kind, order):
-    """Two generators give 2|G| products, each hashed once as it is looked up
-    or inserted; the identity and -I add one hash each. Each matrix hash
-    hashes its four entries, and nothing else in the build hashes a number."""
+    """Two generators on the |G|/2 even keys give |G| products, each hashed
+    once as it is looked up or inserted; each of the |G|/2 - 1 new sign
+    pairs hashes its negative once as it is inserted, and the identity and
+    -I add one hash each: 3|G|/2 + 1 in all. Each matrix hash hashes its
+    four entries, and nothing else in the build hashes a number."""
     with (mock.patch.object(UnitaryElement, "__hash__", autospec=True,
                             side_effect=UnitaryElement.__hash__) as matrix_hash,
           mock.patch.object(CyclotomicNumber, "__hash__", autospec=True,
                             side_effect=CyclotomicNumber.__hash__) as number_hash):
         assert build_binary_polyhedral(kind).order == order
-    assert matrix_hash.call_count == 2 * order + 2
+    assert matrix_hash.call_count == 3 * order // 2 + 1
     assert number_hash.call_count == 4 * matrix_hash.call_count
+
+
+@pytest.mark.parametrize("kind,order", [("T", 24), ("O", 48), ("I", 120)])
+def test_closure_multiplies_only_the_even_keys(kind, order):
+    """Each generator multiplies the |G|/2 even keys once: a step on key
+    2r + 1 is the step on key 2r with the low bit flipped, and each negative
+    is formed by negating entries, not by a product."""
+    gens = list(groups._binary_generators(kind))
+    with mock.patch.object(UnitaryElement, "__mul__", autospec=True,
+                           side_effect=UnitaryElement.__mul__) as matrix_mul:
+        assert _matrix_group(gens, order).order == order
+    assert matrix_mul.call_count == len(gens) * order // 2
 
 
 def test_model_rho_exponents_match_character():
@@ -663,7 +687,7 @@ def test_block_closure_of_one_key_is_its_powers():
             assert set(_keys(masks, range(len(masks)), K)) == set(group.powers(g)), (spec, g)
 
 
-@pytest.mark.parametrize("kind,n", [("C", 7), ("D", 5), ("T", 0), ("O", 0), ("I", 0)])
+@pytest.mark.parametrize("kind,n", [("C", 14), ("D", 5), ("T", 0), ("O", 0), ("I", 0)])
 def test_binary_polyhedral_dense_keys_multiply_like_matrices(kind, n):
     group = _binary(kind, n)
     assert group.keys == range(group.order)

@@ -117,16 +117,6 @@ def class_orbit(patch):
 
 
 @case
-def coset_count(patch):
-    # The section check with one of the 8 coset representatives dropped.
-    reps = bundle._coset_representatives
-    patch(bundle, "_coset_representatives", lambda g: reps(g)[1:])
-    return (lambda: bundle.section_equivariance_report(DD34), InternalInvariantError,
-            {"spec": DD34, "found": 7, "expected": 8},
-            f"7 coset representatives of {DD34}, expected 8")
-
-
-@case
 def rotation(patch):
     # A rotation coset made non-free by hand: the coset of y then holds an
     # element with eigenvalue 1.

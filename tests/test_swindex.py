@@ -540,6 +540,15 @@ def test_engine_groups_each_polyhedral_spec_once(monkeypatch):
         assert calls == [spec]
 
 
+def test_engine_stores_nothing():
+    # Each call builds its own label dict, and the engine's size-0 cache
+    # wrapper keeps only its call counter.
+    spec = GroupSpec("OO", 5)
+    first, second = s_breakdown(spec), s_breakdown(spec)
+    assert first == second and first is not second
+    assert swindex._singular_sums.cache_info().currsize == 0
+
+
 def test_breakdown_lists_the_model_labels_in_report_order():
     # Single-spec swdim prints the labels in this order.
     for spec in sweep_specs(1200):
