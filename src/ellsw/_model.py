@@ -10,12 +10,12 @@ cuts out of `Z_2mw` times the binary group; DD, TT, OO and II are the
 untwisted case `w = 1`, `c = 0`.  The identity is 0 and the scalars are
 exactly block 0, so `range(|G|)` is the whole group.  `mult` mirrors
 matrix multiplication exactly and `to_matrix` recovers the honest unitary
-matrix.  The polyhedral atom tables are built once per kind on the keys
-of `build_binary_polyhedral`, reusing its Cayley table and exact
-matrices, and are validated against the defining relations; atom
-`2r + t` is `(-1)^t` times atom `2r`, so block `r` of a family key holds
-the atom pair of rank `r`.  An atom's eigenvalues are the pair of roots of
-its order, from the power walk, whose sum is its trace.
+matrix.  The polyhedral atom tables are built once per kind on the sign
+pairs of `build_binary_polyhedral`, reusing its Cayley table and exact
+matrices, and are validated against the defining relations; block `r` of
+a family key holds the atom pair `+-a_r`, and every table is indexed by
+`r`.  An atom's eigenvalues are the pair of roots of its order, from the
+power walk, whose sum is its trace.
 
 The models also own the partition behind the labelled chi-subtotals:
 `labels` lists the labels in report order and `label(key)` names the
@@ -35,16 +35,17 @@ from .groups import BINARY_KIND, GroupSpec, UnitaryElement, build_binary_polyhed
 
 
 class _SU2Table:
-    """Multiplication table and per-atom data for one binary polyhedral group."""
+    """Cayley table and per-atom data of one binary polyhedral group by block:
+    atom `a_r` is the group's key `2r`, and `mult[r][t]` the key of `a_r a_t`."""
 
     def __init__(self, kind: str):
         group = build_binary_polyhedral(kind)
-        self.atoms = group.matrices()
         self.mult = group.table
-        n = group.order
-        # Generator atoms (match the matrix constructors); x^2 = -1.
-        self.gen_x, self.gen_y = group.gens
-        walks = [list(group.powers(i)) for i in range(n)]
+        self.atoms = group.matrices()[::2]
+        # Generator blocks (match the matrix constructors); x^2 = -1.
+        x, y = group.gens
+        self.gen_x, self.gen_y = x // 2, y // 2
+        walks = [list(group.powers(a)) for a in range(0, group.order, 2)]
         self.order = [len(w) for w in walks]
         # Image order: the first power that is +-1.  -1 is SU(2)'s only element
         # of order 2, so that is d/2 for an atom of even order d, else d.
@@ -53,45 +54,44 @@ class _SU2Table:
         # the atom.  This separates, say, the quaternion elements inside the
         # order-8 subgroups of the octahedral group from the stand-alone
         # order-4 subgroups, matching the standard cyclic-subgroup partition.
+        # Only even atoms walk: <-a> lies in +-<a>, of the same image order.
         label_order = list(image_order)
         for io_b, w in zip(image_order, walks):
             for g in w[:-1]:
-                if label_order[g] < io_b:
-                    label_order[g] = io_b
-        # Labels: the scalar atoms +-1 carry S0, and S1, S2, ... rank the
-        # other atoms by decreasing label order; an atom and its negative
-        # share the label of the even one.
-        orders = sorted({label_order[a] for a in range(2, n, 2)}, reverse=True)
+                label_order[g // 2] = max(label_order[g // 2], io_b)
+        # Labels: the scalar block +-1 carries S0, and S1, S2, ... rank the
+        # other blocks by decreasing label order.
+        orders = sorted(set(label_order[1:]), reverse=True)
         self.labels = tuple(f"S{r}" for r in range(len(orders) + 1))
         name = {o: f"S{r}" for r, o in enumerate(orders, start=1)}
-        self.label = ["S0"] * 2 + [name[label_order[a & -2]] for a in range(2, n)]
-        # Eigenvalues zeta_base^e and zeta_base^-e, base = n / 2 = 12, 24 or 60.
-        b = self.base = n // 2
+        self.label = ["S0"] + [name[o] for o in label_order[1:]]
+        # Eigenvalues zeta_base^e and zeta_base^-e, base = |G| / 2 = 12, 24 or 60.
+        b = self.base = len(self.atoms)
         self.eigen = []
-        for i, (a, d) in enumerate(zip(self.atoms, self.order)):
+        for r, (a, d) in enumerate(zip(self.atoms, self.order)):
             e = next((e for e in range(b) if b // math.gcd(e, b) == d
                       and root_of_unity(e, b) + root_of_unity(-e, b) == a.trace()), None)
             if e is None:
                 raise InternalInvariantError(
                     "no eigenvalues of the atom's order add up to its trace",
-                    witness={"kind": kind, "atom": i, "order": d, "trace": a.trace()},
+                    witness={"kind": kind, "atom": 2 * r, "order": d, "trace": a.trace()},
                 )
             self.eigen.append((e, -e % b))
         if kind == "T":
             # The grading T -> T/Q8 = Z/3 is the character x -> 0, y -> 1 of
-            # the table; TD keys encode their mu_6m part through it.
+            # the table; TD keys encode their mu_6m part through it.  -1 lies
+            # in Q8, so a block's two keys share a class.
             try:
-                grading = extend_character(group, 3, [(self.gen_x, 0), (self.gen_y, 1)])
+                grading = extend_character(group, 3, [(x, 0), (y, 1)])
             except (CharacterConflictError, ConstraintError) as exc:
                 raise InternalInvariantError(
-                    "T table is not graded mod 3",
-                    witness={"kind": kind, "x": self.gen_x, "y": self.gen_y},
+                    "T table is not graded mod 3", witness={"kind": kind, "x": x, "y": y},
                 ) from exc
-            self.class3 = grading.exponents
-            if self.class3.count(0) != 8:
+            self.class3 = grading.exponents[::2]
+            if self.class3.count(0) != 4:
                 raise InternalInvariantError(
                     "quaternion subgroup of the T table is wrong",
-                    witness={"kind": kind, "found": self.class3.count(0), "expected": 8},
+                    witness={"kind": kind, "found": 2 * self.class3.count(0), "expected": 8},
                 )
 
 
@@ -241,10 +241,9 @@ class DihedralModel:
 class PolyhedralModel:
     """Families TT, TD, OO, II: scalars times a binary polyhedral group.
 
-    Key `r * K + s` is the atom `a = 2r` times `mu_amb^k`, `amb = 2m*w`,
-    `k = w*s + cls[a]`: `w = 3` and `cls = table.class3` in TD.  Atom `2r + 1`
-    is `-a`, which is `a` times `mu_amb^(m*w)`; `mult` alone meets it, and
-    folds it into the scalar as `mu_2m^m`.
+    Key `r * K + s` is the atom `a_r` of block `r` times `mu_amb^k`,
+    `amb = 2m*w`, `k = w*s + cls[r]`: `w = 3` and `cls = table.class3` in
+    TD.  `mult` folds the sign of a product `-a_p` into the scalar.
     """
 
     is_dihedral = False
@@ -255,7 +254,7 @@ class PolyhedralModel:
         self.table = su2_table(BINARY_KIND[spec.family])
         self.labels = self.table.labels
         self.K = 2 * spec.m
-        self.size = len(self.table.atoms) // 2 * self.K
+        self.size = len(self.table.atoms) * self.K
         self.c0 = spec.gamma_order
         if spec.family == "TD":
             self._w, self._cls = 3, self.table.class3
@@ -265,22 +264,21 @@ class PolyhedralModel:
         self.N = math.lcm(self.amb, self.table.base)
 
     def decode(self, key):
-        """(atom, s) of a key; the atom is even."""
-        r, s = divmod(key, self.K)
-        return 2 * r, s
+        """(block, s) of a key."""
+        return divmod(key, self.K)
 
-    def encode(self, a: int, s: int) -> int:
-        """Key of the even atom `a` times mu_2m^s times mu_amb^cls[a]."""
-        return a // 2 * self.K + s
+    def encode(self, r: int, s: int) -> int:
+        """Key of the atom `a_r` times mu_2m^s times mu_amb^cls[r]."""
+        return r * self.K + s
 
     def label(self, key) -> str:
         """The label of the key's atom: S0 for the scalars."""
-        return self.table.label[self.decode(key)[0]]
+        return self.table.label[key // self.K]
 
     def _atom_exp(self, key):
-        """(atom, k): the key as atom times mu_amb^k."""
-        a, s = self.decode(key)
-        return a, self._w * s + self._cls[a]
+        """(block, k): the key as atom times mu_amb^k."""
+        r, s = self.decode(key)
+        return r, self._w * s + self._cls[r]
 
     def generators(self):
         # mu_2m, then the atoms x and y times mu_amb^cls
@@ -291,9 +289,8 @@ class PolyhedralModel:
         K, t = self.K, self.table
         r1, s = divmod(A, K)
         r2, s2 = divmod(B, K)
-        a1, a2 = 2 * r1, 2 * r2
-        p = t.mult[a1][a2]
-        s += s2 + (self._cls[a1] + self._cls[a2]) // self._w
+        p = t.mult[r1][r2]
+        s += s2 + (self._cls[r1] + self._cls[r2]) // self._w
         if p & 1:
             s += self.m  # -1 = mu_2m^m
         return p // 2 * K + s % K
@@ -308,31 +305,31 @@ class PolyhedralModel:
         return (self.c0 // self._w) * self._atom_exp(key)[1] % self.K
 
     def eigen_exps(self, key):
-        a, k = self._atom_exp(key)
+        r, k = self._atom_exp(key)
         N = self.N
         s = k * (N // self.amb)
         step = N // self.table.base
-        e1, e2 = self.table.eigen[a]
+        e1, e2 = self.table.eigen[r]
         return ((s + e1 * step) % N, (s + e2 * step) % N)
 
     def elements(self):
         return range(self.size)
 
     def to_matrix(self, key) -> UnitaryElement:
-        a, k = self._atom_exp(key)
+        b, k = self._atom_exp(key)
         scal = root_of_unity(k, self.amb)
-        (p, q), (r, s) = self.table.atoms[a].entries
+        (p, q), (r, s) = self.table.atoms[b].entries
         return UnitaryElement(
             ((scal * p, scal * q), (scal * r, scal * s)), check=False
         )
 
-    def base_key(self, a: int):
-        return self.encode(a, 0)
+    def base_key(self, r: int):
+        return self.encode(r, 0)
 
     def nonscalar_cosets(self):
         """The non-scalar atom pairs, one descriptor per shared (label, w2m, a <= b)."""
         counts = Counter((self.label(k), self.rho_exp_2m(k), *sorted(self.eigen_exps(k)))
-                         for k in map(self.base_key, range(2, len(self.table.atoms), 2)))
+                         for k in map(self.base_key, range(1, len(self.table.atoms))))
         return [CosetData(label, n, w2m, a, b) for (label, w2m, a, b), n in counts.items()]
 
     def validate_free_action(self):

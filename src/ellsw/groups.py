@@ -7,12 +7,12 @@ blocks `b * K + range(K)` of its scalars, and gives the exact 2x2
 cyclotomic matrix of each key.  The family groups number their elements
 through a structured scalar*atom model (see _model) whose multiplication
 agrees with matrix multiplication by construction; the binary
-tetrahedral, octahedral and icosahedral groups are closed with -I, each
-new matrix appended with its negative, so key 2r + 1 is minus key 2r,
-and multiply through a Cayley table.  The binary dihedral group
-D*_4n is family DD with m = 1.  One block walker, `_walk_blocks`, closes
-G and [G,G], marks the commutators' conjugates, checks that [G,G] is
-normal, and counts the classes, or lists them on blocks of one key.
+tetrahedral, octahedral and icosahedral groups are closed with -I in
+sign pairs, key 2r + 1 minus key 2r, and multiply through a Cayley table
+of the pairs.  The binary dihedral group D*_4n is family DD with m = 1.
+One block walker, `_walk_blocks`, closes G and [G,G], marks the
+commutators' conjugates, checks that [G,G] is normal, and counts the
+classes, or lists them on blocks of one key.
 """
 
 from __future__ import annotations
@@ -331,9 +331,9 @@ class FiniteGroup:
     `b * K + range(K)` are the cosets of the scalars, block 0 the scalars
     and key `s` the power mu^s of key 1.  A family group (see _model) has
     `K = 2m`; a group closed from matrices (`_matrix_group`), which adds
-    -I, has the sign pairs as blocks (`K = 2`) and carries its Cayley
-    table (`table[a][b] = a b`).  One walker, `_walk_blocks`, closes a
-    family group and [G, G] under `mult` (through `_close`); under
+    -I, has the sign pairs as blocks (`K = 2`) and carries their Cayley
+    table (`table[r][t] = a_2r a_2t`).  One walker, `_walk_blocks`, closes
+    a family group and [G, G] under `mult` (through `_close`); under
     conjugation it marks the commutators' conjugates, checks that [G, G]
     is normal, and counts the classes, or lists them on blocks of one key.
     """
@@ -528,12 +528,13 @@ def _matrix_group(gens, bound) -> FiniteGroup:
 
     The breadth-first search multiplies only the even keys: as
     `(-a) g = -(a g)`, a step on key `2r + 1` is the step on key `2r` with
-    the low bit flipped.  Column `j` of the table follows from that of the
-    parent of `a_j = a_p g`, since `a_i a_j = (a_i a_p) g`, and column
-    `j + 1` is column `j` with the low bits flipped."""
+    the low bit flipped.  The table holds one entry per pair of blocks,
+    `table[r][t] = a_2r a_2t`, and `mult` reads the signs off the low bits,
+    since `(-a) b = a (-b) = -(a b)`.  Column `t` follows from that of the
+    parent of `a_2t = a_p g`, since `a_2r a_2t = (a_2r a_p) g`."""
     one = UnitaryElement(((1, 0), (0, 1)), check=False)
     mats, seen = [one, -one], {one: 0, -one: 1}
-    steps, parent = [[] for _ in gens], [(0, None)]  # parent: (p, step) per sign pair
+    steps, parent = [[] for _ in gens], []  # (parent's block, step) per pair after 0
     for i, a in itertools.islice(enumerate(mats), 0, None, 2):  # a queue: mats grows
         for step, g in zip(steps, gens):
             p = a * g
@@ -544,18 +545,17 @@ def _matrix_group(gens, bound) -> FiniteGroup:
                                                  witness={"bound": bound, "generators": gens})
                 mats += (p, -p)
                 seen[mats[-1]] = j + 1
-                parent.append((i, step))
+                parent.append((i >> 1, step))
             step += (j, j ^ 1)
     if (k := next((k for k in range(2, len(mats)) if mats[k].is_scalar()), None)) is not None:
         raise InternalInvariantError(f"scalar key {k} lies outside block 0 of size 2",
                                      witness={"key": k, "matrix": mats[k], "block_size": 2})
-    cols = []
-    for p, step in parent:  # the identity's pair has no parent
-        col = range(len(mats)) if step is None else list(map(step.__getitem__, cols[p]))
-        cols += (col, [k ^ 1 for k in col])
-    table = list(zip(*cols))  # table[i][j] = a_i a_j
-    return FiniteGroup(len(mats), lambda a, b: table[a][b], mats.__getitem__,
-                       [step[0] for step in steps], 2, table=table)
+    cols = [range(0, len(mats), 2)]
+    for p, step in parent:
+        cols.append([step[k] for k in cols[p]])
+    table = list(zip(*cols))  # table[r][t] = a_2r a_2t
+    return FiniteGroup(len(mats), lambda a, b: table[a >> 1][b >> 1] ^ ((a ^ b) & 1),
+                       mats.__getitem__, [step[0] for step in steps], 2, table=table)
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:

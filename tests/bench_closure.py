@@ -102,7 +102,7 @@ def test_su2_table(benchmark, kind):
     # The uncached constructor: the binary polyhedral closure, its Cayley
     # table and the per-atom data behind the TT/TD/OO/II models.
     table = benchmark(_model._SU2Table, kind)
-    assert len(table.mult) == {"T": 24, "O": 48, "I": 120}[kind]
+    assert len(table.mult) == {"T": 12, "O": 24, "I": 60}[kind]
 
 
 def test_closure_over_the_pool():

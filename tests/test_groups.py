@@ -162,6 +162,35 @@ def test_matrix_group_keys_come_in_sign_pairs(kind):
         assert group.to_matrix(2 * r + 1) == minus * group.to_matrix(2 * r), r
 
 
+@pytest.mark.parametrize("kind", "TOI")
+def test_su2_tables_are_indexed_by_block(kind):
+    # The closure's Cayley table and every list of the SU(2) table hold one
+    # entry per sign pair, and block r is the group's key 2r.  The labels
+    # match an oracle that walks all |G| keys and ranks the label order of
+    # each key it reaches: both keys of a pair carry their block's label.
+    group = build_binary_polyhedral(kind)
+    table = _model._SU2Table(kind)
+    half = group.order // 2
+    assert len(group.table) == half and {len(row) for row in group.table} == {half}
+    lists = [table.atoms, table.mult, table.order, table.label, table.eigen]
+    if kind == "T":
+        lists.append(table.class3)
+    assert [len(entries) for entries in lists] == [half] * len(lists)
+    assert all(table.atoms[r] == group.to_matrix(2 * r) for r in range(half))
+    assert [2 * table.gen_x, 2 * table.gen_y] == group.gens
+    walks = [list(group.powers(a)) for a in group.keys]
+    image_order = [len(w) // 2 if len(w) % 2 == 0 else len(w) for w in walks]
+    label_order = list(image_order)
+    for io, w in zip(image_order, walks):
+        for g in w[:-1]:
+            label_order[g] = max(label_order[g], io)
+    orders = sorted(set(label_order[2:]), reverse=True)
+    name = {o: f"S{i}" for i, o in enumerate(orders, start=1)}
+    oracle = ["S0"] * 2 + [name[o] for o in label_order[2:]]
+    for r in range(half):
+        assert table.label[r] == oracle[2 * r] == oracle[2 * r + 1], (kind, r)
+
+
 @pytest.mark.parametrize(
     "family,m,n",
     [("DD", 2, 3), ("DD", 3, 3), ("DD", 3, 1), ("DC", 3, 2), ("DC", 2, 4),
@@ -481,23 +510,24 @@ def test_model_eigen_exponents_match_matrices():
 
 
 def test_atom_eigen_exponents_match_traces():
-    # Each of the 192 atoms of T, O and I stores a pair (e, -e) over
-    # zeta_base whose roots add up to the atom's trace, and zeta_base^e has
-    # the atom's order.  The table is built by that rule, so the pair is also
-    # checked against the root-pair search on the atom's trace and determinant.
-    atoms = 0
+    # The atom of each of the 96 blocks of T, O and I stores a pair (e, -e)
+    # over zeta_base whose roots add up to the atom's trace, and zeta_base^e
+    # has the atom's order.  The table is built by that rule, so the pair is
+    # also checked against the root-pair search on the atom's trace and
+    # determinant.
+    blocks = 0
     for kind in "TOI":
         table = _model.su2_table(kind)
         base = table.base
-        for a, atom in enumerate(table.atoms):
-            e, f = table.eigen[a]
-            assert (e + f) % base == 0, (kind, a)
-            assert root_of_unity(e, base) + root_of_unity(-e, base) == atom.trace(), (kind, a)
-            assert base // math.gcd(e, base) == table.order[a], (kind, a)
+        for r, atom in enumerate(table.atoms):
+            e, f = table.eigen[r]
+            assert (e + f) % base == 0, (kind, r)
+            assert root_of_unity(e, base) + root_of_unity(-e, base) == atom.trace(), (kind, r)
+            assert base // math.gcd(e, base) == table.order[r], (kind, r)
             d, e1, e2 = eigen_exponents(atom)
-            assert (e, f) == (e1 * (base // d), e2 * (base // d)), (kind, a)
-            atoms += 1
-    assert atoms == 192
+            assert (e, f) == (e1 * (base // d), e2 * (base // d)), (kind, r)
+            blocks += 1
+    assert blocks == 96
 
 
 @pytest.mark.parametrize("kind", "TOI")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ellsw import _model
 from ellsw.errors import InternalInvariantError
-from ellsw.groups import FAMILIES, FiniteGroup, build_group
+from ellsw.groups import FAMILIES, FiniteGroup, build_binary_polyhedral, build_group
 from ellsw.swindex import sweep_specs
 
 from cyclo_oracles import dihedral_matrix_by_products
@@ -31,8 +31,8 @@ def test_keys_round_trip_and_enumerate_the_closure(spec):
             t, l, s = parts
             assert t in (0, 1) and 0 <= l < spec.n and 0 <= s < 2 * spec.m
         else:
-            a, s = parts
-            assert a % 2 == 0 and 0 <= s < 2 * spec.m
+            r, s = parts
+            assert 0 <= r < len(model.table.atoms) and 0 <= s < 2 * spec.m
     assert set(model.elements()) == set(build_group(spec).keys)
 
 
@@ -136,28 +136,34 @@ def test_dihedral_matrices_equal_the_product_construction():
 
 
 def test_t_grading_matches_the_quaternion_cosets():
-    # The grading T -> Z/3 built by hand, as a reference for the character:
-    # Q8 is the atoms of order 1, 2 or 4, and for an atom y of order 6 an
-    # atom a has class 1 if y^-1 a lies in Q8 and class 2 if y^-2 a does.
-    t = _model.su2_table("T")
-    n = len(t.atoms)
-    q8 = {a for a in range(n) if t.order[a] in (1, 2, 4)}
+    # The grading T -> Z/3 built by hand on the 24 keys of the group, as a
+    # reference for the character: Q8 is the keys of order 1, 2 or 4, and
+    # for a key y of order 6 a key a has class 1 if y^-1 a lies in Q8 and
+    # class 2 if y^-2 a does.
+    group = build_binary_polyhedral("T")
+    n, mult = group.order, group.mult
+    order = [group.element_order(a) for a in range(n)]
+    q8 = {a for a in range(n) if order[a] in (1, 2, 4)}
     assert len(q8) == 8
-    y = t.order.index(6)
-    y_inv = next(b for b in range(n) if t.mult[y][b] == 0)
-    y_inv2 = t.mult[y_inv][y_inv]
+    y = order.index(6)
+    y_inv = next(b for b in range(n) if mult(y, b) == 0)
+    y_inv2 = mult(y_inv, y_inv)
     reference = []
     for a in range(n):
         if a in q8:
             reference.append(0)
-        elif t.mult[y_inv][a] in q8:
+        elif mult(y_inv, a) in q8:
             reference.append(1)
         else:
-            assert t.mult[y_inv2][a] in q8
+            assert mult(y_inv2, a) in q8
             reference.append(2)
     assert all(
-        (reference[a] + reference[b] - reference[t.mult[a][b]]) % 3 == 0
+        (reference[a] + reference[b] - reference[mult(a, b)]) % 3 == 0
         for a in range(n) for b in range(n)
     )
-    assert t.class3 == reference
+    # -1 lies in Q8, so each odd key grades like its even partner, and the
+    # table, which keeps one class per sign pair, reads the even keys.
+    assert reference[1::2] == reference[::2]
+    t = _model.su2_table("T")
+    assert t.class3 == reference[::2]
     assert t.class3[t.gen_x] == 0 and t.class3[t.gen_y] == 1

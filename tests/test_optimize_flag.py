@@ -139,10 +139,10 @@ def reflection(patch):
 
 @case
 def polyhedral(patch):
-    # TT(5) with atom 2, the first outside +-1 and labelled S2, given eigenvalues 1, 1.
+    # TT(5) with block 1, the first outside +-1 and labelled S2, given eigenvalues 1, 1.
     model = _model.family_model(TT5)
     eigen = list(model.table.eigen)
-    eigen[2] = (0, 0)
+    eigen[1] = (0, 0)
     patch(model.table, "eigen", eigen)
     return (model.validate_free_action, InternalInvariantError,
             {"spec": TT5, "label": "S2", "exponents": (0, 0), "N": 60},
