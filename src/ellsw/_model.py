@@ -8,14 +8,14 @@ of the binary group onto `Z/w`.  DC (`w = 2`, `c(x^t y^l) = t`) and TD
 (`w = 3`, `c` the grading T -> T/Q8) are the index-`w` subgroups that `c`
 cuts out of `Z_2mw` times the binary group; DD, TT, OO and II are the
 untwisted case `w = 1`, `c = 0`.  The identity is 0 and the scalars are
-exactly block 0, so `range(|G|)` is the whole group.  `mult` mirrors
-matrix multiplication exactly and `to_matrix` recovers the honest unitary
-matrix.  The polyhedral atom tables are built once per kind on the sign
-pairs of `build_binary_polyhedral`, reusing its Cayley table and exact
-matrices, and are validated against the defining relations; block `r` of
-a family key holds the atom pair `+-a_r`, and every table is indexed by
-`r`.  An atom's eigenvalues are the pair of roots of its order, from the
-power walk, whose sum is its trace.
+exactly block 0, so `range(|G|)` is the whole group.  `mult` mirrors matrix
+multiplication exactly, `to_matrix` recovers the honest unitary matrix and
+`trace_det` its trace and determinant.  The polyhedral atom tables are
+built once per kind on the sign pairs of `build_binary_polyhedral`, reusing
+its Cayley table and exact matrices, and are validated against the defining
+relations; block `r` of a family key holds the atom pair `+-a_r`, and every
+table is indexed by `r`.  An atom's eigenvalues are the pair of roots of
+its order, from the power walk, whose sum is its trace.
 
 The models also own the partition behind the labelled chi-subtotals:
 `labels` lists the labels in report order and `label(key)` names the
@@ -67,14 +67,15 @@ class _SU2Table:
         self.label = ["S0"] + [name[o] for o in label_order[1:]]
         # Eigenvalues zeta_base^e and zeta_base^-e, base = |G| / 2 = 12, 24 or 60.
         b = self.base = len(self.atoms)
+        self.trace = [a.trace() for a in self.atoms]
         self.eigen = []
-        for r, (a, d) in enumerate(zip(self.atoms, self.order)):
+        for r, (tr, d) in enumerate(zip(self.trace, self.order)):
             e = next((e for e in range(b) if b // math.gcd(e, b) == d
-                      and root_of_unity(e, b) + root_of_unity(-e, b) == a.trace()), None)
+                      and root_of_unity(e, b) + root_of_unity(-e, b) == tr), None)
             if e is None:
                 raise InternalInvariantError(
                     "no eigenvalues of the atom's order add up to its trace",
-                    witness={"kind": kind, "atom": 2 * r, "order": d, "trace": a.trace()},
+                    witness={"kind": kind, "atom": 2 * r, "order": d, "trace": tr},
                 )
             self.eigen.append((e, -e % b))
         if kind == "T":
@@ -199,17 +200,24 @@ class DihedralModel:
     def elements(self):
         return range(self.size)
 
-    def to_matrix(self, key) -> UnitaryElement:
-        # Each entry mu_4m^(2s + dc*t) zeta_2n^(+-l) is one root zeta_N^e.
+    def _root_exps(self, key):
+        # (t, sc, e): each nonzero entry mu_4m^(2s + dc*t) zeta_2n^(+-l) is +-zeta_N^(sc +- e).
         t, l, s = self.decode(key)
+        return t, (2 * s + self._dc * t) * (self.N // (4 * self.m)), l * (self.N // (2 * self.n))
+
+    def trace_det(self, key):
+        """(tr, det) of the key's matrix, with no product of two entries."""
+        t, sc, e = self._root_exps(key)
         N = self.N
-        sc, e = (2 * s + self._dc * t) * (N // (4 * self.m)), l * (N // (2 * self.n))
+        tr = CyclotomicNumber.zero() if t else root_of_unity(sc + e, N) + root_of_unity(sc - e, N)
+        return tr, root_of_unity(2 * sc, N)
+
+    def to_matrix(self, key) -> UnitaryElement:
+        t, sc, e = self._root_exps(key)
+        N = self.N
         a, ai = root_of_unity(sc + e, N), root_of_unity(sc - e, N)
         zero = CyclotomicNumber.zero()
-        if t == 0:
-            rows = ((a, zero), (zero, ai))
-        else:
-            rows = ((zero, ai), (-a, zero))
+        rows = ((a, zero), (zero, ai)) if t == 0 else ((zero, ai), (-a, zero))
         return UnitaryElement(rows, check=False)
 
     def reflection_coset(self) -> CosetData:
@@ -314,6 +322,11 @@ class PolyhedralModel:
 
     def elements(self):
         return range(self.size)
+
+    def trace_det(self, key):
+        """(tr, det) of the key mu_amb^k a_r: (mu_amb^k tr a_r, mu_amb^2k)."""
+        r, k = self._atom_exp(key)
+        return root_of_unity(k, self.amb) * self.table.trace[r], root_of_unity(2 * k, self.amb)
 
     def to_matrix(self, key) -> UnitaryElement:
         b, k = self._atom_exp(key)

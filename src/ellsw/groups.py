@@ -580,8 +580,8 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
 def verify_free_action(group: FiniteGroup) -> bool:
     """True iff no non-identity element fixes a nonzero vector (eigenvalue 1)."""
     for k in group.keys[1:]:  # every key but the identity 0
-        (a, b), (c, d) = group.to_matrix(k).entries
-        if ((a - 1) * (d - 1) - b * c).is_zero():  # det(g - 1)
+        g = group.to_matrix(k)
+        if (g.det() - g.trace() + 1).is_zero():  # det(g - 1)
             return False
     return True
 

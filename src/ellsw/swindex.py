@@ -10,9 +10,10 @@ exactly.  Two independent routes sum it by label: the sweep engine takes
 the first label in closed form and sums every other over the model's coset
 descriptors, each `count` scalar-subgroup cosets in closed form, and
 certifies each labelled subtotal rational by Galois stability; the
-per-element route walks the matrix group one cyclic subgroup at a time,
-calls `chi` on one generator and adds its trace, the sum over all its
-generators.  The closed forms are derived next to their formulas.
+per-element route walks the group one cyclic subgroup at a time and adds
+the field trace of `chi` at one generator, the sum over its generators,
+sharing only the key decoding and atom traces with the engine.  The closed
+forms are derived next to their formulas.
 """
 
 from __future__ import annotations
@@ -26,52 +27,37 @@ from . import _model
 from .bundle import rho
 from .cyclo import CyclotomicNumber, euler_phi, frac_str
 from .errors import ConstraintError, DomainError, InternalInvariantError
-from .groups import BINARY, BINARY_KIND, GroupSpec, UnitaryElement, build_group
+from .groups import BINARY, BINARY_KIND, GroupSpec, build_group
 from .rootsum import RootSum
 
 _ZERO = Fraction(0)
 
 
-def chi(
-    g: UnitaryElement, rho_value: CyclotomicNumber, inverses: dict | None = None
-) -> CyclotomicNumber:
-    """Isolated cone-point contribution of a single group element,
-    2 (rho(g) - 1) / ((1 - conj l1)(1 - conj l2)); the free action makes
-    the fixed point's isotropy trivial, and no other sector term arises.
-    The denominator is conj det(g - 1), read off the entries with no
-    eigenvalue search, and inverted at its conductor, which can be far
-    below the order of the entries.
+def chi(trace: CyclotomicNumber, det: CyclotomicNumber, rho_value: CyclotomicNumber,
+        inverses: dict | None = None) -> CyclotomicNumber:
+    """Cone-point term 2 (rho(g) - 1) / ((1 - conj l1)(1 - conj l2)) of one
+    element g, from tr g, det g and rho(g); the free action makes the fixed
+    point's isotropy trivial, and no other sector term arises.  The denominator
+    conj det(g - 1), where det(g - 1) = det g - tr g + 1, is inverted at its
+    conductor.  It is 0 exactly where g has an eigenvalue 1, which raises
+    DomainError whatever rho(g) is (in U(2), tr g = 2 with det g = 1 only at the
+    identity); where rho(g) = 1 the value is then 0.
 
-    Where rho(g) = 1 the value is 0 and only freeness is checked, with no
-    product on a diagonal g, whose det(g - 1) = (a - 1)(d - 1).
-
-    `inverses`, when given, is a mapping the caller owns from the exact
-    (order, num, den) of det(g - 1) to 1/conj det(g - 1): conjugate
-    elements share their eigenvalues, so a caller summing over a group
-    reduces, conjugates and inverts each distinct denominator once.  Only
-    the invertible denominators of rho(g) != 1 are stored, so both
-    DomainErrors are raised on every call that meets them."""
-    if g.is_identity():
-        raise DomainError("chi is undefined at the identity")
-    (a, b), (c, d) = g.entries
+    `inverses`, a mapping the caller owns, takes the exact (order, num, den)
+    of det(g - 1) to 1/conj det(g - 1), so that a caller summing over a group
+    inverts each distinct denominator once; the freeness check runs first."""
+    den = det - trace + 1
+    if den.is_zero():
+        if det.is_one() and trace == 2:
+            raise DomainError("chi is undefined at the identity")
+        raise DomainError("element has eigenvalue 1; the action is not free")
     if rho_value.is_one():
-        if b.is_zero() and c.is_zero():
-            fixed = a.is_one() or d.is_one()
-        else:
-            fixed = ((a - 1) * (d - 1) - b * c).is_zero()
-        if fixed:
-            raise DomainError("element has eigenvalue 1; the action is not free")
         return CyclotomicNumber.zero()
-    if inverses is None:
-        inverses = {}
-    det = (a - 1) * (d - 1) - b * c
-    key = (det.order, det.num, det.den)
+    inverses = {} if inverses is None else inverses
+    key = (den.order, den.num, den.den)
     inv = inverses.get(key)
     if inv is None:
-        den = det.reduced().conjugate()
-        if den.is_zero():
-            raise DomainError("element has eigenvalue 1; the action is not free")
-        inv = inverses[key] = den.inverse()
+        inv = inverses[key] = den.reduced().conjugate().inverse()
     return (rho_value - 1) * 2 * inv
 
 
@@ -236,8 +222,10 @@ def sum_chi_by_elements(spec: GroupSpec) -> Fraction:
 
 
 def s_breakdown_by_elements(spec: GroupSpec) -> dict:
-    """Label -> chi subtotal, from the matrix group one cyclic subgroup at a
-    time (small groups only); far slower than the engine but independent of it.
+    """Label -> chi subtotal, one cyclic subgroup of the group closure at a
+    time, `chi` reading the model's `trace_det` (small groups only): far
+    slower than the engine, and sharing no eigenvalue exponent, coset
+    descriptor or RootSum with it, only the key decoding and atom traces.
 
     For t coprime to d = ord(g), the eigenvalues of g^t and rho(g^t) are
     those of g to the t, so chi(g^t) = sigma_t(chi(g)), with sigma_t the
@@ -250,8 +238,7 @@ def s_breakdown_by_elements(spec: GroupSpec) -> dict:
     chi is 0 on all of <g>; a generator of another label where chi(g) != 0
     raises InternalInvariantError.  g^t has an eigenvalue 1 iff g has one,
     so `chi` raises DomainError for every non-free cyclic subgroup, rho = 1
-    or not; only where rho(g) != 1 does it form a denominator, and each
-    distinct one is inverted once per call, and not kept.
+    or not; each distinct denominator is inverted once per call, not kept.
     """
     model = _model.family_model(spec)
     group = build_group(spec)
@@ -267,7 +254,7 @@ def s_breakdown_by_elements(spec: GroupSpec) -> dict:
         gens = [powers[t - 1] for t in range(2, d) if math.gcd(t, d) == 1]
         for g in gens:
             seen[g] = 1
-        value = chi(group.to_matrix(k), character.value(k), inverses)
+        value = chi(*model.trace_det(k), character.value(k), inverses)
         if value.is_zero():
             continue
         label = model.label(k)

@@ -2,7 +2,7 @@
 `chi` sum (`sum_chi_by_elements`, closure plus one cyclotomic `chi` per
 cyclic subgroup) on DD(7,2), OO(7) and II(1), on DD(7,29), DC(8,25) and
 DC(2,241), where the high field degree makes the inversions dominate, and on
-DD(1,935), whose matrices are built from roots of order 1870; the
+DD(1,935), whose traces and determinants are roots of order 1870; the
 section check by the transfer (`verify_section_equivariance`, which builds
 the group and `rho` itself) on DD(1,3) and TT(1); and, once, every label of
 the per-element route against the engine on all 1,015 specs with
@@ -12,7 +12,10 @@ that reports its wall time and its peak resident set (Linux's `VmHWM`).
     PYTHONPATH=src python -m pytest -s tests/bench_crosscheck.py
 
 The file name keeps it out of the default `test_*.py` collection, so the
-Tier-1 suite does not run it.
+Tier-1 suite does not run it.  CI runs it with `--benchmark-disable`, each
+benchmark once as a test: the seven `chi` specs include DD(1,935) and
+DC(2,241), which the every-label check, stopping at `|G|` = 1200 in DD and
+DC, skips.
 """
 
 import os
@@ -35,7 +38,7 @@ CHI_SPECS = [
     GroupSpec("DD", 7, 29),  # 812
     GroupSpec("DC", 8, 25),  # 800
     GroupSpec("DC", 2, 241),  # 1928, sparse denominators
-    GroupSpec("DD", 1, 935),  # 3740, entries are roots of order 1870
+    GroupSpec("DD", 1, 935),  # 3740, traces and determinants at order 1870
 ]
 
 # Prints the number of specs compared, the seconds taken, the peak resident

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from ellsw import _model
 from ellsw.errors import InternalInvariantError
-from ellsw.groups import FAMILIES, FiniteGroup, build_binary_polyhedral, build_group
+from ellsw.groups import FAMILIES, FiniteGroup, GroupSpec, build_binary_polyhedral, build_group
 from ellsw.swindex import sweep_specs
 
 from cyclo_oracles import dihedral_matrix_by_products
+from test_groups import CRITERION_6_SPECS
 
 # Valid specs with |G| <= 480, drawn family first so that each of the six
 # families (TD: m = 3, 9, 15) is as likely as any other.
@@ -114,6 +115,25 @@ def test_mult_matches_matrix_products(spec, data):
     keys = st.integers(0, spec.order - 1)
     for a, b in data.draw(st.lists(st.tuples(keys, keys), min_size=1, max_size=4)):
         assert model.to_matrix(model.mult(a, b)) == model.to_matrix(a) * model.to_matrix(b)
+
+
+def _assert_trace_det_is_read_off_the_matrix(spec):
+    model = _model.family_model(spec)
+    for key in model.elements():
+        m = model.to_matrix(key)
+        assert model.trace_det(key) == (m.trace(), m.det()), (spec, key)
+
+
+@pytest.mark.parametrize("spec", CRITERION_6_SPECS + [GroupSpec("DD", 1, 935)], ids=str)
+def test_trace_det_is_the_trace_and_determinant_of_the_matrix(spec):
+    # DD(1,935): roots of order 1870, the largest field of the per-element checks
+    _assert_trace_det_is_read_off_the_matrix(spec)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=specs)
+def test_trace_det_is_read_off_the_matrix_on_random_specs(spec):
+    _assert_trace_det_is_read_off_the_matrix(spec)
 
 
 def test_dihedral_matrices_equal_the_product_construction():

@@ -217,9 +217,10 @@ def split_subgroup(patch):
 
 @case
 def trivial_rho_fixed_point(patch):
-    # diag(1, -1) fixes a line; where rho = 1, chi checks freeness alone.
-    g = UnitaryElement(((1, 0), (0, -1)), check=False)
-    return (lambda: swindex.chi(g, cyclo.CyclotomicNumber.one(), {}), DomainError, None,
+    # diag(1, -1), of trace 0 and determinant -1, fixes a line; where rho = 1,
+    # chi checks freeness alone.
+    one = cyclo.CyclotomicNumber.one()
+    return (lambda: swindex.chi(one - 1, -one, one, {}), DomainError, None,
             "element has eigenvalue 1; the action is not free")
 
 

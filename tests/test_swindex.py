@@ -10,7 +10,7 @@ from ellsw import _model, swindex
 from ellsw.bundle import rho
 from ellsw.cyclo import CyclotomicNumber, root_of_unity
 from ellsw.errors import DomainError, InternalInvariantError
-from ellsw.groups import BINARY_KIND, FAMILIES, GroupSpec, UnitaryElement, build_group, eigen_angles
+from ellsw.groups import BINARY_KIND, FAMILIES, GroupSpec, build_group, eigen_angles
 from ellsw.swindex import (
     chi,
     closed_form_d_E,
@@ -26,30 +26,58 @@ from ellsw.swindex import (
 from character_checks import labels_by_key_mod_3
 
 ONE = CyclotomicNumber.one()
+ZERO = CyclotomicNumber.zero()
+IDENTITY_MESSAGE = "^chi is undefined at the identity$"
+NOT_FREE_MESSAGE = "^element has eigenvalue 1; the action is not free$"
+
+# (tr g, det g) of I, -I, diag(1, -1) and diag(1, zeta_3): the last two
+# have an eigenvalue 1.
+IDENT, MINUS, FIXES_LINE = (2 * ONE, ONE), (-2 * ONE, ONE), (ZERO, -ONE)
+FIXES_ZETA3_LINE = (1 + root_of_unity(1, 3), root_of_unity(1, 3))
 
 
 def test_chi_hand_values():
-    minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
     # eigenvalues (-1, -1), rho = -1: 2(-2)/((2)(2)) = -1
-    assert chi(minus, -ONE) == -1
+    assert chi(*MINUS, -ONE) == -1
     # rho(-I) = 1 kills the numerator
-    assert chi(minus, ONE).is_zero()
+    assert chi(*MINUS, ONE).is_zero()
+    # diag(i, i): det(g - 1) = (i - 1)^2 = -2i, rho = -1: 2(-2)/(2i) = 2i
+    i = root_of_unity(1, 4)
+    assert chi(2 * i, -ONE, -ONE) == 2 * i
 
 
 def test_chi_vanishes_on_trivial_rho_rotation():
     spec = GroupSpec("DD", 3, 2)
-    group = build_group(spec)
-    y = group.gens[2]
-    assert chi(group.to_matrix(y), ONE).is_zero()
+    y = build_group(spec).gens[2]
+    assert chi(*_model.family_model(spec).trace_det(y), ONE).is_zero()
 
 
-def test_chi_domain_errors():
-    ident = UnitaryElement(((1, 0), (0, 1)), check=False)
-    with pytest.raises(DomainError):
-        chi(ident, ONE)
-    fixes_line = UnitaryElement(((1, 0), (0, -1)), check=False)
-    with pytest.raises(DomainError):
-        chi(fixes_line, -ONE)
+@pytest.mark.parametrize("rho_value", [ONE, -ONE], ids=["rho=1", "rho=-1"])
+def test_chi_domain_errors(rho_value):
+    with pytest.raises(DomainError, match=IDENTITY_MESSAGE):
+        chi(*IDENT, rho_value)
+    # the identity's trace 2 written at a higher order is still the identity
+    with pytest.raises(DomainError, match=IDENTITY_MESSAGE):
+        chi((2 * ONE).embed(8), ONE.embed(12), rho_value)
+    with pytest.raises(DomainError, match=NOT_FREE_MESSAGE):
+        chi(*FIXES_LINE, rho_value)
+    # det(g - 1) = zeta_3 - (1 + zeta_3) + 1 = 0
+    with pytest.raises(DomainError, match=NOT_FREE_MESSAGE):
+        chi(*FIXES_ZETA3_LINE, rho_value)
+
+
+def _chi_by_entries(g, rho_value):
+    """`chi` as it once read a matrix: the denominator conj det(g - 1)
+    formed from the four entries as (a - 1)(d - 1) - b c."""
+    if g.is_identity():
+        raise DomainError("chi is undefined at the identity")
+    (a, b), (c, d) = g.entries
+    det = (a - 1) * (d - 1) - b * c
+    if det.is_zero():
+        raise DomainError("element has eigenvalue 1; the action is not free")
+    if rho_value.is_one():
+        return CyclotomicNumber.zero()
+    return (rho_value - 1) * 2 * det.reduced().conjugate().inverse()
 
 
 def _chi_by_eigenvalues(g, rho_value):
@@ -65,11 +93,13 @@ def _chi_by_eigenvalues(g, rho_value):
     ids=lambda spec: f"{spec.family}-{spec.m}-{spec.n}",
 )
 def test_chi_matches_the_eigenvalue_formula(spec):
+    model = _model.family_model(spec)
     group = build_group(spec)
     character = rho(spec, group)
     for k in group.keys[1:]:
         g, value = group.to_matrix(k), character.value(k)
-        assert chi(g, value) == _chi_by_eigenvalues(g, value), k
+        expected = _chi_by_eigenvalues(g, value)
+        assert chi(*model.trace_det(k), value) == _chi_by_entries(g, value) == expected, k
 
 
 def test_singular_point_contribution_examples():
@@ -171,13 +201,16 @@ def test_engine_matches_per_element_enumeration(spec):
 
 def _plain_breakdown_by_elements(spec):
     """Label -> sum of `chi` over the non-identity elements, each call on
-    its own with no shared mapping of inverses."""
+    its own with no shared mapping of inverses, and each value checked
+    against the entry form on the key's matrix."""
     model = _model.family_model(spec)
     group = build_group(spec)
     character = rho(spec, group)
     out = dict.fromkeys(model.labels, CyclotomicNumber.zero())
     for k in group.keys[1:]:
-        out[model.label(k)] += chi(group.to_matrix(k), character.value(k))
+        value = chi(*model.trace_det(k), character.value(k))
+        assert value == _chi_by_entries(group.to_matrix(k), character.value(k)), (spec, k)
+        out[model.label(k)] += value
     return {label: v.as_rational() for label, v in out.items()}
 
 
@@ -257,20 +290,44 @@ def test_engine_matches_the_per_element_route_on_polyhedral_labels_to_4000():
 
 @pytest.mark.parametrize("spec", [GroupSpec("DD", 5, 3), GroupSpec("DC", 4, 3), GroupSpec("OO", 7)], ids=str)
 def test_per_element_route_raises_on_a_cyclic_subgroup_with_eigenvalue_1(monkeypatch, spec):
-    # Give every generator of one cyclic subgroup the matrix diag(1, -1),
-    # as a group that does not act freely would: `chi` meets det(g - 1) = 0.
+    # Give every generator of one cyclic subgroup the trace and determinant
+    # of diag(1, -1), as a group that does not act freely would: `chi`
+    # meets det(g - 1) = 0.
     group = build_group(spec)
     k = group.keys[-1]
     powers = list(group.powers(k))
     gens = {g for t, g in enumerate(powers, 1) if math.gcd(t, len(powers)) == 1}
     assert len(gens) > 1
-    fixes_line = UnitaryElement(((1, 0), (0, -1)), check=False)
-    to_matrix = group.to_matrix
-    group.to_matrix = lambda key: fixes_line if key in gens else to_matrix(key)
-    monkeypatch.setattr(swindex, "build_group", lambda _: group)
+    family_model = _model.family_model
+
+    def fixing_a_line(spec):
+        model = family_model(spec)
+        trace_det = model.trace_det
+        model.trace_det = lambda key: FIXES_LINE if key in gens else trace_det(key)
+        return model
+
+    monkeypatch.setattr(_model, "family_model", fixing_a_line)
     for _ in range(2):
-        with pytest.raises(DomainError, match="eigenvalue 1"):
+        with pytest.raises(DomainError, match=NOT_FREE_MESSAGE):
             s_breakdown_by_elements(spec)
+
+
+def test_per_element_labels_read_the_atom_traces(monkeypatch):
+    # The route has no check of its own that a wrong atom trace would fire,
+    # so a patched trace must show in its labels, while the engine, which
+    # reads the atoms' eigenvalue exponents, stays put.
+    spec = GroupSpec("TT", 5)
+    engine = list(s_breakdown(spec).items())
+    table = _model.su2_table("T")
+    assert (table.order[2], table.trace[2], table.order[1], table.trace[1]) == (6, 1, 4, 0)
+    traces = list(table.trace)
+    traces[2] = traces[1]  # an order-4 trace on an order-6 atom
+    monkeypatch.setattr(table, "trace", traces)
+    assert list(s_breakdown_by_elements(spec).items()) != engine
+    assert list(s_breakdown(spec).items()) == engine
+    monkeypatch.undo()
+    assert table.trace[2] == 1
+    assert list(s_breakdown_by_elements(spec).items()) == engine
 
 
 def test_per_element_route_keeps_no_state_across_calls(monkeypatch):
@@ -295,30 +352,24 @@ def test_per_element_route_keeps_no_state_across_calls(monkeypatch):
 
 def test_chi_raises_every_time_with_a_shared_mapping():
     inverses = {}
-    minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
-    assert chi(minus, -ONE, inverses) == -1
-    ident = UnitaryElement(((1, 0), (0, 1)), check=False)
-    fixes_line = UnitaryElement(((1, 0), (0, -1)), check=False)
+    assert chi(*MINUS, -ONE, inverses) == -1
     for _ in range(2):
-        with pytest.raises(DomainError):
-            chi(ident, ONE, inverses)
-        with pytest.raises(DomainError):
-            chi(fixes_line, -ONE, inverses)
+        with pytest.raises(DomainError, match=IDENTITY_MESSAGE):
+            chi(*IDENT, ONE, inverses)
+        with pytest.raises(DomainError, match=NOT_FREE_MESSAGE):
+            chi(*FIXES_LINE, -ONE, inverses)
     assert len(inverses) == 1  # only the invertible denominator of -I
-    assert chi(minus, -ONE, inverses) == -1
+    assert chi(*MINUS, -ONE, inverses) == -1
 
 
 def test_chi_with_trivial_rho_checks_freeness_and_stores_nothing():
-    # rho = 1: zero where det(g - 1) != 0, with no denominator formed or kept.
+    # rho = 1: zero where det(g - 1) != 0, with no denominator inverted or kept.
     inverses = {}
-    fixes_line = UnitaryElement(((1, 0), (0, -1)), check=False)
-    swap = UnitaryElement(((0, 1), (1, 0)), check=False)  # eigenvalues 1, -1
-    minus = UnitaryElement(((-1, 0), (0, -1)), check=False)
     for _ in range(2):
-        for g in (fixes_line, swap):
-            with pytest.raises(DomainError, match="eigenvalue 1"):
-                chi(g, ONE, inverses)
-        assert chi(minus, ONE, inverses).is_zero()
+        for g in (FIXES_LINE, FIXES_ZETA3_LINE):
+            with pytest.raises(DomainError, match=NOT_FREE_MESSAGE):
+                chi(*g, ONE, inverses)
+        assert chi(*MINUS, ONE, inverses).is_zero()
     assert inverses == {}
 
 
@@ -374,12 +425,13 @@ def test_chi_conjugate_pairs_are_real():
     spec = GroupSpec("DD", 3, 4)
     group = build_group(spec)
     character = rho(spec, group)
+    model = _model.family_model(spec)
     rng = random.Random(3)
     keys = [k for k in group.keys if k != group.identity]
     for k in rng.sample(keys, 8):
         inv = group.inverse(k)
-        total = chi(group.to_matrix(k), character.value(k)) + chi(
-            group.to_matrix(inv), character.value(inv)
+        total = chi(*model.trace_det(k), character.value(k)) + chi(
+            *model.trace_det(inv), character.value(inv)
         )
         assert total == total.conjugate()
 
