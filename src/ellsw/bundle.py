@@ -9,14 +9,13 @@ fixed linear form (1, 1) . (gamma z), and the check is f(gz) = rho(g) f(z)
 on generators.  The scalars Z are central, so gamma g = s_gamma gamma' with
 gamma -> gamma' a permutation of G/Z, and f(gz) = V(g) f(z) exactly, where
 V(g) = prod_gamma s_gamma is the transfer G -> Z, a homomorphism.  So
-agreement with the table on the generators is the whole check, and both
-routes read only the table: the library's `section_equivariance_report`
-reads V(g) off the dense keys with integer arithmetic;
-`polynomial_section_report`, the independent second route, expands f(gz)
-and rho(g) f(z) as exact polynomials over the cyclotomic field, at a cost
-cubic in |Gamma|, so only the tests run it, on small groups.  Each report
-gives the table's rows (name, key, e) as `generators`, the verdict on each
-in that order as `holds`, and their conjunction as `ok`.
+agreement with the table on the generators is the whole check, which
+`section_equivariance_report` makes by reading V(g) off the dense keys with
+integer arithmetic.  The tests' independent route (`tests/section_oracles.py`)
+expands f(gz) and rho(g) f(z) as exact polynomials, at a cost cubic in
+|Gamma|, from the same `_section_inputs`, so both read only the table.  The
+report gives the table's rows (name, key, e) as `generators`, the verdict on
+each in that order as `holds`, and their conjunction as `ok`.
 """
 
 from __future__ import annotations
@@ -116,7 +115,9 @@ def rho(spec: GroupSpec, group: FiniteGroup | None = None) -> Character:
 
 
 class BivariatePolynomial:
-    """Sparse polynomial in two variables with cyclotomic coefficients."""
+    """Sparse polynomial in two variables with cyclotomic coefficients, for
+    the tests' section route (`tests/section_oracles.py`); it stays in `ellsw`
+    because the benchmark's tracer wraps `mul`, `scale`, `add` and `__eq__`."""
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -124,10 +125,6 @@ class BivariatePolynomial:
             for k, v in terms.items():
                 if not v.is_zero():
                     self.terms[k] = v
-
-    @staticmethod
-    def linear(a: CyclotomicNumber, b: CyclotomicNumber) -> "BivariatePolynomial":
-        return BivariatePolynomial({(1, 0): a, (0, 1): b})
 
     def mul(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out = {}
@@ -159,22 +156,6 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({len(self.terms)} terms)"
 
 
-def _product_of_linear(forms) -> BivariatePolynomial:
-    out = BivariatePolynomial({(0, 0): CyclotomicNumber.one()})
-    for a, b in forms:
-        out = out.mul(BivariatePolynomial.linear(a, b))
-    return out
-
-
-def _pulled_back_forms(group, reps):
-    """The form (1, 1) . (gamma z) = (a + c) z1 + (b + d) z2 per gamma."""
-    forms = []
-    for r in reps:
-        (a, b), (c, d) = group.to_matrix(r).entries
-        forms.append((a + c, b + d))
-    return forms
-
-
 def _section_inputs(spec: GroupSpec):
     """The group, the generator table with each row's key, as (name, key, e),
     and the coset representatives: the first key `b * K` of each scalar
@@ -204,24 +185,3 @@ def section_equivariance_report(spec: GroupSpec) -> dict:
 def verify_section_equivariance(spec: GroupSpec) -> bool:
     """True iff the equivariant-section identity holds for all generators."""
     return section_equivariance_report(spec)["ok"]
-
-
-def polynomial_section_report(spec: GroupSpec) -> dict:
-    """The section check as exact polynomial identities, in the shape of
-    `section_equivariance_report` without `transfer`.
-
-    f is expanded once from the forms of the exact matrices; f(gz) is
-    expanded from the forms composed with g and compared, coefficient by
-    coefficient, with f scaled by the table value rho(g).  The comparison
-    reads the exact matrices and never `mult`, so it is independent of the
-    transfer's key arithmetic.
-    """
-    group, rows, reps = _section_inputs(spec)
-    forms = _pulled_back_forms(group, reps)
-    f = _product_of_linear(forms)
-    holds = []
-    for _, g, e in rows:
-        (m11, m12), (m21, m22) = group.to_matrix(g).entries
-        composed = [(a * m11 + b * m21, a * m12 + b * m22) for a, b in forms]
-        holds.append(_product_of_linear(composed) == f.scale(root_of_unity(e, group.block)))
-    return {"generators": rows, "holds": holds, "ok": all(holds)}

@@ -16,11 +16,12 @@ reduced modulo the monic integer polynomial Phi_N; a sum cross-multiplies
 the denominators, except that a rational term (an int, a Fraction or an
 order-1 value) of `+` or `-` moves only the constant coordinate, with no
 embedding into a common order; `inverse` runs a fraction-free remainder
-sequence against Phi_N; `trace` sums the Galois conjugates through
-Ramanujan sums.  `reduced()` rewrites a value at its conductor (the least
-order whose field contains it, never 2 mod 4), where `root_of_unity` writes
-roots directly; hashing uses that form, so equal values hash equally
-whatever their order, and a rational value as its Fraction.
+sequence against Phi_N; `trace` sums the Galois conjugates through the
+Ramanujan sums of `ramanujan_sum`, which `rootsum` reads too.  `reduced()`
+rewrites a value at its conductor (the least order whose field contains it,
+never 2 mod 4), where `root_of_unity` writes roots directly; hashing uses
+that form, so equal values hash equally whatever their order, and a rational
+value as its Fraction.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ def mobius(n: int) -> int:
     if any(e > 1 for e in f.values()):
         return 0
     return -1 if len(f) % 2 else 1
+
+
+def ramanujan_sum(n: int, e: int) -> int:
+    """Sum of zeta_n^(e*t) over t coprime to n: mu(k) phi(n) / phi(k), k = n / gcd(e, n)."""
+    k = n // math.gcd(e, n)
+    mu = mobius(k)
+    if mu == 0:
+        return 0
+    return mu * (euler_phi(n) // euler_phi(k))
 
 
 def frac_str(x) -> str:
@@ -190,13 +200,8 @@ def _phi_tail(n: int):
 
 @lru_cache(maxsize=256)
 def _trace_row(n: int):
-    """Tr(zeta_n^i) over Q for i < phi(n): the Ramanujan sum c_n(i), by
-    Kluyver's formula, the sum of d mu(n/d) over the d dividing gcd(i, n)."""
-    row = [0] * euler_phi(n)
-    for d, s in _squarefree_cofactors(n):
-        for i in range(0, len(row), d):
-            row[i] += s * d
-    return tuple(row)
+    """Tr(zeta_n^i) over Q for i < phi(n): the Ramanujan sum c_n(i)."""
+    return tuple(ramanujan_sum(n, i) for i in range(euler_phi(n)))
 
 
 def _reduce(n: int, dense: list) -> list:

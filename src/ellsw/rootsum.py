@@ -5,8 +5,8 @@ denominator `den`, the representation `CyclotomicNumber` uses; no stored
 numerator is 0.  The representation is not canonical (relations among
 roots are not reduced, and `den` need not be in lowest terms), which keeps
 products of the inverse expansions cheap; canonical questions are answered
-by Galois invariance plus Ramanujan-sum traces, or by converting to a
-canonical `CyclotomicNumber`.
+by Galois invariance plus traces through `cyclo.ramanujan_sum`, or by
+converting to a canonical `CyclotomicNumber`.
 """
 
 from __future__ import annotations
@@ -14,17 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclo import CyclotomicNumber, euler_phi, mobius
+from .cyclo import CyclotomicNumber, euler_phi, ramanujan_sum
 from .errors import InternalInvariantError
-
-
-def ramanujan_sum(n: int, e: int) -> int:
-    """Sum of zeta_n^(e*t) over t coprime to n."""
-    k = n // math.gcd(e, n)
-    mu = mobius(k)
-    if mu == 0:
-        return 0
-    return mu * (euler_phi(n) // euler_phi(k))
 
 
 class RootSum:

@@ -1,11 +1,11 @@
 """Test-only oracles for `ellsw.cyclo.CyclotomicNumber`: a floating-point
 complex embedding, independent of the library's exact arithmetic, and the
-constructions that `root_of_unity` and the dihedral `to_matrix` replaced.
-No float enters `src/`."""
+constructions that `root_of_unity`, the dihedral `to_matrix` and the trace
+row replaced.  No float enters `src/`."""
 
 import cmath
 
-from ellsw.cyclo import CyclotomicNumber, root_of_unity
+from ellsw.cyclo import CyclotomicNumber, _squarefree_cofactors, euler_phi, root_of_unity
 
 
 def to_complex(x: CyclotomicNumber) -> complex:
@@ -34,3 +34,14 @@ def dihedral_matrix_by_products(model, key):
     if t == 0:
         return (scal * a, zero), (zero, scal * ai)
     return (zero, scal * ai), (-(scal * a), zero)
+
+
+def kluyver_trace_row(n: int):
+    """Tr(zeta_n^i) over Q for i < phi(n) by Kluyver's formula, the sum of
+    d mu(n/d) over the d dividing gcd(i, n): the row `cyclo._trace_row`
+    built before it read `ramanujan_sum`."""
+    row = [0] * euler_phi(n)
+    for d, s in _squarefree_cofactors(n):
+        for i in range(0, len(row), d):
+            row[i] += s * d
+    return tuple(row)

@@ -66,10 +66,17 @@ _POINT = {"order": 6, "l": 1, "lp": None, "ambient": 6, "cone_point": True, "gro
 _MEMBER = {"class": {"CC": "2/3", "KC": "-4/3"}, "points": [_POINT]}
 
 # Audit documents (JSON values, or raw text) by file name: the member
-# document and the malformed ones that tests/test_cli.py pins.
+# document, one with a valid pair (the one call through `kpair_lower_bound`),
+# and the malformed ones that tests/test_cli.py pins.
 _AUDITS = {
     "member": {**_MEMBER, "underlying_genus": 0},
     "not-json": "{not json",
+    "pair": {
+        "class": {"CC": "1/2", "KC": "0"},
+        "points": [{"order": 3, "l": 1, "lp": 1, "ambient": 6},
+                   {"order": 2, "l": 1, "lp": 1, "ambient": 6}],
+        "pairs": [{"i": 0, "j": 1}],
+    },
     "negative-pair-index": {
         "class": {"CC": "1/2", "KC": "0"},
         "points": [{"order": 3, "l": 1, "lp": 1, "ambient": 6},

@@ -4,7 +4,6 @@ from ellsw import _model, bundle
 from ellsw.bundle import (
     extend_character,
     generator_table,
-    polynomial_section_report,
     rho,
     section_equivariance_report,
     verify_section_equivariance,
@@ -15,6 +14,7 @@ from ellsw.groups import GroupSpec, build_group, scalar_subgroup
 from ellsw.swindex import sweep_specs
 
 from character_checks import is_multiplicative, trivial_rho, twisted_rho
+from section_oracles import polynomial_section_report
 from test_acceptance import EQUIVARIANCE_CASES
 
 

@@ -10,7 +10,7 @@ from ellsw import cyclo
 from ellsw.cyclo import CyclotomicNumber, cyclotomic_polynomial, euler_phi, power, root_of_unity
 from ellsw.errors import NotRationalError
 
-from cyclo_oracles import root_by_descent, to_complex
+from cyclo_oracles import kluyver_trace_row, root_by_descent, to_complex
 
 
 def test_root_of_unity_identity_cases():
@@ -281,3 +281,9 @@ def test_trace_is_the_sum_of_the_galois_conjugates():
         total = sum(conjugates, CyclotomicNumber.zero())
         assert x.trace() == total.as_rational()
         assert CyclotomicNumber.one().embed(n).trace() == euler_phi(n)
+
+
+def test_trace_row_equals_kluyvers_formula():
+    # von Sterneck's closed form against the divisor sum, at every order to 1000.
+    for n in range(1, 1001):
+        assert cyclo._trace_row(n) == kluyver_trace_row(n), n
